@@ -1,16 +1,24 @@
-"""Deterministic discrete-event scenario runner.
+"""Deterministic bottleneck-link scenario runner.
 
-N stations each run a burst generator and push every fragment of a burst at
-its generation instant into a shared FIFO bottleneck link; the link serves
-one fragment at a time at ``(wire + overhead) * 8 / link_rate`` (rounded up
-to whole nanoseconds) and delivers to a per-station reassembler after the
-propagation delay. Random losses corrupt fragments on the link (they still
-consume link time); a finite queue tail-drops arrivals instead.
+N stations each run a burst generator and hand every burst, all of its
+fragments at once, to a shared FIFO bottleneck link at its generation instant.
+The link serves one fragment at a time for ``(wire + overhead) * 8 /
+link_rate`` (rounded up to whole nanoseconds) and delivers to the station
+after the propagation delay. Random losses corrupt fragments on the link (they
+still consume link time); a finite queue tail-drops arrivals instead.
 
-Time is integer nanoseconds end to end. Simultaneous events execute in
-insertion order, so a (config, seed) pair always produces the same report.
-Stations stop generating at the configured duration and the link then drains;
-delivered stragglers still count toward the metrics.
+Since a burst's fragments arrive together and leave back to back, the link is
+computed per burst with Lindley's recursion: burst j, arriving at ``A_j``,
+starts service at ``max(A_j, D_{j-1})``, where ``D_{j-1}`` is the departure of
+the previous burst's last admitted fragment, and its fragments depart one
+serialization time apart. Bursts enter in (time, generation order) and a
+departure at instant t happens before an arrival at t, so a fragment leaving
+at t frees its queue slot for a burst arriving at t. Each burst draws one loss
+uniform per fragment when it is generated, tail-dropped fragments included.
+
+Time is integer nanoseconds end to end, so a (config, seed) pair always
+produces the same report. Stations stop generating at the configured duration
+and the link then drains; delivered stragglers still count toward the metrics.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import json
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from itertools import compress, count
 
 import numpy as np
 
@@ -32,7 +41,8 @@ from .generator import (
 )
 from .model import DEFAULT_CONSTANTS, VrModelConstants, VrStreamParams
 from .rv import RNG_ALGORITHM, ParameterError, RngStream, dist_from_spec
-from .wire import DEFAULT_FRAGMENT_SIZE, BurstDiscarded, BurstReassembler, BurstReceived, fragment_burst
+from .wire import DEFAULT_FRAGMENT_SIZE, HEADER_LEN, fragment_layout
+from .wire import fragment_burst  # noqa: F401  (perfbench/tracer.py patches it under this name)
 
 NS_PER_S = 1_000_000_000
 
@@ -202,104 +212,93 @@ def _serialization_ns(wire_bytes: int, overhead: int, link_rate_bps: float) -> i
     return math.ceil(bits * NS_PER_S / link_rate_bps)
 
 
-# event kinds, dequeued in (time, insertion sequence) order
-_EV_BURST = 0
-_EV_LINK_RX = 1
-_EV_LINK_DONE = 2
-_EV_SINK_RX = 3
-
-
 def simulate(cfg: ScenarioConfig) -> SimulationLog:
-    """Run the event loop and collect the raw log."""
+    """Run the scenario burst by burst and collect the raw log."""
     duration_ns = round(cfg.duration_s * NS_PER_S)
     generators, trace_metadata = _build_generators(cfg)
     loss_rng = RngStream(cfg.seed, _LOSS_STREAM_ID) if cfg.loss_prob > 0 else None
-    reassemblers = [BurstReassembler() for _ in range(cfg.n_stations)]
     log = SimulationLog(stations=[StationLog() for _ in range(cfg.n_stations)])
     log.trace_metadata = trace_metadata
+    limit, prop, overhead = cfg.queue_limit, cfg.propagation_delay_ns, cfg.overhead_bytes
+    full_ser = _serialization_ns(cfg.fragment_size, overhead, cfg.link_rate_bps)
 
+    # one pending burst per station, popped in (time, push sequence) order
     heap: list = []
-    next_event_id = 0
-
-    def push(time_ns: int, kind: int, payload) -> None:
-        nonlocal next_event_id
-        heapq.heappush(heap, (time_ns, next_event_id, kind, payload))
-        next_event_id += 1
-
+    pushes = count()
     offsets = cfg.station_start_offsets_ns or [0] * cfg.n_stations
     for station, offset in enumerate(offsets):
         if offset < duration_ns and generators[station].has_next_burst():
-            push(offset, _EV_BURST, station)
+            heapq.heappush(heap, (offset, next(pushes), station))
 
-    burst_seq = [0] * cfg.n_stations
-    link_busy = False
-    queue: deque = deque()  # waiting fragments; the one in service is not queued
+    link_free = 0  # departure of the last admitted fragment
+    last_arrival = 0  # sink arrival of the last delivered fragment
+    backlog: deque = deque()  # (start, admitted, end) of bursts not fully departed
+    backlog_frags = 0
+    partial = [False] * cfg.n_stations  # reassembler holds an incomplete burst
+    now = 0
 
     while heap:
-        now, _, kind, payload = heapq.heappop(heap)
-        log.end_time_ns = now
+        now, _, station = heapq.heappop(heap)
+        gen = generators[station]
+        desc = gen.generate_burst()
+        n_frags, last_payload = fragment_layout(desc.burst_size, cfg.fragment_size)
+        lost = loss_rng.uniform(n_frags) < cfg.loss_prob if loss_rng is not None else None
+        st = log.stations[station]
+        st.bursts_sent += 1
+        st.fragments_sent += n_frags
+        log.fragments_sent += n_frags
+        # clamp zero periods to 1 ns so a pathological generator cannot
+        # stall simulated time
+        next_ns = now + max(1, desc.next_period_ns)
+        if next_ns < duration_ns and gen.has_next_burst():
+            heapq.heappush(heap, (next_ns, next(pushes), station))
 
-        if kind == _EV_BURST:
-            station = payload
-            gen = generators[station]
-            desc = gen.generate_burst()
-            fragments = fragment_burst(
-                burst_seq[station] % 2**32, desc.burst_size, now, cfg.fragment_size
-            )
-            burst_seq[station] += 1
-            log.stations[station].bursts_sent += 1
-            for frag in fragments:
-                lost = loss_rng is not None and loss_rng.uniform() < cfg.loss_prob
-                log.fragments_sent += 1
-                log.stations[station].fragments_sent += 1
-                push(now, _EV_LINK_RX, (station, frag, lost))
-            # clamp zero periods to 1 ns so a pathological generator cannot
-            # stall simulated time
-            next_ns = now + max(1, desc.next_period_ns)
-            if next_ns < duration_ns and gen.has_next_burst():
-                push(next_ns, _EV_BURST, station)
-
-        elif kind == _EV_LINK_RX:
-            if link_busy:
-                if cfg.queue_limit and len(queue) >= cfg.queue_limit:
-                    log.fragments_queue_dropped += 1
-                else:
-                    queue.append(payload)
+        admitted = n_frags
+        if limit:
+            while backlog and backlog[0][2] <= now:
+                backlog_frags -= backlog.popleft()[1]
+            if backlog:  # busy: every fragment not yet departed waits but the one in service
+                head_start, head_admitted, _ = backlog[0]
+                sent = min(head_admitted - 1, (now - head_start) // full_ser)
+                admitted = min(n_frags, limit - (backlog_frags - sent - 1))
             else:
-                link_busy = True
-                ser = _serialization_ns(payload[1].wire_size, cfg.overhead_bytes, cfg.link_rate_bps)
-                push(now + ser, _EV_LINK_DONE, (payload, ser))
+                admitted = min(n_frags, limit + 1)
+            log.fragments_queue_dropped += n_frags - admitted
+            if not admitted:
+                continue
 
-        elif kind == _EV_LINK_DONE:
-            item, ser = payload
-            station, frag, lost = item
-            log.served_bytes += frag.wire_size + cfg.overhead_bytes
-            log.link_busy_ns += ser
-            if lost:
-                log.fragments_lost += 1
-            else:
-                push(now + cfg.propagation_delay_ns, _EV_SINK_RX, item)
-            if queue:
-                nxt = queue.popleft()
-                ser = _serialization_ns(nxt[1].wire_size, cfg.overhead_bytes, cfg.link_rate_bps)
-                push(now + ser, _EV_LINK_DONE, (nxt, ser))
-            else:
-                link_busy = False
+        start = now if now > link_free else link_free
+        last_wire = HEADER_LEN + last_payload if admitted == n_frags else cfg.fragment_size
+        link_free = start + (admitted - 1) * full_ser
+        link_free += _serialization_ns(last_wire, overhead, cfg.link_rate_bps)
+        log.link_busy_ns += link_free - start
+        log.served_bytes += (admitted - 1) * (cfg.fragment_size + overhead) + last_wire + overhead
+        if limit:
+            backlog.append((start, admitted, link_free))
+            backlog_frags += admitted
 
-        else:  # _EV_SINK_RX
-            station, frag, _ = payload
-            delay = now - frag.header.timestamp_ns
-            log.fragment_delays_ns.append(delay)
-            log.stations[station].fragments_delivered += 1
-            for event in reassemblers[station].on_fragment(frag.header, now, frag.payload_len):
-                if isinstance(event, BurstReceived):
-                    log.burst_delays_ns.append(event.delay_ns)
-                    log.stations[station].burst_delays_ns.append(event.delay_ns)
-                    log.stations[station].bursts_received += 1
-                    log.payload_bytes_received += event.payload_bytes
-                elif isinstance(event, BurstDiscarded):
-                    log.stations[station].bursts_discarded += 1
+        # fragment i of the burst reaches the station at start + (i+1)*full_ser + prop
+        first = start + full_ser + prop - now
+        delays = list(range(first, first + (admitted - 1) * full_ser, full_ser))
+        delays.append(link_free + prop - now)
+        if lost is not None:
+            delays = list(compress(delays, (~lost[:admitted]).tolist()))
+            log.fragments_lost += admitted - len(delays)
+        if not delays:
+            continue
+        log.fragment_delays_ns.extend(delays)
+        last_arrival = now + delays[-1]
+        st.fragments_delivered += len(delays)
+        if partial[station]:  # a newer burst's fragment discards the incomplete one
+            st.bursts_discarded += 1
+        partial[station] = len(delays) < n_frags
+        if not partial[station]:
+            log.burst_delays_ns.append(delays[-1])
+            st.burst_delays_ns.append(delays[-1])
+            st.bursts_received += 1
+            log.payload_bytes_received += desc.burst_size
 
+    log.end_time_ns = max(now, link_free, last_arrival)
     return log
 
 

@@ -95,17 +95,13 @@ class Fragment:
         return HEADER_LEN + self.payload_len
 
 
-def fragment_burst(
-    burst_seq: int,
-    burst_size: int,
-    timestamp_ns: int,
-    fragment_size: int = DEFAULT_FRAGMENT_SIZE,
-) -> list[Fragment]:
-    """Split a burst into header-bearing fragments of at most ``fragment_size``.
+def fragment_layout(burst_size: int, fragment_size: int = DEFAULT_FRAGMENT_SIZE) -> tuple[int, int]:
+    """Fragment count and last-fragment payload of a burst, as ``(count, last)``.
 
     Payload capacity per fragment is ``fragment_size - 24``; all fragments but
-    the last carry a full payload and the last carries the remainder. Every
-    header shares the burst's sequence number, size, timestamp, and count.
+    the last carry a full payload and the last carries the remainder. Raises
+    :class:`FragmentationError` when the header leaves no room for payload or
+    the count would overflow the u16 fragment-count field.
     """
     if fragment_size <= HEADER_LEN:
         raise FragmentationError(
@@ -120,14 +116,25 @@ def fragment_burst(
             f"burst of {burst_size} B needs {count} fragments at fragment_size "
             f"{fragment_size}, beyond the u16 fragment-count field"
         )
-    fragments = []
-    remaining = burst_size
-    for index in range(count):
-        payload = min(capacity, remaining)
-        remaining -= payload
-        header = FragmentHeader(burst_seq, index, count, burst_size, timestamp_ns)
-        fragments.append(Fragment(header, payload))
-    return fragments
+    return count, burst_size - (count - 1) * capacity
+
+
+def fragment_burst(
+    burst_seq: int,
+    burst_size: int,
+    timestamp_ns: int,
+    fragment_size: int = DEFAULT_FRAGMENT_SIZE,
+) -> list[Fragment]:
+    """Split a burst into header-bearing fragments laid out by :func:`fragment_layout`.
+
+    Every header shares the burst's sequence number, size, timestamp, and count.
+    """
+    count, last = fragment_layout(burst_size, fragment_size)
+    payloads = [fragment_size - HEADER_LEN] * (count - 1) + [last]
+    return [
+        Fragment(FragmentHeader(burst_seq, index, count, burst_size, timestamp_ns), payload)
+        for index, payload in enumerate(payloads)
+    ]
 
 
 # --- reassembly -------------------------------------------------------------
@@ -267,4 +274,5 @@ __all__ = [
     "decode_header",
     "encode_header",
     "fragment_burst",
+    "fragment_layout",
 ]

@@ -162,6 +162,21 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--stations", "0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--fragment-size", "24"],
+             "error: fragment_size must exceed the 24-byte header, got 24\n"),
+            (["--model", "simple", "--size-dist", "constant:100000000",
+              "--period-dist", "constant:0.01"],
+             "error: burst of 100000000 B needs 79745 fragments at fragment_size 1278, "
+             "beyond the u16 fragment-count field\n"),
+        ],
+    )
+    def test_impossible_fragmentation_is_data_error(self, capsys, argv, message):
+        code, stdout, err = run(capsys, "simulate", "--duration-s", "0.1", *argv)
+        assert (code, stdout, err) == (3, "", message)
+
 
 class TestStats:
     def test_two_row_trace(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from vrburst.wire import (
     decode_header,
     encode_header,
     fragment_burst,
+    fragment_layout,
 )
 
 
@@ -114,6 +115,12 @@ class TestFragmentBurst:
     def test_fragment_count_overflow_rejected(self):
         with pytest.raises(FragmentationError, match="u16"):
             fragment_burst(0, 2**16 * 1254 + 1, 0, 1278)
+
+    @pytest.mark.parametrize("burst_size, fragment_size", [(1, 1278), (1254, 1278), (1255, 1278),
+                                                          (3000, 1278), (3, 25), (9999, 300)])
+    def test_layout_matches_fragments(self, burst_size, fragment_size):
+        frags = fragment_burst(0, burst_size, 0, fragment_size)
+        assert fragment_layout(burst_size, fragment_size) == (len(frags), frags[-1].payload_len)
 
 
 def deliver(reassembler, fragments, base_ns=1_000, step_ns=10):
