@@ -7,14 +7,13 @@ link_rate`` (rounded up to whole nanoseconds) and delivers to the station
 after the propagation delay. Random losses corrupt fragments on the link (they
 still consume link time); a finite queue tail-drops arrivals instead.
 
-Since a burst's fragments arrive together and leave back to back, the link is
-computed per burst with Lindley's recursion: burst j, arriving at ``A_j``,
-starts service at ``max(A_j, D_{j-1})``, where ``D_{j-1}`` is the departure of
-the previous burst's last admitted fragment, and its fragments depart one
-serialization time apart. Bursts enter in (time, generation order) and a
-departure at instant t happens before an arrival at t, so a fragment leaving
-at t frees its queue slot for a burst arriving at t. Each burst draws one loss
-uniform per fragment when it is generated, tail-dropped fragments included.
+A burst's fragments arrive together and leave back to back, so the link is
+computed per burst with Lindley's recursion: burst j arriving at ``A_j``
+starts service at ``max(A_j, D_{j-1})``, ``D_{j-1}`` being the departure of
+the previous burst's last admitted fragment. Bursts enter in (time,
+generation order); a departure at instant t precedes an arrival at t and frees
+its queue slot for it. Each burst draws one loss uniform per fragment when it
+is generated, tail-dropped fragments included.
 
 Time is integer nanoseconds end to end, so a (config, seed) pair always
 produces the same report. Stations stop generating at the configured duration
@@ -125,7 +124,7 @@ class ScenarioConfig:
             raise ParameterError("station_start_offsets_ns must list one offset per station")
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "n_stations": self.n_stations,
             "generator": self.generator.to_dict(),
             "link_rate_bps": self.link_rate_bps,
@@ -139,14 +138,19 @@ class ScenarioConfig:
             "station_start_offsets_ns": self.station_start_offsets_ns,
             "constants": self.constants.to_dict(),
         }
-        return out
 
 
 @dataclass
 class StationLog:
+    """Per-station counters. Every sent burst ends received, lost (no fragment
+    delivered), discarded (incomplete, and a newer burst delivered a fragment)
+    or in flight (incomplete, and no newer burst delivered one)."""
+
     bursts_sent: int = 0
     bursts_received: int = 0
     bursts_discarded: int = 0
+    bursts_lost: int = 0
+    bursts_in_flight: int = 0
     fragments_sent: int = 0
     fragments_delivered: int = 0
     burst_delays_ns: list[int] = field(default_factory=list)
@@ -234,7 +238,6 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
     last_arrival = 0  # sink arrival of the last delivered fragment
     backlog: deque = deque()  # (start, admitted, end) of bursts not fully departed
     backlog_frags = 0
-    partial = [False] * cfg.n_stations  # reassembler holds an incomplete burst
     now = 0
 
     while heap:
@@ -247,8 +250,7 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
         st.bursts_sent += 1
         st.fragments_sent += n_frags
         log.fragments_sent += n_frags
-        # clamp zero periods to 1 ns so a pathological generator cannot
-        # stall simulated time
+        # a zero period is clamped to 1 ns so simulated time always advances
         next_ns = now + max(1, desc.next_period_ns)
         if next_ns < duration_ns and gen.has_next_burst():
             heapq.heappush(heap, (next_ns, next(pushes), station))
@@ -265,12 +267,13 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
                 admitted = min(n_frags, limit + 1)
             log.fragments_queue_dropped += n_frags - admitted
             if not admitted:
+                st.bursts_lost += 1
                 continue
 
         start = now if now > link_free else link_free
         last_wire = HEADER_LEN + last_payload if admitted == n_frags else cfg.fragment_size
-        link_free = start + (admitted - 1) * full_ser
-        link_free += _serialization_ns(last_wire, overhead, cfg.link_rate_bps)
+        last_ser = _serialization_ns(last_wire, overhead, cfg.link_rate_bps)
+        link_free = start + (admitted - 1) * full_ser + last_ser
         log.link_busy_ns += link_free - start
         log.served_bytes += (admitted - 1) * (cfg.fragment_size + overhead) + last_wire + overhead
         if limit:
@@ -285,14 +288,15 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
             delays = list(compress(delays, (~lost[:admitted]).tolist()))
             log.fragments_lost += admitted - len(delays)
         if not delays:
+            st.bursts_lost += 1
             continue
         log.fragment_delays_ns.extend(delays)
         last_arrival = now + delays[-1]
         st.fragments_delivered += len(delays)
-        if partial[station]:  # a newer burst's fragment discards the incomplete one
+        if st.bursts_in_flight:  # a newer burst's fragment discards the incomplete one
             st.bursts_discarded += 1
-        partial[station] = len(delays) < n_frags
-        if not partial[station]:
+        st.bursts_in_flight = int(len(delays) < n_frags)
+        if not st.bursts_in_flight:
             log.burst_delays_ns.append(delays[-1])
             st.burst_delays_ns.append(delays[-1])
             st.bursts_received += 1
@@ -328,17 +332,9 @@ class MetricsReport:
     trace_metadata: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "config": self.config,
-            "rng_algorithm": self.rng_algorithm,
-            "fragment": self.fragment,
-            "burst": self.burst,
-            "link": self.link,
-            "throughput_mbps": self.throughput_mbps,
-            "per_station": self.per_station,
-        }
-        if self.trace_metadata is not None:
-            out["trace_metadata"] = self.trace_metadata
+        out = asdict(self)  # field order is the report's key order
+        if self.trace_metadata is None:
+            del out["trace_metadata"]
         return out
 
     def to_json(self) -> str:
@@ -358,6 +354,8 @@ def summarize(log: SimulationLog, cfg: ScenarioConfig) -> MetricsReport:
         "count": sent,
         "received": log.bursts_received,
         "failed": log.bursts_discarded,
+        "lost": sum(s.bursts_lost for s in log.stations),
+        "in_flight": sum(s.bursts_in_flight for s in log.stations),
         "mean_delay_ns": burst["mean_delay_ns"],
         "std_delay_ns": burst["std_delay_ns"],
         "p95_delay_ns": burst["p95_delay_ns"],
@@ -372,6 +370,8 @@ def summarize(log: SimulationLog, cfg: ScenarioConfig) -> MetricsReport:
                 "bursts_sent": st.bursts_sent,
                 "bursts_received": st.bursts_received,
                 "bursts_discarded": st.bursts_discarded,
+                "bursts_lost": st.bursts_lost,
+                "bursts_in_flight": st.bursts_in_flight,
                 "fragments_sent": st.fragments_sent,
                 "fragments_delivered": st.fragments_delivered,
                 "mean_burst_delay_ns": float(np.mean(delays)) if delays else None,

@@ -123,4 +123,10 @@ def simulate_reference(cfg: ScenarioConfig) -> SimulationLog:
                 elif isinstance(event, BurstDiscarded):
                     log.stations[station].bursts_discarded += 1
 
+    # outcomes that raise no reassembler event: bursts that delivered no
+    # fragment, and the incomplete burst a reassembler still holds
+    for st, reassembler in zip(log.stations, reassemblers):
+        counters = reassembler.counters
+        st.bursts_lost = st.bursts_sent - counters.bursts_started
+        st.bursts_in_flight = counters.bursts_started - counters.bursts_received - counters.bursts_failed
     return log

@@ -112,6 +112,31 @@ class TestLossAndQueue:
         assert report.burst["success_ratio"] == 1.0  # drained after the horizon
 
 
+class TestBurstOutcomes:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(loss_prob=0.3, duration_s=5.0, seed=1),  # last burst left incomplete
+            dict(n_stations=30, queue_limit=50, duration_s=0.5, seed=1),  # whole bursts dropped
+            dict(n_stations=16, loss_prob=0.001, queue_limit=400, duration_s=1.0, seed=2),
+        ],
+    )
+    def test_every_burst_has_one_outcome(self, overrides):
+        report = run_scenario(vr_cfg(**overrides))
+        burst = report.burst
+        assert burst["lost"] + burst["in_flight"] > 0
+        assert burst["received"] + burst["failed"] + burst["lost"] + burst["in_flight"] == burst["count"]
+        for key, station_key in (("lost", "bursts_lost"), ("in_flight", "bursts_in_flight")):
+            assert sum(s[station_key] for s in report.per_station) == burst[key]
+        for s in report.per_station:
+            outcomes = ("bursts_received", "bursts_discarded", "bursts_lost", "bursts_in_flight")
+            assert sum(s[key] for key in outcomes) == s["bursts_sent"]
+
+    def test_total_loss_loses_every_burst(self):
+        burst = run_scenario(constant_cfg(loss_prob=1.0)).burst
+        assert (burst["failed"], burst["lost"], burst["in_flight"]) == (0, 100, 0)
+
+
 class TestDeterminismAndConservation:
     def test_identical_seeds_identical_reports(self):
         a = run_scenario(vr_cfg()).to_json()
