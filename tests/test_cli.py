@@ -236,6 +236,10 @@ class TestFitCommand:
 class TestUdpLoopback:
     def test_send_recv_round_trip(self, tmp_path):
         recv_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        # The default buffer (212992 B) holds about 90 of the 400 datagrams. A
+        # stall of this process makes the paced sender catch up back to back,
+        # and the kernel then drops what the buffer cannot hold.
+        recv_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4 * 2**20)
         recv_sock.bind(("127.0.0.1", 0))
         addr = recv_sock.getsockname()
         out = tmp_path / "events.csv"
