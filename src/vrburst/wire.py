@@ -95,7 +95,7 @@ class Fragment:
         return HEADER_LEN + self.payload_len
 
 
-def fragment_layout(burst_size: int, fragment_size: int = DEFAULT_FRAGMENT_SIZE) -> tuple[int, int]:
+def fragment_layout(burst_size: int, fragment_size: int) -> tuple[int, int]:
     """Fragment count and last-fragment payload of a burst, as ``(count, last)``.
 
     Payload capacity per fragment is ``fragment_size - 24``; all fragments but
