@@ -48,6 +48,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 
+# receive buffer requested by the socket `recv` binds itself; the kernel caps
+# the request at net.core.rmem_max
+_RECV_BUFFER_BYTES = 4 * 2**20
+
 
 def _load_constants(args) -> VrModelConstants:
     if getattr(args, "params", None):
@@ -216,6 +220,14 @@ def cmd_fit(args) -> int:
     )
     if args.report:
         report.save_json(args.report)
+    for group in report.groups:
+        if not group.gmm.converged:
+            print(
+                f"warning: mixture fit of the {group.rate_bps / 1e6:g} Mbit/s, "
+                f"{group.fps:g} FPS group did not converge: its best restart stopped "
+                f"after {group.gmm.n_iterations} E steps",
+                file=sys.stderr,
+            )
     if not report.slopes_valid:
         print(
             "fitted mean slopes do not straddle 1 "
@@ -287,6 +299,24 @@ def send_bursts(
     return {"bursts_sent": bursts, "fragments_sent": fragments, "payload_bytes": payload_bytes}
 
 
+def _open_receive_socket(listen: tuple[str, int]) -> socket.socket:
+    """A UDP socket bound to ``listen`` with a ``_RECV_BUFFER_BYTES`` buffer.
+
+    The default buffer (212992 B on Linux) holds about 90 full-size
+    datagrams, so a stall of the receiving process would make the kernel drop
+    the overflow and ``recv`` report whole bursts as discarded.
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _RECV_BUFFER_BYTES)
+        sock.bind(listen)
+    except OSError:
+        sock.close()
+        raise
+    return sock
+
+
 def receive_bursts(
     listen: tuple[str, int],
     out_path,
@@ -301,9 +331,7 @@ def receive_bursts(
     """
     own_sock = sock is None
     if own_sock:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind(listen)
+        sock = _open_receive_socket(listen)
     sock.settimeout(0.2)
     flows: dict = {}
     received = discarded = malformed = datagrams = 0

@@ -4,7 +4,8 @@ import threading
 
 import pytest
 
-from vrburst.cli import main, receive_bursts, send_bursts
+import vrburst.fit
+from vrburst.cli import _open_receive_socket, main, receive_bursts, send_bursts
 from vrburst.generator import BurstDescriptor, SimpleBurstGenerator, load_trace, save_trace
 from vrburst.model import VrModelConstants
 from vrburst.rv import ConstantDist, RngStream
@@ -214,7 +215,7 @@ class TestFitCommand:
         capsys.readouterr()
         out = tmp_path / "constants.json"
         report_path = tmp_path / "report.json"
-        code, stdout, _ = run(
+        code, stdout, err = run(
             capsys, "fit", *traces, "--out", str(out), "--report", str(report_path),
             "--em-restarts", "4", "--seed", "3",
         )
@@ -223,6 +224,41 @@ class TestFitCommand:
         assert 0.5 < constants.pframe_mean_slope <= 1.0 <= constants.iframe_mean_slope < 2.0
         report = json.loads(report_path.read_text())
         assert len(report["groups"]) == 4
+        for group in report["groups"]:
+            gmm = group["gmm"]
+            assert len(gmm["restarts"]) == 4
+            assert all(set(r) == {"iterations", "log_likelihood", "converged"}
+                       for r in gmm["restarts"])
+            best = max(gmm["restarts"], key=lambda r: r["log_likelihood"])
+            assert best["log_likelihood"] == gmm["log_likelihood"]
+            assert best["iterations"] == gmm["n_iterations"]
+            assert best["converged"] == gmm["converged"]
+        unconverged = sum(not g["gmm"]["converged"] for g in report["groups"])
+        assert err.count("did not converge") == unconverged
+
+    def test_fit_warns_about_each_unconverged_group(self, tmp_path, capsys, monkeypatch):
+        traces = []
+        for rate in (10, 50):
+            path = tmp_path / f"{rate}.csv"
+            main(["generate", "--rate-mbps", str(rate), "--fps", "60",
+                  "--duration-s", "20", "--seed", str(rate), "--out", str(path)])
+            traces.append(str(path))
+        capsys.readouterr()
+        fit_gmm2_em = vrburst.fit.fit_gmm2_em
+
+        def starved(samples, **kwargs):
+            return fit_gmm2_em(samples, **{**kwargs, "max_iter": 3})
+
+        monkeypatch.setattr(vrburst.fit, "fit_gmm2_em", starved)
+        report_path = tmp_path / "report.json"
+        code, _, err = run(capsys, "fit", *traces, "--report", str(report_path),
+                           "--em-restarts", "2")
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert [g["gmm"]["converged"] for g in report["groups"]] == [False, False]
+        warnings = [line for line in err.splitlines() if "did not converge" in line]
+        assert len(warnings) == 2
+        assert "10 Mbit/s, 60 FPS" in warnings[0] and "50 Mbit/s, 60 FPS" in warnings[1]
 
     def test_single_group_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
@@ -267,6 +303,17 @@ class TestUdpLoopback:
         assert outcome == "received"
         assert int(size) == 5000
         assert int(delay_ns) > 0
+
+    def test_owned_socket_buffer_is_no_smaller_than_the_default(self):
+        fresh = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        owned = _open_receive_socket(("127.0.0.1", 0))
+        try:
+            default = fresh.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+            assert owned.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF) >= default
+            assert owned.getsockname()[1] != 0
+        finally:
+            fresh.close()
+            owned.close()
 
     def test_recv_without_sender_times_out_empty(self, tmp_path):
         out = tmp_path / "empty.csv"

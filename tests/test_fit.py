@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vrburst.fit import (
-    derive_weights,
     fit_gmm2_em,
     fit_linear_through_origin,
     fit_logistic,
@@ -140,30 +139,6 @@ class TestFitPowerLaw:
             fit_power_law([(5.0, 1.0), (5.0, 2.0)])
 
 
-class TestDeriveWeights:
-    def test_published_slopes(self):
-        w_hi, w_lo = derive_weights(1.1764, 0.9008)
-        assert w_hi == pytest.approx(0.36, abs=1e-3)
-        assert w_lo == pytest.approx(0.64, abs=1e-3)
-        assert w_hi + w_lo == pytest.approx(1.0, rel=1e-12)
-
-    def test_boundary_low_slope_near_one(self):
-        w_hi, w_lo = derive_weights(1.0, 1.0 - 1e-9)
-        assert w_hi == 1.0
-        assert w_lo == 0.0
-
-    def test_symmetric_case(self):
-        assert derive_weights(2.0, 0.0) == (0.5, 0.5)
-
-    def test_invalid_slopes_rejected(self):
-        with pytest.raises(ValueError):
-            derive_weights(0.9, 0.8)  # hi below 1
-        with pytest.raises(ValueError):
-            derive_weights(1.2, 1.1)  # lo above 1
-        with pytest.raises(ValueError):
-            derive_weights(1.0, 1.0)  # equal
-
-
 # Reference measurements: per-acquisition fitted mixture parameters at 30 and
 # 60 FPS, against the empirical mean frame size. Units are kB as published.
 MEAN_FRAME_KB_30 = [43.98741, 86.68732, 129.63016, 163.91771, 205.37219]
@@ -224,7 +199,7 @@ class TestFitVrModel:
                 [(10, 30), (30, 30), (50, 30), (20, 60), (50, 60)]
             )
         }
-        report = fit_vr_model(groups, em_restarts=6, em_tol=1e-6, seed=303)
+        report = fit_vr_model(groups, em_restarts=6, seed=303)
         assert report.slopes_valid
         k = DEFAULT_CONSTANTS
         assert report.iframe_mean_slope == pytest.approx(k.iframe_mean_slope, rel=0.05)
@@ -242,9 +217,9 @@ class TestFitVrModel:
             (rate * 1e6, 60.0): synthesize_group(rate, 60, 2_000, rate)
             for rate in (10, 30, 50)
         }
-        report = fit_vr_model(groups, em_restarts=4, em_tol=1e-6, seed=7)
+        report = fit_vr_model(groups, em_restarts=4, seed=7)
         assert sum(g.weight for g in report.groups) == pytest.approx(1.0)
-        uniform = fit_vr_model(groups, em_restarts=4, em_tol=1e-6, seed=7, weighting="uniform")
+        uniform = fit_vr_model(groups, em_restarts=4, seed=7, weighting="uniform")
         assert all(g.weight == pytest.approx(1 / 3) for g in uniform.groups)
 
     def test_single_group_rejected(self):
@@ -256,14 +231,14 @@ class TestFitVrModel:
         trace = synthesize_group(50, 60, 1_000, 2)
         groups = {(50e6, 60.0): trace, (50e6, 30.0): TraceFile(records=list(trace.records))}
         with pytest.raises(ValueError, match="distinct"):
-            fit_vr_model(groups, em_restarts=2, em_tol=1e-6)
+            fit_vr_model(groups, em_restarts=2)
 
     def test_report_serializes(self, tmp_path):
         groups = {
             (rate * 1e6, 60.0): synthesize_group(rate, 60, 2_000, rate + 20)
             for rate in (10, 50)
         }
-        report = fit_vr_model(groups, em_restarts=3, em_tol=1e-6, seed=1)
+        report = fit_vr_model(groups, em_restarts=3, seed=1)
         path = tmp_path / "report.json"
         report.save_json(path)
         assert path.exists()

@@ -34,11 +34,28 @@ class TestConstants:
         assert gmm.w_hi == pytest.approx(0.36, abs=1e-3)
         assert 1.0 - gmm.w_hi == pytest.approx(0.64, abs=1e-3)
 
+    def test_weight_at_the_low_slope_boundary(self):
+        k = VrModelConstants(iframe_mean_slope=1.0, pframe_mean_slope=1.0 - 1e-9)
+        assert derive_frame_size_model(stream(50, 60), k).w_hi == 1.0
+
+    def test_weight_of_symmetric_slopes(self):
+        k = VrModelConstants(iframe_mean_slope=2.0, pframe_mean_slope=0.0)
+        assert derive_frame_size_model(stream(50, 60), k).w_hi == 0.5
+
     def test_slope_constraint_enforced(self):
         with pytest.raises(ParameterError):
             VrModelConstants(iframe_mean_slope=0.8)
         with pytest.raises(ParameterError):
             VrModelConstants(pframe_mean_slope=1.2)
+        with pytest.raises(ParameterError):
+            VrModelConstants(iframe_mean_slope=0.9, pframe_mean_slope=0.8)  # hi below 1
+        with pytest.raises(ParameterError):
+            VrModelConstants(iframe_mean_slope=1.2, pframe_mean_slope=1.1)  # lo above 1
+
+    def test_equal_slopes_leave_weights_undefined(self):
+        k = VrModelConstants(iframe_mean_slope=1.0, pframe_mean_slope=1.0)
+        with pytest.raises(ParameterError, match="equal"):
+            derive_frame_size_model(stream(50, 60), k)
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "constants.json"
