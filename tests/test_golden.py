@@ -8,6 +8,11 @@ recursion. A report is hashed with only the keys that engine wrote (kept per
 model under ``report_shapes``), so keys added later leave the digests valid
 while every byte of the existing ones stays pinned.
 
+Two more ``generate`` traces (1 Mbit/s 60 FPS, 0.5 Mbit/s 30 FPS) and one
+4-station 1 Mbit/s ``simulate`` report were captured from the per-burst
+scalar generator that preceded block draws. At these rates many frame-size
+draws are non-positive and redrawn, which the 50 Mbit/s entries never hit.
+
 Regenerate only for an intentional output change recorded in CHANGES.md:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -30,6 +35,10 @@ GENERATE = {
     "simple_trace.csv": ["--model", "simple", "--size-dist", "normal:30000:8000",
                          "--period-dist", "uniform:0.005:0.02", "--duration-s", "2",
                          "--seed", "12"],
+    "vr_1mbps_60fps.csv": ["--model", "vr", "--rate-mbps", "1", "--fps", "60",
+                           "--duration-s", "20", "--seed", "13"],
+    "vr_0.5mbps_30fps.csv": ["--model", "vr", "--rate-mbps", "0.5", "--fps", "30",
+                             "--duration-s", "30", "--seed", "14"],
 }
 
 MODELS = {
@@ -50,6 +59,8 @@ SIMULATE = {
     for loss in (0, 0.05)
     for queue in (0, 50)
 }
+SIMULATE["vr1mbps-n4"] = ["--model", "vr", "--rate-mbps", "1", "--fps", "60", "--stations", "4",
+                           "--link-mbps", "300", "--duration-s", "5", "--seed", "7"]
 
 
 def _sha256(text: str) -> str:
