@@ -11,12 +11,14 @@ __version__ = "0.1.0"
 from .generator import (
     BurstDescriptor,
     BurstGenerator,
+    GeneratorConfig,
     GeneratorExhaustedError,
     SimpleBurstGenerator,
     TraceFile,
     TraceFileBurstGenerator,
     TraceParseError,
     VrBurstGenerator,
+    build_generators,
     load_trace,
     save_trace,
 )
@@ -36,14 +38,13 @@ from .rv import (
     LogisticParams,
     ParameterError,
     RngStream,
-    empirical_cdf_sample,
     gmm2_sample,
     logistic_cdf,
     logistic_pdf,
     logistic_quantile,
     logistic_sample,
 )
-from .sim import GeneratorConfig, MetricsReport, ScenarioConfig, percentile, run_scenario, summarize
+from .sim import MetricsReport, ScenarioConfig, percentile, run_scenario, summarize
 from .wire import (
     DEFAULT_FRAGMENT_SIZE,
     HEADER_LEN,

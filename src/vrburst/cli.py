@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import socket
 import statistics
 import sys
@@ -21,17 +22,19 @@ import time
 from . import __version__
 from .fit import fit_vr_model, group_traces
 from .generator import (
-    SimpleBurstGenerator,
+    NS_PER_S,
+    GeneratorConfig,
     TraceFileBurstGenerator,
     TraceParseError,
-    VrBurstGenerator,
+    build_generators,
     load_trace,
     save_trace,
 )
-from .model import DEFAULT_CONSTANTS, VrModelConstants, VrStreamParams
-from .rv import ParameterError, RngStream, dist_from_spec
-from .sim import GeneratorConfig, ScenarioConfig, percentile, run_scenario
+from .model import DEFAULT_CONSTANTS, VrModelConstants
+from .rv import ParameterError
+from .sim import ScenarioConfig, percentile, run_scenario
 from .wire import (
+    DEFAULT_FRAGMENT_SIZE,
     HEADER_LEN,
     BurstDiscarded,
     BurstReassembler,
@@ -40,8 +43,6 @@ from .wire import (
     encode_header,
     fragment_burst,
 )
-
-NS_PER_S = 1_000_000_000
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,36 +60,25 @@ def _load_constants(args) -> VrModelConstants:
     return DEFAULT_CONSTANTS
 
 
-def _build_generator(args, constants: VrModelConstants, rng: RngStream):
-    if args.model == "vr":
-        params = VrStreamParams(args.rate_mbps * 1e6, args.fps)
-        return VrBurstGenerator(params, rng, constants)
-    if args.model == "simple":
-        if not (args.size_dist and args.period_dist):
-            raise ParameterError("--model simple needs --size-dist and --period-dist")
-        return SimpleBurstGenerator(
-            dist_from_spec(args.size_dist), dist_from_spec(args.period_dist), rng
-        )
-    raise ParameterError(f"--model {args.model} is not a synthetic generator here; "
-                         "use the replay command for traces")
-
-
-def _collect_bursts(generator, duration_s: float):
-    """Bursts whose generation times fall inside [0, duration)."""
-    duration_ns = round(duration_s * NS_PER_S)
-    elapsed = 0
-    records = []
-    while elapsed < duration_ns and generator.has_next_burst():
-        desc = generator.generate_burst()
-        records.append(desc)
-        elapsed += max(1, desc.next_period_ns)
-    return records
+def _generator_config(args) -> GeneratorConfig:
+    return GeneratorConfig(
+        model=args.model,
+        rate_mbps=args.rate_mbps,
+        fps=args.fps,
+        size_dist=args.size_dist,
+        period_dist=args.period_dist,
+        trace_path=args.trace,
+        start_time_s=args.start_time,
+    )
 
 
 def cmd_generate(args) -> int:
+    if args.model == "trace":
+        raise ParameterError("--model trace is not a synthetic generator here; "
+                             "use the replay command for traces")
     constants = _load_constants(args)
-    generator = _build_generator(args, constants, RngStream(args.seed, 1))
-    records = _collect_bursts(generator, args.duration_s)
+    (generator,), _ = build_generators(_generator_config(args), 1, args.seed, args.duration_s, constants)
+    records = [burst for _, burst in generator.schedule(round(args.duration_s * NS_PER_S))]
     if not records:
         raise ValueError(f"no bursts generated in {args.duration_s} s; trace would be empty")
     metadata = {
@@ -114,12 +104,8 @@ def cmd_generate(args) -> int:
 def cmd_replay(args) -> int:
     trace = load_trace(args.trace)
     generator = TraceFileBurstGenerator(trace, start_time_s=args.start_time)
-    if args.duration_s is not None:
-        records = _collect_bursts(generator, args.duration_s)
-    else:
-        records = []
-        while generator.has_next_burst():
-            records.append(generator.generate_burst())
+    duration_ns = math.inf if args.duration_s is None else round(args.duration_s * NS_PER_S)
+    records = [burst for _, burst in generator.schedule(duration_ns)]
     if not records:
         raise ValueError("replay window contains no bursts")
     metadata = dict(trace.metadata)
@@ -150,15 +136,7 @@ def _parse_stations(spec: str) -> list[int]:
 
 def cmd_simulate(args) -> int:
     constants = _load_constants(args)
-    generator = GeneratorConfig(
-        model=args.model,
-        rate_mbps=args.rate_mbps,
-        fps=args.fps,
-        size_dist=args.size_dist,
-        period_dist=args.period_dist,
-        trace_path=args.trace,
-        start_time_s=args.start_time,
-    )
+    generator = _generator_config(args)
     reports = []
     for n_stations in _parse_stations(args.stations):
         cfg = ScenarioConfig(
@@ -378,13 +356,7 @@ def receive_bursts(
 
 
 def cmd_send(args) -> int:
-    constants = _load_constants(args)
-    if args.model == "trace":
-        if not args.trace:
-            raise ParameterError("--model trace needs --trace")
-        generator = TraceFileBurstGenerator(load_trace(args.trace), start_time_s=args.start_time)
-    else:
-        generator = _build_generator(args, constants, RngStream(args.seed, 1))
+    (generator,), _ = build_generators(_generator_config(args), 1, args.seed, 0.0, _load_constants(args))
     counters = send_bursts(
         _parse_addr(args.dest),
         generator,
@@ -457,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="link queue limit in fragments, 0 = unbounded (default: 0)")
     p.add_argument("--duration-s", type=float, default=10.0,
                    help="traffic generation horizon in seconds (default: 10)")
-    p.add_argument("--fragment-size", type=int, default=1278,
-                   help="fragment size in bytes incl. header (default: 1278)")
+    p.add_argument("--fragment-size", type=int, default=DEFAULT_FRAGMENT_SIZE,
+                   help=f"fragment size in bytes incl. header (default: {DEFAULT_FRAGMENT_SIZE})")
     p.add_argument("--out", help="write the metrics JSON here instead of stdout")
     p.set_defaults(handler=cmd_simulate)
 
@@ -480,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("send", help="send bursts over UDP")
     _add_model_flags(p)
     p.add_argument("--dest", required=True, help="destination HOST:PORT")
-    p.add_argument("--fragment-size", type=int, default=1278,
-                   help="fragment size in bytes incl. header (default: 1278)")
+    p.add_argument("--fragment-size", type=int, default=DEFAULT_FRAGMENT_SIZE,
+                   help=f"fragment size in bytes incl. header (default: {DEFAULT_FRAGMENT_SIZE})")
     p.add_argument("--max-bursts", type=int, default=None, help="stop after this many bursts")
     p.add_argument("--duration-s", type=float, default=None, help="stop after this many seconds")
     p.add_argument("--no-pacing", action="store_true",

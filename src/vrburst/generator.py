@@ -5,7 +5,23 @@ model) that the sender will fragment; ``next_period`` is the gap until the
 following burst. Three generators are provided: arbitrary random variates
 (:class:`SimpleBurstGenerator`), the fitted VR model
 (:class:`VrBurstGenerator`), and CSV trace replay
-(:class:`TraceFileBurstGenerator`).
+(:class:`TraceFileBurstGenerator`). :func:`build_generators` builds one per
+station from a :class:`GeneratorConfig`, and :meth:`BurstGenerator.schedule`
+is the generation horizon every caller applies.
+
+The two random generators compute up to ``BLOCK_BURSTS`` bursts at a time
+from one flat array of uniforms, read burst after burst in this word layout:
+
+* VR: 2 words (component pick, normal) for the frame-size mixture; while the
+  draw is non-positive, 2 more for a redraw, at most 100 draws in all
+  (:func:`vrburst.model.draw_positive_frame`); then 1 word for the logistic
+  inter-frame interval;
+* simple: ``size_dist.words`` words for the size, then ``period_dist.words``
+  for the period (1 each, 0 for a constant).
+
+Words a block leaves unread are the first words of the next block, so the
+bursts do not depend on the block size and equal those of a walk that draws
+each word when it needs it.
 
 Trace CSV grammar: optional ``# key: value`` metadata lines, then one
 ``burst_size_bytes,next_period_us`` row per burst (unsigned integers, LF or
@@ -16,14 +32,22 @@ round-trip exact; ``period_unit="s"`` accepts fractional seconds instead.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .model import DEFAULT_CONSTANTS, VrModelConstants, VrStreamParams, sample_vr_frame, sample_vr_ifi
-from .rv import RngStream
+import numpy as np
+
+from .model import _MAX_FRAME_DRAW_ATTEMPTS, DEFAULT_CONSTANTS, DegenerateModelError, VrModelConstants, VrStreamParams
+from .model import derive_frame_size_model, derive_ifi_model, draw_positive_frame
+from .model import sample_vr_frame, sample_vr_ifi  # noqa: F401  (perfbench/tracer.py patches them under these names)
+from .rv import ParameterError, RngStream, dist_from_spec, gmm2_quantile, logistic_quantile
 
 NS_PER_US = 1_000
 NS_PER_S = 1_000_000_000
+
+# Bursts computed per block by the random generators.
+BLOCK_BURSTS = 256
 
 
 class GeneratorExhaustedError(RuntimeError):
@@ -71,30 +95,70 @@ class BurstGenerator(ABC):
     def generate_burst(self) -> BurstDescriptor:
         """Return the next burst descriptor and advance the generator."""
 
+    def schedule(self, duration_ns, offset_ns: int = 0):
+        """Lazily yield ``(generation time ns, burst)`` for every burst
+        generated before ``duration_ns``.
 
-class SimpleBurstGenerator(BurstGenerator):
-    """Independent draws from arbitrary size/period distributions.
+        The first burst is generated at ``offset_ns`` and each later one a
+        period after the previous; periods are clamped to at least 1 ns so
+        time always advances.
+        """
+        time_ns = offset_ns
+        while time_ns < duration_ns and self.has_next_burst():
+            burst = self.generate_burst()
+            yield time_ns, burst
+            time_ns += max(1, burst.next_period_ns)
 
-    ``size_dist`` samples are bytes (rounded, floored at 1); ``period_dist``
-    samples are seconds (negative draws clamp to 0). Size is drawn before
-    period, one draw each, with no correlation between them or across bursts.
-    """
 
-    def __init__(self, size_dist, period_dist, rng: RngStream):
-        self.size_dist = size_dist
-        self.period_dist = period_dist
+class _BlockBurstGenerator(BurstGenerator):
+    """A random generator that computes its bursts ``BLOCK_BURSTS`` at a time."""
+
+    def __init__(self, rng: RngStream):
         self.rng = rng
+        self._sizes: list[int] = []
+        self._periods_ns: list[int] = []
+        self._next = 0
 
     def has_next_burst(self) -> bool:
         return True
 
     def generate_burst(self) -> BurstDescriptor:
-        size = max(1, round(self.size_dist.sample(self.rng)))
-        period_s = max(0.0, self.period_dist.sample(self.rng))
-        return BurstDescriptor(size, round(period_s * NS_PER_S))
+        if self._next == len(self._sizes):
+            sizes, periods_s = self._draw_block()
+            # sizes round to whole bytes (at least 1), periods to whole ns
+            self._sizes = list(map(int, np.maximum(np.rint(sizes), 1.0).tolist()))
+            self._periods_ns = list(map(int, np.rint(np.maximum(0.0, periods_s) * NS_PER_S).tolist()))
+            self._next = 0
+        i = self._next
+        self._next += 1
+        return BurstDescriptor(self._sizes[i], self._periods_ns[i])
+
+    @abstractmethod
+    def _draw_block(self):
+        """Raw sizes (bytes) and periods (seconds) of the next block of bursts."""
 
 
-class VrBurstGenerator(BurstGenerator):
+class SimpleBurstGenerator(_BlockBurstGenerator):
+    """Independent draws from arbitrary size/period distributions.
+
+    ``size_dist`` samples are bytes (rounded, floored at 1); ``period_dist``
+    samples are seconds (negative draws clamp to 0). Size is drawn before
+    period, with no correlation between them or across bursts. The
+    distributions are those of :func:`vrburst.rv.dist_from_spec`.
+    """
+
+    def __init__(self, size_dist, period_dist, rng: RngStream):
+        super().__init__(rng)
+        self.size_dist = size_dist
+        self.period_dist = period_dist
+
+    def _draw_block(self):
+        split, width = self.size_dist.words, self.size_dist.words + self.period_dist.words
+        u = self.rng.uniform(BLOCK_BURSTS * width).reshape(BLOCK_BURSTS, width)
+        return self.size_dist.quantile(u[:, :split]), self.period_dist.quantile(u[:, split:])
+
+
+class VrBurstGenerator(_BlockBurstGenerator):
     """Bursts following the fitted VR model for a (rate, fps) stream."""
 
     def __init__(
@@ -103,32 +167,63 @@ class VrBurstGenerator(BurstGenerator):
         rng: RngStream,
         constants: VrModelConstants = DEFAULT_CONSTANTS,
     ):
+        super().__init__(rng)
         self.params = params
         self.constants = constants
-        self.rng = rng
+        self._gmm = derive_frame_size_model(params, constants)
+        self._ifi = derive_ifi_model(params, constants)
+        self._carry = np.empty(0)  # words the last block left unread
 
-    def has_next_burst(self) -> bool:
-        return True
+    # defined on this class, not inherited: perfbench/tracer.py patches it here
+    generate_burst = _BlockBurstGenerator.generate_burst
 
-    def generate_burst(self) -> BurstDescriptor:
-        size = sample_vr_frame(self.params, self.constants, self.rng)
-        period_s = sample_vr_ifi(self.params, self.constants, self.rng)
-        return BurstDescriptor(size, round(period_s * NS_PER_S))
+    def _draw_block(self):
+        words = np.concatenate((self._carry, self.rng.uniform(3 * BLOCK_BURSTS)))
+        # draws[j] is the mixture draw from words j and j+1; a burst starting
+        # at word p reads the draws at p, p+2, ... until one is positive
+        draws = gmm2_quantile(self._gmm, words[:-1], words[1:])
+        sizes, ifi_words = [], []
+        pos = n = 0
+        while n < BLOCK_BURSTS:
+            # the bursts before the next rejected draw are 3-word rows
+            m = min(BLOCK_BURSTS - n, (len(words) - pos) // 3)
+            rejected = np.flatnonzero(draws[pos:pos + 3 * m:3] <= 0.0)
+            ok = int(rejected[0]) if rejected.size else m
+            sizes.append(draws[pos:pos + 3 * ok:3])
+            ifi_words.append(words[pos + 2:pos + 3 * ok:3])
+            n += ok
+            pos += 3 * ok
+            if ok == m or len(words) - pos <= 2 * _MAX_FRAME_DRAW_ATTEMPTS:
+                break  # block full, or the words left may not hold the rejected burst
+            try:
+                value, used = draw_positive_frame(draws[pos:pos + 2 * _MAX_FRAME_DRAW_ATTEMPTS:2])
+            except DegenerateModelError:
+                if n:
+                    break  # hand out the bursts before it; the next block raises
+                raise
+            sizes.append([value])
+            ifi_words.append(words[pos + 2 * used:pos + 2 * used + 1])
+            n += 1
+            pos += 2 * used + 1
+        self._carry = words[pos:]
+        return np.concatenate(sizes), logistic_quantile(np.concatenate(ifi_words), self._ifi)
 
 
 class TraceFileBurstGenerator(BurstGenerator):
     """Replays a trace record-by-record, exhausting after the last row.
 
-    ``start_time_s`` skips the leading records whose burst times fall before
-    it, so several generators over one file with disjoint start times replay
-    disjoint parts of the trace. Records are skipped whole; bursts are atomic.
+    ``start_time_s`` skips the leading records whose burst times, as
+    :meth:`schedule` counts them from 0, fall before it, so several generators
+    over one file with disjoint start times replay disjoint parts of the
+    trace. Records are skipped whole; bursts are atomic.
     """
 
     def __init__(self, trace: TraceFile | str | Path, start_time_s: float = 0.0):
+        if start_time_s < 0:
+            raise ValueError(f"start time must be non-negative, got {start_time_s}")
         self.trace = load_trace(trace) if isinstance(trace, (str, Path)) else trace
         self._cursor = 0
-        if start_time_s:
-            self.seek_start_time(start_time_s)
+        deque(self.schedule(round(start_time_s * NS_PER_S)), maxlen=0)  # skip the bursts before t0
 
     def has_next_burst(self) -> bool:
         return self._cursor < len(self.trace.records)
@@ -140,22 +235,63 @@ class TraceFileBurstGenerator(BurstGenerator):
         self._cursor += 1
         return record
 
-    def seek_start_time(self, start_time_s: float) -> None:
-        """Position playback at the first burst occurring at or after t0.
 
-        Burst i occurs at the cumulative sum of the periods before it (burst 0
-        at time 0). Seeking past the end of the trace exhausts the generator.
-        """
-        if start_time_s < 0:
-            raise ValueError(f"start time must be non-negative, got {start_time_s}")
-        t0_ns = round(start_time_s * NS_PER_S)
-        cursor = 0
-        elapsed = 0
-        records = self.trace.records
-        while cursor < len(records) and elapsed < t0_ns:
-            elapsed += records[cursor].next_period_ns
-            cursor += 1
-        self._cursor = cursor
+@dataclass
+class GeneratorConfig:
+    """Which burst generator each station runs.
+
+    ``model`` is one of ``vr`` (rate_mbps/fps), ``simple`` (size_dist/
+    period_dist specs, see :func:`vrburst.rv.dist_from_spec`; sizes in bytes,
+    periods in seconds) or ``trace`` (trace_path/start_time_s).
+    """
+
+    model: str = "vr"
+    rate_mbps: float = 50.0
+    fps: float = 60.0
+    size_dist: str | None = None
+    period_dist: str | None = None
+    trace_path: str | None = None
+    start_time_s: float = 0.0
+
+    def __post_init__(self):
+        if self.model not in ("vr", "simple", "trace"):
+            raise ParameterError(f"unknown generator model {self.model!r}")
+        if self.model == "simple" and not (self.size_dist and self.period_dist):
+            raise ParameterError("simple model needs both size_dist and period_dist")
+        if self.model == "trace" and not self.trace_path:
+            raise ParameterError("trace model needs trace_path")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def build_generators(
+    config: GeneratorConfig,
+    n_stations: int,
+    seed: int,
+    duration_s: float,
+    constants: VrModelConstants = DEFAULT_CONSTANTS,
+) -> tuple[list[BurstGenerator], dict | None]:
+    """One generator per station, and the trace metadata for the trace model.
+
+    Station i draws from ``RngStream(seed, i + 1)``. With a trace, station i
+    starts ``start_time_s + i * duration_s`` into the file, so stations
+    running for ``duration_s`` replay disjoint parts of it.
+    """
+    if config.model == "vr":
+        params = VrStreamParams(config.rate_mbps * 1e6, config.fps)
+        return [VrBurstGenerator(params, RngStream(seed, i + 1), constants) for i in range(n_stations)], None
+    if config.model == "simple":
+        size_dist = dist_from_spec(config.size_dist)
+        period_dist = dist_from_spec(config.period_dist)
+        return [
+            SimpleBurstGenerator(size_dist, period_dist, RngStream(seed, i + 1)) for i in range(n_stations)
+        ], None
+    trace = load_trace(config.trace_path)
+    return [
+        TraceFileBurstGenerator(trace, start_time_s=config.start_time_s + i * duration_s)
+        for i in range(n_stations)
+    ], dict(trace.metadata)
 
 
 def _parse_metadata_line(line: str) -> tuple[str, str] | None:
@@ -240,13 +376,16 @@ def save_trace(path, records, metadata: dict | None = None) -> None:
 
 __all__ = [
     "BurstDescriptor",
+    "BLOCK_BURSTS",
     "BurstGenerator",
+    "GeneratorConfig",
     "GeneratorExhaustedError",
     "SimpleBurstGenerator",
     "TraceFile",
     "TraceFileBurstGenerator",
     "TraceParseError",
     "VrBurstGenerator",
+    "build_generators",
     "load_trace",
     "save_trace",
 ]

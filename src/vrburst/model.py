@@ -19,11 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .rv import Gmm2Params, LogisticParams, ParameterError, RngStream, gmm2_sample, logistic_sample
+from .rv import Gmm2Params, LogisticParams, ParameterError, RngStream, gmm2_quantile, gmm2_sample, logistic_sample
 
 # Give up after this many consecutive non-positive frame-size draws.
 _MAX_FRAME_DRAW_ATTEMPTS = 100
@@ -137,52 +138,42 @@ def derive_frame_size_model(params: VrStreamParams, constants: VrModelConstants 
     )
 
 
-def sample_vr_frame(
-    params: VrStreamParams,
-    constants: VrModelConstants,
-    rng: RngStream,
-    size: int | None = None,
-):
-    """Frame-size draw(s) in whole bytes (>= 1).
+def sample_vr_frame(params: VrStreamParams, constants: VrModelConstants, rng: RngStream, size: int):
+    """``size`` frame-size draws in whole bytes (>= 1).
 
-    Non-positive mixture draws are rejected and resampled (at most 100
-    attempts per frame); surviving draws are rounded to the nearest byte.
+    The first attempts of all frames come first, as ``size`` mixture draws;
+    then each non-positive one, in order, is redrawn from the stream until
+    positive (:func:`draw_positive_frame`). Sizes are rounded to the nearest
+    byte.
     """
     gmm = derive_frame_size_model(params, constants)
-    if size is None:
-        return _draw_positive_frame(gmm, rng, attempts_used=0)
     raw = gmm2_sample(gmm, rng, size=size)
-    out = np.rint(raw).astype(np.int64)
-    bad = np.flatnonzero(raw <= 0.0)
-    for idx in bad:
-        out[idx] = _draw_positive_frame(gmm, rng, attempts_used=1)
-    np.maximum(out, 1, out=out)
-    return out
+    redraws = (gmm2_quantile(gmm, *rng.uniform(2)) for _ in repeat(None))
+    for idx in np.flatnonzero(raw <= 0.0):
+        raw[idx], _ = draw_positive_frame(redraws, attempts_used=1)
+    return np.maximum(np.rint(raw), 1).astype(np.int64)
 
 
-def _draw_positive_frame(gmm: Gmm2Params, rng: RngStream, attempts_used: int) -> int:
-    for _ in range(attempts_used, _MAX_FRAME_DRAW_ATTEMPTS):
-        value = gmm2_sample(gmm, rng)
+def draw_positive_frame(draws, attempts_used: int = 0) -> tuple[float, int]:
+    """The first positive of an iterable of frame-size mixture draws, and how
+    many draws it took.
+
+    Raises :class:`DegenerateModelError` when the draws that remain of the
+    frame's 100 attempts (``attempts_used`` are spent already) are all
+    non-positive.
+    """
+    for used, value in enumerate(islice(draws, _MAX_FRAME_DRAW_ATTEMPTS - attempts_used), 1):
         if value > 0.0:
-            return max(1, int(round(value)))
+            return float(value), used
     raise DegenerateModelError(
         f"frame-size mixture produced {_MAX_FRAME_DRAW_ATTEMPTS} consecutive "
         "non-positive draws; model parameters are degenerate"
     )
 
 
-def sample_vr_ifi(
-    params: VrStreamParams,
-    constants: VrModelConstants,
-    rng: RngStream,
-    size: int | None = None,
-):
-    """Inter-frame-interval draw(s) in seconds, clamped below at zero."""
-    ifi = derive_ifi_model(params, constants)
-    value = logistic_sample(ifi, rng, size=size)
-    if size is None:
-        return max(0.0, value)
-    return np.maximum(0.0, value)
+def sample_vr_ifi(params: VrStreamParams, constants: VrModelConstants, rng: RngStream, size: int):
+    """``size`` inter-frame-interval draws in seconds, clamped below at zero."""
+    return np.maximum(0.0, logistic_sample(derive_ifi_model(params, constants), rng, size=size))
 
 
 __all__ = [
@@ -192,6 +183,7 @@ __all__ = [
     "VrStreamParams",
     "derive_frame_size_model",
     "derive_ifi_model",
+    "draw_positive_frame",
     "sample_vr_frame",
     "sample_vr_ifi",
 ]

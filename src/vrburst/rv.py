@@ -48,10 +48,6 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
-    def substream(self, stream_id: int) -> "RngStream":
-        """A fresh stream under the same seed with a different stream id."""
-        return RngStream(self.seed, stream_id)
-
     def uniform(self, size: int | None = None):
         """Uniform draw(s) on the open interval (0, 1).
 
@@ -160,123 +156,75 @@ class Gmm2Params:
         return self.w_hi * self.mu_hi + (1.0 - self.w_hi) * self.mu_lo
 
 
-def gmm2_sample(
-    p: Gmm2Params,
-    rng: RngStream,
-    size: int | None = None,
-    with_components: bool = False,
-):
-    """Mixture draw(s): one uniform picks the component, one feeds the normal.
+def gmm2_quantile(p: Gmm2Params, pick, u):
+    """Mixture value(s) from uniform pairs: ``pick < w_hi`` selects the high
+    component and ``u`` feeds that component's inverse normal CDF."""
+    z = ndtri(u)
+    return np.where(pick < p.w_hi, p.mu_hi + p.sigma_hi * z, p.mu_lo + p.sigma_lo * z)
 
-    Batched draws interleave (component, normal) uniform pairs exactly like
-    repeated scalar calls, so both paths walk the stream identically. With
-    ``with_components=True`` also returns the high-component indicator(s).
+
+def gmm2_sample(p: Gmm2Params, rng: RngStream, size: int, with_components: bool = False):
+    """``size`` mixture draws from ``size`` (component, normal) uniform pairs.
+
+    With ``with_components=True`` also returns the high-component indicators.
     """
-    if size is None:
-        pick = rng.uniform()
-        u = rng.uniform()
-        hi = pick < p.w_hi
-        if hi:
-            value = p.mu_hi + p.sigma_hi * float(ndtri(u))
-        else:
-            value = p.mu_lo + p.sigma_lo * float(ndtri(u))
-        return (value, hi) if with_components else value
     u = rng.uniform(2 * size).reshape(size, 2)
-    hi = u[:, 0] < p.w_hi
-    z = ndtri(u[:, 1])
-    values = np.where(hi, p.mu_hi + p.sigma_hi * z, p.mu_lo + p.sigma_lo * z)
-    return (values, hi) if with_components else values
+    values = gmm2_quantile(p, u[:, 0], u[:, 1])
+    return (values, u[:, 0] < p.w_hi) if with_components else values
 
 
-def _validate_cdf_points(points):
-    if not points:
-        raise ParameterError("empirical CDF needs at least one point")
-    values = [float(v) for v, _ in points]
-    probs = [float(c) for _, c in points]
-    for a, b in zip(values, values[1:]):
-        if b < a:
-            raise ParameterError("empirical CDF values must be sorted ascending")
-    for c in probs:
-        if not 0.0 <= c <= 1.0:
-            raise ParameterError(f"cumulative probability {c} outside [0, 1]")
-    for a, b in zip(probs, probs[1:]):
-        if b <= a:
-            raise ParameterError("cumulative probabilities must be strictly increasing")
-    if probs[-1] != 1.0:
-        raise ParameterError(f"empirical CDF must end at probability 1, got {probs[-1]}")
-    return np.asarray(values), np.asarray(probs)
-
-
-def empirical_cdf_quantile(points, u):
-    """Inverse of a piecewise-linear CDF given as (value, cumulative prob) pairs.
-
-    Below the first point's probability the first value is returned, which is
-    how point masses are expressed (e.g. ``[(10, 0.3), (20, 1.0)]`` yields 10
-    with probability 0.3).
-    """
-    values, probs = _validate_cdf_points(points)
-    uu = np.asarray(u, dtype=float)
-    if np.any(uu <= 0.0) or np.any(uu >= 1.0):
-        raise ParameterError("quantile argument must lie strictly inside (0, 1)")
-    out = np.interp(uu, probs, values)
-    return float(out) if np.ndim(u) == 0 else out
-
-
-def empirical_cdf_sample(points, rng: RngStream, size: int | None = None):
-    """Inverse-transform draw(s) from a user-defined CDF; one uniform each."""
-    return empirical_cdf_quantile(points, rng.uniform(size))
-
-
-# --- small samplers used by SimpleBurstGenerator and the CLI ---------------
+# --- spec distributions used by SimpleBurstGenerator -------------------------
+#
+# Each maps a (n, words) block of uniforms to n values with ``quantile``,
+# consuming ``words`` uniforms per value.
 
 
 class ConstantDist:
-    """Always returns the same value; consumes no draws."""
+    """Always returns the same value; consumes no uniforms."""
+
+    words = 0
 
     def __init__(self, value: float):
         self.value = float(value)
 
-    def sample(self, rng: RngStream) -> float:
-        return self.value
+    def quantile(self, u):
+        return np.full(len(u), self.value)
 
 
 class UniformDist:
+    words = 1
+
     def __init__(self, low: float, high: float):
         if high < low:
             raise ParameterError(f"uniform bounds out of order: [{low}, {high}]")
         self.low = float(low)
         self.high = float(high)
 
-    def sample(self, rng: RngStream) -> float:
-        return self.low + (self.high - self.low) * rng.uniform()
+    def quantile(self, u):
+        return self.low + (self.high - self.low) * u[:, 0]
 
 
 class NormalDist:
+    words = 1
+
     def __init__(self, mu: float, sigma: float):
         if sigma < 0:
             raise ParameterError(f"sigma must be non-negative, got {sigma}")
         self.mu = float(mu)
         self.sigma = float(sigma)
 
-    def sample(self, rng: RngStream) -> float:
-        return rng.normal(self.mu, self.sigma)
+    def quantile(self, u):
+        return self.mu + self.sigma * ndtri(u[:, 0])
 
 
 class LogisticDist:
+    words = 1
+
     def __init__(self, mu: float, s: float):
         self.params = LogisticParams(mu, s)
 
-    def sample(self, rng: RngStream) -> float:
-        return logistic_sample(self.params, rng)
-
-
-class EmpiricalCdfDist:
-    def __init__(self, points):
-        _validate_cdf_points(points)
-        self.points = list(points)
-
-    def sample(self, rng: RngStream) -> float:
-        return empirical_cdf_sample(self.points, rng)
+    def quantile(self, u):
+        return logistic_quantile(u[:, 0], self.params)
 
 
 def dist_from_spec(spec: str):
@@ -307,7 +255,6 @@ def dist_from_spec(spec: str):
 
 __all__ = [
     "ConstantDist",
-    "EmpiricalCdfDist",
     "Gmm2Params",
     "LogisticDist",
     "LogisticParams",
@@ -317,8 +264,7 @@ __all__ = [
     "RngStream",
     "UniformDist",
     "dist_from_spec",
-    "empirical_cdf_quantile",
-    "empirical_cdf_sample",
+    "gmm2_quantile",
     "gmm2_sample",
     "logistic_cdf",
     "logistic_pdf",

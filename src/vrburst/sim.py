@@ -31,19 +31,11 @@ from itertools import compress, count
 
 import numpy as np
 
-from .generator import (
-    BurstGenerator,
-    SimpleBurstGenerator,
-    TraceFileBurstGenerator,
-    VrBurstGenerator,
-    load_trace,
-)
-from .model import DEFAULT_CONSTANTS, VrModelConstants, VrStreamParams
-from .rv import RNG_ALGORITHM, ParameterError, RngStream, dist_from_spec
+from .generator import NS_PER_S, GeneratorConfig, build_generators
+from .model import DEFAULT_CONSTANTS, VrModelConstants
+from .rv import RNG_ALGORITHM, ParameterError, RngStream
 from .wire import DEFAULT_FRAGMENT_SIZE, HEADER_LEN, fragment_layout
 from .wire import fragment_burst  # noqa: F401  (perfbench/tracer.py patches it under this name)
-
-NS_PER_S = 1_000_000_000
 
 # Stream ids carved out of one scenario seed: 0 for link losses, i+1 for
 # station i's generator.
@@ -59,37 +51,6 @@ def percentile(samples, p: float):
         raise ValueError(f"percentile must lie in (0, 100], got {p}")
     rank = math.ceil(p * n / 100.0)
     return sorted(samples)[rank - 1]
-
-
-@dataclass
-class GeneratorConfig:
-    """Which burst generator each station runs.
-
-    ``model`` is one of ``vr`` (rate_mbps/fps), ``simple`` (size_dist/
-    period_dist specs, see :func:`vrburst.rv.dist_from_spec`; sizes in bytes,
-    periods in seconds) or ``trace`` (trace_path/start_time_s). With a trace
-    and several stations, station i starts ``i * duration_s`` into the file so
-    the stations replay disjoint parts of it.
-    """
-
-    model: str = "vr"
-    rate_mbps: float = 50.0
-    fps: float = 60.0
-    size_dist: str | None = None
-    period_dist: str | None = None
-    trace_path: str | None = None
-    start_time_s: float = 0.0
-
-    def __post_init__(self):
-        if self.model not in ("vr", "simple", "trace"):
-            raise ParameterError(f"unknown generator model {self.model!r}")
-        if self.model == "simple" and not (self.size_dist and self.period_dist):
-            raise ParameterError("simple model needs both size_dist and period_dist")
-        if self.model == "trace" and not self.trace_path:
-            raise ParameterError("trace model needs trace_path")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -185,29 +146,6 @@ class SimulationLog:
         return sum(s.bursts_discarded for s in self.stations)
 
 
-def _build_generators(cfg: ScenarioConfig) -> tuple[list[BurstGenerator], dict | None]:
-    gen = cfg.generator
-    if gen.model == "vr":
-        params = VrStreamParams(gen.rate_mbps * 1e6, gen.fps)
-        return [
-            VrBurstGenerator(params, RngStream(cfg.seed, i + 1), cfg.constants)
-            for i in range(cfg.n_stations)
-        ], None
-    if gen.model == "simple":
-        size_dist = dist_from_spec(gen.size_dist)
-        period_dist = dist_from_spec(gen.period_dist)
-        return [
-            SimpleBurstGenerator(size_dist, period_dist, RngStream(cfg.seed, i + 1))
-            for i in range(cfg.n_stations)
-        ], None
-    trace = load_trace(gen.trace_path)
-    gens = [
-        TraceFileBurstGenerator(trace, start_time_s=gen.start_time_s + i * cfg.duration_s)
-        for i in range(cfg.n_stations)
-    ]
-    return gens, dict(trace.metadata)
-
-
 def _serialization_ns(wire_bytes: int, overhead: int, link_rate_bps: float) -> int:
     bits = (wire_bytes + overhead) * 8
     if float(link_rate_bps).is_integer():
@@ -219,20 +157,28 @@ def _serialization_ns(wire_bytes: int, overhead: int, link_rate_bps: float) -> i
 def simulate(cfg: ScenarioConfig) -> SimulationLog:
     """Run the scenario burst by burst and collect the raw log."""
     duration_ns = round(cfg.duration_s * NS_PER_S)
-    generators, trace_metadata = _build_generators(cfg)
+    generators, trace_metadata = build_generators(
+        cfg.generator, cfg.n_stations, cfg.seed, cfg.duration_s, cfg.constants
+    )
     loss_rng = RngStream(cfg.seed, _LOSS_STREAM_ID) if cfg.loss_prob > 0 else None
     log = SimulationLog(stations=[StationLog() for _ in range(cfg.n_stations)])
     log.trace_metadata = trace_metadata
     limit, prop, overhead = cfg.queue_limit, cfg.propagation_delay_ns, cfg.overhead_bytes
     full_ser = _serialization_ns(cfg.fragment_size, overhead, cfg.link_rate_bps)
 
-    # one pending burst per station, popped in (time, push sequence) order
+    # each station's next burst, popped in (time, push sequence) order
+    offsets = cfg.station_start_offsets_ns or [0] * cfg.n_stations
+    schedules = [gen.schedule(duration_ns, offset) for gen, offset in zip(generators, offsets)]
     heap: list = []
     pushes = count()
-    offsets = cfg.station_start_offsets_ns or [0] * cfg.n_stations
-    for station, offset in enumerate(offsets):
-        if offset < duration_ns and generators[station].has_next_burst():
-            heapq.heappush(heap, (offset, next(pushes), station))
+
+    def push_next(station: int) -> None:
+        entry = next(schedules[station], None)
+        if entry is not None:
+            heapq.heappush(heap, (entry[0], next(pushes), station, entry[1]))
+
+    for station in range(cfg.n_stations):
+        push_next(station)
 
     link_free = 0  # departure of the last admitted fragment
     last_arrival = 0  # sink arrival of the last delivered fragment
@@ -241,19 +187,14 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
     now = 0
 
     while heap:
-        now, _, station = heapq.heappop(heap)
-        gen = generators[station]
-        desc = gen.generate_burst()
+        now, _, station, desc = heapq.heappop(heap)
         n_frags, last_payload = fragment_layout(desc.burst_size, cfg.fragment_size)
         lost = loss_rng.uniform(n_frags) < cfg.loss_prob if loss_rng is not None else None
         st = log.stations[station]
         st.bursts_sent += 1
         st.fragments_sent += n_frags
         log.fragments_sent += n_frags
-        # a zero period is clamped to 1 ns so simulated time always advances
-        next_ns = now + max(1, desc.next_period_ns)
-        if next_ns < duration_ns and gen.has_next_burst():
-            heapq.heappush(heap, (next_ns, next(pushes), station))
+        push_next(station)
 
         admitted = n_frags
         if limit:

@@ -189,7 +189,9 @@ class BurstReassembler:
     current burst emits :class:`BurstReceived`, and the first fragment of a
     newer burst discards an incomplete current one (possibly emitting
     :class:`BurstDiscarded` and :class:`BurstReceived` from the same call when
-    the newcomer is a single-fragment burst).
+    the newcomer is a single-fragment burst). Sequence numbers compare in RFC
+    1982 serial order, so 0 follows 2**32 - 1; a burst exactly 2**31 ahead
+    counts as older.
     """
 
     def __init__(self):
@@ -217,10 +219,12 @@ class BurstReassembler:
         self._bytes += payload_len
         events: list = []
 
-        if self._current_seq is not None and header.burst_seq < self._current_seq:
+        # RFC 1982 serial order on the u32 sequence: newer iff ahead by 1 .. 2**31 - 1
+        ahead = 1 if self._current_seq is None else (header.burst_seq - self._current_seq) % _U32
+        if ahead >= _U32 // 2:
             return [LateFragmentIgnored(header.burst_seq, header.frag_index)]
 
-        if self._current_seq is None or header.burst_seq > self._current_seq:
+        if ahead:
             current = self._current
             if current is not None and not current.complete and current.payloads:
                 self._failed += 1

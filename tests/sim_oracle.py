@@ -13,16 +13,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
+from vrburst.generator import NS_PER_S, build_generators
 from vrburst.rv import RngStream
-from vrburst.sim import (
-    _LOSS_STREAM_ID,
-    NS_PER_S,
-    ScenarioConfig,
-    SimulationLog,
-    StationLog,
-    _build_generators,
-    _serialization_ns,
-)
+from vrburst.sim import _LOSS_STREAM_ID, ScenarioConfig, SimulationLog, StationLog, _serialization_ns
 from vrburst.wire import BurstDiscarded, BurstReassembler, BurstReceived, fragment_burst
 
 # event kinds, dequeued in (time, insertion sequence) order
@@ -35,7 +28,9 @@ _EV_SINK_RX = 3
 def simulate_reference(cfg: ScenarioConfig) -> SimulationLog:
     """Run the event loop and collect the raw log."""
     duration_ns = round(cfg.duration_s * NS_PER_S)
-    generators, trace_metadata = _build_generators(cfg)
+    generators, trace_metadata = build_generators(
+        cfg.generator, cfg.n_stations, cfg.seed, cfg.duration_s, cfg.constants
+    )
     loss_rng = RngStream(cfg.seed, _LOSS_STREAM_ID) if cfg.loss_prob > 0 else None
     reassemblers = [BurstReassembler() for _ in range(cfg.n_stations)]
     log = SimulationLog(stations=[StationLog() for _ in range(cfg.n_stations)])

@@ -8,7 +8,7 @@ import vrburst.fit
 from vrburst.cli import _open_receive_socket, main, receive_bursts, send_bursts
 from vrburst.generator import BurstDescriptor, SimpleBurstGenerator, load_trace, save_trace
 from vrburst.model import VrModelConstants
-from vrburst.rv import ConstantDist, RngStream
+from vrburst.rv import RngStream, dist_from_spec
 
 
 def run(capsys, *argv):
@@ -286,7 +286,7 @@ class TestUdpLoopback:
 
         thread = threading.Thread(target=receiver)
         thread.start()
-        generator = SimpleBurstGenerator(ConstantDist(5000), ConstantDist(0.001), RngStream(1))
+        generator = SimpleBurstGenerator(dist_from_spec("constant:5000"), dist_from_spec("constant:0.001"), RngStream(1))
         sent = send_bursts(addr, generator, fragment_size=1278, pacing=True, max_bursts=100)
         thread.join()
         recv_sock.close()
@@ -336,7 +336,7 @@ class TestUdpLoopback:
 
         thread = threading.Thread(target=receiver)
         thread.start()
-        generator = SimpleBurstGenerator(ConstantDist(3), ConstantDist(0.001), RngStream(2))
+        generator = SimpleBurstGenerator(dist_from_spec("constant:3"), dist_from_spec("constant:0.001"), RngStream(2))
         sent = send_bursts(addr, generator, fragment_size=25, pacing=False, max_bursts=10)
         thread.join()
         recv_sock.close()

@@ -12,7 +12,7 @@ from vrburst.generator import (
     save_trace,
 )
 from vrburst.model import VrStreamParams
-from vrburst.rv import ConstantDist, RngStream
+from vrburst.rv import RngStream, dist_from_spec
 
 
 def write(tmp_path, text, name="trace.csv"):
@@ -23,17 +23,17 @@ def write(tmp_path, text, name="trace.csv"):
 
 class TestSimpleBurstGenerator:
     def test_constant_generator_repeats(self):
-        gen = SimpleBurstGenerator(ConstantDist(10_000), ConstantDist(0.01), RngStream(1))
+        gen = SimpleBurstGenerator(dist_from_spec("constant:10000"), dist_from_spec("constant:0.01"), RngStream(1))
         for _ in range(5):
             assert gen.has_next_burst()
             assert gen.generate_burst() == BurstDescriptor(10_000, 10_000_000)
 
     def test_sizes_floor_at_one_byte(self):
-        gen = SimpleBurstGenerator(ConstantDist(0.2), ConstantDist(0.01), RngStream(1))
+        gen = SimpleBurstGenerator(dist_from_spec("constant:0.2"), dist_from_spec("constant:0.01"), RngStream(1))
         assert gen.generate_burst().burst_size == 1
 
     def test_negative_periods_clamp_to_zero(self):
-        gen = SimpleBurstGenerator(ConstantDist(100), ConstantDist(-1.0), RngStream(1))
+        gen = SimpleBurstGenerator(dist_from_spec("constant:100"), dist_from_spec("constant:-1.0"), RngStream(1))
         assert gen.generate_burst().next_period_ns == 0
 
 

@@ -1,0 +1,110 @@
+"""Differential test: block-drawn generators against the scalar oracle.
+
+``vrburst`` generators compute bursts a block at a time from one flat array
+of uniforms; ``generator_oracle`` draws every burst word by word. Both must
+hand out the same :class:`BurstDescriptor` sequence, whether the bursts are
+taken one by one through ``generate_burst()`` or through ``schedule()``, in
+chunks that straddle block boundaries, and must raise
+:class:`DegenerateModelError` at the same burst. ``schedule()`` must keep the
+same bursts as the oracle's generation horizon.
+"""
+
+import math
+
+import generator_oracle as oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from vrburst.generator import BLOCK_BURSTS, SimpleBurstGenerator, VrBurstGenerator
+from vrburst.model import DegenerateModelError, VrModelConstants, VrStreamParams
+from vrburst.rv import RngStream, dist_from_spec
+
+SIZE_SPECS = ["constant:1", "constant:5000", "constant:-3.5", "uniform:1:20000",
+              "normal:8000:6000", "logistic:3000:2000"]
+PERIOD_SPECS = ["constant:0.004", "constant:0", "uniform:0:0.003", "normal:0.002:0.003",
+                "logistic:0.002:0.001"]
+
+chunk_lists = st.lists(st.integers(1, 2 * BLOCK_BURSTS), min_size=1, max_size=6)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def take(generator, chunks):
+    """Bursts taken alternately through generate_burst() and schedule(), one
+    chunk at a time, and whether the generator raised DegenerateModelError."""
+    bursts = []
+    try:
+        for k, size in enumerate(chunks):
+            if k % 2:
+                schedule = generator.schedule(math.inf)
+                for _ in range(size):
+                    bursts.append(next(schedule)[1])
+            else:
+                for _ in range(size):
+                    bursts.append(generator.generate_burst())
+    except DegenerateModelError:
+        return bursts, True
+    return bursts, False
+
+
+def take_oracle(generator, n):
+    bursts = []
+    try:
+        for _ in range(n):
+            bursts.append(generator.generate_burst())
+    except DegenerateModelError:
+        return bursts, True
+    return bursts, False
+
+
+@settings(max_examples=40, deadline=None)
+@given(rate_mbps=st.floats(0.2, 200.0), fps=st.floats(15.0, 120.0), seed=seeds, chunks=chunk_lists)
+@example(rate_mbps=0.3, fps=60.0, seed=1, chunks=[700, 300, 500])
+@example(rate_mbps=1.0, fps=60.0, seed=2, chunks=[1, 255, 2, 511])
+def test_vr_bursts_match_the_scalar_walk(rate_mbps, fps, seed, chunks):
+    params = VrStreamParams(rate_mbps * 1e6, fps)
+    got = take(VrBurstGenerator(params, RngStream(seed, 1)), chunks)
+    want = take_oracle(oracle.VrBurstGenerator(params, RngStream(seed, 1)), sum(chunks))
+    assert got == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(iframe_slope=st.floats(15.0, 40.0), seed=seeds, chunks=chunk_lists)
+@example(iframe_slope=1e9, seed=3, chunks=[5])
+def test_vr_degenerate_model_raises_at_the_same_burst(iframe_slope, seed, chunks):
+    # the low component is a point mass at 0, always rejected, and the high
+    # one has weight 1 / iframe_slope, so now and then 100 draws in a row fail
+    constants = VrModelConstants(iframe_mean_slope=iframe_slope, pframe_mean_slope=0.0,
+                                 iframe_std_coeff=0.0, pframe_std_coeff=0.0)
+    params = VrStreamParams(5e6, 60)
+    chunks = chunks + [4 * BLOCK_BURSTS]
+    got = take(VrBurstGenerator(params, RngStream(seed, 1), constants), chunks)
+    want = take_oracle(oracle.VrBurstGenerator(params, RngStream(seed, 1), constants), sum(chunks))
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from(SIZE_SPECS), period=st.sampled_from(PERIOD_SPECS), seed=seeds,
+       chunks=chunk_lists)
+def test_simple_bursts_match_the_scalar_walk(size, period, seed, chunks):
+    got = take(SimpleBurstGenerator(dist_from_spec(size), dist_from_spec(period), RngStream(seed, 1)), chunks)
+    want = take_oracle(
+        oracle.SimpleBurstGenerator(oracle.dist_from_spec(size), oracle.dist_from_spec(period), RngStream(seed, 1)),
+        sum(chunks),
+    )
+    assert got == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(rate_mbps=st.floats(0.2, 200.0), seed=seeds, duration_s=st.floats(0.001, 12.0))
+def test_schedule_keeps_the_bursts_of_the_generation_horizon(rate_mbps, seed, duration_s):
+    params = VrStreamParams(rate_mbps * 1e6, 60)
+    schedule = VrBurstGenerator(params, RngStream(seed, 1)).schedule(round(duration_s * 1e9))
+    times, bursts = zip(*schedule)
+    assert list(bursts) == oracle.collect_bursts(oracle.VrBurstGenerator(params, RngStream(seed, 1)), duration_s)
+    assert times[0] == 0
+    assert all(b - a == max(1, burst.next_period_ns) for a, b, burst in zip(times, times[1:], bursts))
+
+
+def test_schedule_of_zero_periods_still_advances():
+    gen = SimpleBurstGenerator(dist_from_spec("constant:10"), dist_from_spec("constant:0"), RngStream(1))
+    assert [t for t, _ in gen.schedule(5, offset_ns=2)] == [2, 3, 4]

@@ -155,11 +155,7 @@ class TestSampleVrFrame:
             pframe_std_coeff=0.0,
         )
         with pytest.raises(DegenerateModelError):
-            sample_vr_frame(stream(50, 60), k, RngStream(43))
-
-    def test_scalar_draw(self):
-        size = sample_vr_frame(stream(50, 60), DEFAULT_CONSTANTS, RngStream(44))
-        assert isinstance(size, int) and size >= 1
+            sample_vr_frame(stream(50, 60), k, RngStream(43), size=1)
 
 
 class TestSampleVrIfi:

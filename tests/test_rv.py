@@ -6,8 +6,6 @@ import scipy.stats
 from scipy.integrate import trapezoid
 
 from vrburst.rv import (
-    ConstantDist,
-    EmpiricalCdfDist,
     Gmm2Params,
     LogisticDist,
     LogisticParams,
@@ -16,8 +14,6 @@ from vrburst.rv import (
     RngStream,
     UniformDist,
     dist_from_spec,
-    empirical_cdf_quantile,
-    empirical_cdf_sample,
     gmm2_sample,
     logistic_cdf,
     logistic_pdf,
@@ -126,10 +122,6 @@ class TestRngStream:
         with pytest.raises(ParameterError):
             RngStream(0, 2**64)
 
-    def test_substream(self):
-        s = RngStream(5, 0).substream(3)
-        assert (s.seed, s.stream_id) == (5, 3)
-
 
 class TestGmm2Sample:
     def test_degenerate_weight_is_plain_normal(self):
@@ -157,8 +149,7 @@ class TestGmm2Sample:
         p = Gmm2Params(w_hi=0.5, mu_hi=1.0, sigma_hi=1.0, mu_lo=0.0, sigma_lo=1.0)
         a = RngStream(15, 2)
         b = RngStream(15, 2)
-        for _ in range(7):
-            gmm2_sample(p, a)
+        gmm2_sample(p, a, size=7)
         b.uniform(14)
         assert a.uniform() == b.uniform()
 
@@ -171,66 +162,26 @@ class TestGmm2Sample:
             Gmm2Params(w_hi=0.5, mu_hi=1.0, sigma_hi=-1.0, mu_lo=0.0, sigma_lo=1.0)
 
 
-class TestEmpiricalCdf:
-    def test_single_point_is_constant(self):
-        points = [(5.0, 1.0)]
-        xs = [empirical_cdf_sample(points, RngStream(20)) for _ in range(100)]
-        assert xs == [5.0] * 100
-
-    def test_two_point_uniform_interpolates(self):
-        assert empirical_cdf_quantile([(0.0, 0.0), (1.0, 1.0)], 0.5) == pytest.approx(0.5)
-        assert empirical_cdf_quantile([(0.0, 0.0), (1.0, 1.0)], 0.25) == pytest.approx(0.25)
-
-    def test_mass_below_first_point(self):
-        points = [(10.0, 0.3), (20.0, 1.0)]
-        assert empirical_cdf_quantile(points, 0.15) == 10.0
-
-    def test_staircase_fraction_by_counting(self):
-        points = [(10.0, 0.3), (20.0, 1.0)]
-        xs = empirical_cdf_sample(points, RngStream(21), size=100_000)
-        assert np.mean(xs == 10.0) == pytest.approx(0.3, abs=0.01)
-
-    def test_validation_errors(self):
-        with pytest.raises(ParameterError):
-            empirical_cdf_quantile([], 0.5)
-        with pytest.raises(ParameterError):
-            empirical_cdf_quantile([(1.0, 0.5), (0.0, 1.0)], 0.5)  # unsorted values
-        with pytest.raises(ParameterError):
-            empirical_cdf_quantile([(0.0, 0.7), (1.0, 0.4)], 0.5)  # non-increasing probs
-        with pytest.raises(ParameterError):
-            empirical_cdf_quantile([(0.0, 0.5), (1.0, 0.9)], 0.5)  # does not end at 1
-
-
 class TestDistSpecs:
     def test_parses_each_kind(self):
-        rng = RngStream(30)
-        assert dist_from_spec("constant:42").sample(rng) == 42.0
+        assert dist_from_spec("constant:42").quantile(np.empty((3, 0))).tolist() == [42.0] * 3
         assert isinstance(dist_from_spec("uniform:0:1"), UniformDist)
         assert isinstance(dist_from_spec("normal:5:2"), NormalDist)
         assert isinstance(dist_from_spec("logistic:0.0333:0.0015"), LogisticDist)
 
     def test_uniform_bounds(self):
-        rng = RngStream(31)
-        xs = [dist_from_spec("uniform:3:7").sample(rng) for _ in range(1000)]
-        assert all(3.0 <= x <= 7.0 for x in xs)
+        xs = dist_from_spec("uniform:3:7").quantile(RngStream(31).uniform(1000).reshape(-1, 1))
+        assert np.all((3.0 <= xs) & (xs <= 7.0))
 
     def test_normal_uses_one_uniform(self):
-        a, b = RngStream(32), RngStream(32)
-        NormalDist(0, 1).sample(a)
-        b.uniform()
-        assert a.uniform() == b.uniform()
+        dist = dist_from_spec("normal:0:1")
+        assert dist.words == 1
+        assert dist.quantile(np.array([[0.5], [0.975]])) == pytest.approx([0.0, 1.959964])
 
     @pytest.mark.parametrize("spec", ["triangular:1:2", "constant", "uniform:1", "normal:a:b"])
     def test_rejects_bad_specs(self, spec):
         with pytest.raises(ParameterError):
             dist_from_spec(spec)
 
-    def test_empirical_dist_wrapper(self):
-        dist = EmpiricalCdfDist([(1.0, 0.5), (2.0, 1.0)])
-        x = dist.sample(RngStream(33))
-        assert 1.0 <= x <= 2.0
-
     def test_constant_consumes_no_draws(self):
-        a, b = RngStream(34), RngStream(34)
-        ConstantDist(9).sample(a)
-        assert a.uniform() == b.uniform()
+        assert dist_from_spec("constant:9").words == 0

@@ -176,6 +176,29 @@ class TestReassembler:
         assert [type(e) for e in events] == [LateFragmentIgnored]
         assert r.counters.bursts_received == 1
 
+    def test_sequence_wraps_after_the_last_u32(self):
+        # RFC 1982 serial order: 0 follows 2**32 - 1, and 2**32 - 1 then precedes 2
+        r = BurstReassembler()
+        deliver(r, fragment_burst(2**32 - 2, 3000, 0, 1278)[:1])
+        events = deliver(r, fragment_burst(2**32 - 1, 100, 0, 1278))
+        for seq in (0, 1, 2):
+            events += deliver(r, fragment_burst(seq, 3000, 0, 1278))
+        assert [(type(e), e.burst_seq) for e in events] == [
+            (BurstDiscarded, 2**32 - 2),
+            (BurstReceived, 2**32 - 1),
+            (BurstReceived, 0),
+            (BurstReceived, 1),
+            (BurstReceived, 2),
+        ]
+        assert deliver(r, fragment_burst(2**32 - 1, 100, 0, 1278)) == [LateFragmentIgnored(2**32 - 1, 0)]
+
+    def test_half_the_sequence_space_ahead_is_late(self):
+        r = BurstReassembler()
+        deliver(r, fragment_burst(5, 100, 0, 1278))
+        assert deliver(r, fragment_burst(5 + 2**31, 100, 0, 1278)) == [LateFragmentIgnored(5 + 2**31, 0)]
+        events = deliver(r, fragment_burst(4 + 2**31, 100, 0, 1278))
+        assert [type(e) for e in events] == [BurstReceived]
+
     def test_duplicates_ignored_but_counted(self):
         r = BurstReassembler()
         frags = fragment_burst(0, 3000, 0, 1278)
