@@ -32,8 +32,9 @@ round-trip exact; ``period_unit="s"`` accepts fractional seconds instead.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -58,18 +59,21 @@ class TraceParseError(ValueError):
     """A trace file failed to parse; the message names the offending line."""
 
 
-@dataclass(frozen=True)
-class BurstDescriptor:
-    """One burst: size in bytes (>= 1) and the gap to the next burst in ns."""
+class BurstDescriptor(namedtuple("BurstDescriptor", "burst_size next_period_ns")):
+    """One burst: size in bytes (>= 1) and the gap to the next burst in ns.
 
-    burst_size: int
-    next_period_ns: int
+    Construction checks both fields; ``tuple.__new__(BurstDescriptor, (size,
+    period))`` skips the checks, for values that already satisfy them.
+    """
 
-    def __post_init__(self):
-        if self.burst_size < 1:
-            raise ValueError(f"burst size must be at least 1 byte, got {self.burst_size}")
-        if self.next_period_ns < 0:
-            raise ValueError(f"next period must be non-negative, got {self.next_period_ns}")
+    __slots__ = ()
+
+    def __new__(cls, burst_size: int, next_period_ns: int):
+        if burst_size < 1:
+            raise ValueError(f"burst size must be at least 1 byte, got {burst_size}")
+        if next_period_ns < 0:
+            raise ValueError(f"next period must be non-negative, got {next_period_ns}")
+        return tuple.__new__(cls, (burst_size, next_period_ns))
 
 
 @dataclass
@@ -115,23 +119,22 @@ class _BlockBurstGenerator(BurstGenerator):
 
     def __init__(self, rng: RngStream):
         self.rng = rng
-        self._sizes: list[int] = []
-        self._periods_ns: list[int] = []
-        self._next = 0
+        self._block = iter(())
 
     def has_next_burst(self) -> bool:
         return True
 
     def generate_burst(self) -> BurstDescriptor:
-        if self._next == len(self._sizes):
+        burst = next(self._block, None)
+        if burst is None:
             sizes, periods_s = self._draw_block()
-            # sizes round to whole bytes (at least 1), periods to whole ns
-            self._sizes = list(map(int, np.maximum(np.rint(sizes), 1.0).tolist()))
-            self._periods_ns = list(map(int, np.rint(np.maximum(0.0, periods_s) * NS_PER_S).tolist()))
-            self._next = 0
-        i = self._next
-        self._next += 1
-        return BurstDescriptor(self._sizes[i], self._periods_ns[i])
+            # sizes round to whole bytes (at least 1), periods to whole ns (at
+            # least 0), so the descriptors need no checks
+            sizes = map(int, np.maximum(np.rint(sizes), 1.0).tolist())
+            periods_ns = map(int, np.rint(np.maximum(0.0, periods_s) * NS_PER_S).tolist())
+            self._block = map(tuple.__new__, repeat(BurstDescriptor), zip(sizes, periods_ns))
+            burst = next(self._block)
+        return burst
 
     @abstractmethod
     def _draw_block(self):
@@ -353,7 +356,7 @@ def load_trace(path, period_unit: str = "us") -> TraceFile:
         if period_ns <= 0:
             # burst times must be strictly increasing along the trace
             raise TraceParseError(f"line {lineno}: next period must be positive")
-        records.append(BurstDescriptor(size, period_ns))
+        records.append(tuple.__new__(BurstDescriptor, (size, period_ns)))
     if not records:
         raise TraceParseError(f"{path}: no data rows")
     return TraceFile(records=records, metadata=metadata)

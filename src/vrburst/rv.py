@@ -4,7 +4,11 @@ All randomness flows through :class:`RngStream`, a thin wrapper over a keyed
 Philox4x64 counter PRNG. Uniform draws are 53-bit doubles, one per underlying
 64-bit word, and every variate here consumes a fixed number of uniforms (one
 for a logistic or a normal, two for a mixture draw), so a given
-``(seed, stream_id)`` reproduces the same sample sequence on any platform.
+``(seed, stream_id)`` reproduces the same uniforms on any platform. The
+transforms that take a logarithm follow the platform's ``log`` to its last
+ulp: the logistic, and the tails (u <= exp(-2) or u > 1 - exp(-2)) of
+:func:`ndtri`, the numpy port of Cephes' inverse normal CDF. Its central
+region uses only +, -, * and / and is the same everywhere.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 # Recorded in metrics/report metadata so runs can be matched to the generator.
 RNG_ALGORITHM = "philox4x64/u53/inverse-cdf"
@@ -26,6 +29,94 @@ _U64_MAX = 2**64
 
 class ParameterError(ValueError):
     """Raised for invalid distribution or stream parameters."""
+
+
+# --- inverse normal CDF -------------------------------------------------------
+#
+# Cephes ndtri (S. L. Moshier), the algorithm behind scipy.special.ndtri, with
+# its coefficients, branches and evaluation order. Each polynomial pair is a
+# (2, 9) table read column by column: the numerator's polevl coefficients
+# (zero-padded in front, which leaves Horner's sums exact) over the
+# denominator's p1evl ones (with its implicit leading 1).
+
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+
+
+def _horner_columns(p, q):
+    table = np.array([[0.0] * (9 - len(p)) + p, [1.0] + q])
+    return [column[:, None] for column in table.T]
+
+
+# central region, |y - 0.5| < 0.5 - exp(-2)
+_CENTRAL = _horner_columns(
+    [-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+     1.39312609387279679503e1, -1.23916583867381258016e0],
+    [1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+     -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+     1.59056225126211695515e1, -1.18331621121330003142e0],
+)  # fmt: skip
+# tails with x = sqrt(-2 log y) in [2, 8), i.e. exp(-32) < y <= exp(-2)
+_TAIL_NEAR = _horner_columns(
+    [4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+     4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+     -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4],
+    [1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+     1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+     -3.80806407691578277194e-2, -9.33259480895457427372e-4],
+)  # fmt: skip
+# far tails, x >= 8, i.e. y <= exp(-32)
+_TAIL_FAR = _horner_columns(
+    [3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+     1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+     3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9],
+    [6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+     2.89247864745380683936e-6, 6.79019408009981274425e-9],
+)  # fmt: skip
+
+
+def _horner(t, columns):
+    """Numerator and denominator at ``t``, as the rows of one (2, n) array."""
+    acc = np.empty((2, t.size))
+    acc[...] = columns[0]
+    for column in columns[1:]:
+        np.multiply(acc, t, out=acc)
+        np.add(acc, column, out=acc)
+    return acc
+
+
+def ndtri(y):
+    """Inverse of the standard normal CDF, elementwise; a float for a scalar.
+
+    Gives -inf at 0, inf at 1 and nan outside [0, 1], as scipy's does. The
+    central formula runs on every element and the tail one only on the
+    elements outside the central region.
+    """
+    y = np.asarray(y, dtype=float)
+    flat = y.ravel()
+    with np.errstate(all="ignore"):
+        v = flat - 0.5
+        v2 = v * v
+        num, den = _horner(v2, _CENTRAL)
+        x = v + v * (v2 * num / den)
+        x *= _S2PI
+        tail = np.flatnonzero((flat <= _EXP_M2) | (flat > 1.0 - _EXP_M2))
+        if tail.size:
+            yt = flat[tail]
+            upper = yt > 1.0 - _EXP_M2
+            yt = np.where(upper, 1.0 - yt, yt)
+            r = np.sqrt(-2.0 * np.log(yt))
+            x0 = r - np.log(r) / r
+            z = 1.0 / r
+            acc = _horner(z, _TAIL_NEAR)
+            far = np.flatnonzero(r >= 8.0)
+            if far.size:
+                acc[:, far] = _horner(z[far], _TAIL_FAR)
+            xt = x0 - z * acc[0] / acc[1]
+            xt[yt == 0.0] = np.inf  # y = 0 or 1, where x0 is inf - inf / inf
+            x[tail] = np.where(upper, xt, -xt)
+    return x.reshape(y.shape)[()]
 
 
 class RngStream:

@@ -1,6 +1,9 @@
 import json
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -345,6 +348,19 @@ class TestUdpLoopback:
 
 
 class TestCliPlumbing:
+    def test_commands_import_no_scipy(self, tmp_path):
+        # scipy is a test dependency only: the CLI runs on numpy and the stdlib
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import vrburst.cli; "
+            "vrburst.cli.build_parser(); "
+            f"assert vrburst.cli.main(['generate', '--duration-s', '1', '--out', {str(tmp_path / 'vr.csv')!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -21,6 +21,22 @@ def write(tmp_path, text, name="trace.csv"):
     return path
 
 
+class TestBurstDescriptor:
+    def test_construction_checks_fields(self):
+        with pytest.raises(ValueError, match="burst size"):
+            BurstDescriptor(0, 1000)
+        with pytest.raises(ValueError, match="next period"):
+            BurstDescriptor(1, -1)
+        assert BurstDescriptor(1, 0).next_period_ns == 0
+
+    def test_immutable_with_field_equality(self):
+        burst = BurstDescriptor(1000, 5_000_000)
+        with pytest.raises(AttributeError):
+            burst.burst_size = 1
+        assert burst == BurstDescriptor(1000, 5_000_000) != BurstDescriptor(1000, 5_000_001)
+        assert repr(burst) == "BurstDescriptor(burst_size=1000, next_period_ns=5000000)"
+
+
 class TestSimpleBurstGenerator:
     def test_constant_generator_repeats(self):
         gen = SimpleBurstGenerator(dist_from_spec("constant:10000"), dist_from_spec("constant:0.01"), RngStream(1))

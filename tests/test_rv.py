@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from scipy.integrate import trapezoid
 
@@ -19,6 +20,7 @@ from vrburst.rv import (
     logistic_pdf,
     logistic_quantile,
     logistic_sample,
+    ndtri,
 )
 
 LOGISTIC_STD_UNIT = math.pi / math.sqrt(3.0)  # std of Logistic(0, 1)
@@ -93,6 +95,59 @@ class TestLogisticSample:
     def test_zero_scale_collapses_to_location(self):
         xs = logistic_sample(LogisticParams(0.25, 0.0), RngStream(3), size=10_000)
         assert np.all(xs == 0.25)
+
+
+EXP_M2 = math.exp(-2)
+
+
+def ulp_distance(a, b):
+    """Units in the last place between same-sign float64 arrays."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestNdtri:
+    """The Cephes port against scipy.special.ndtri, which runs the same algorithm
+    in C: bit for bit in the central region, where only IEEE +, -, *, / are
+    used, and within a few ulp in the tails, where numpy's log may round
+    differently from the C library's."""
+
+    def check(self, y):
+        ours, ref = ndtri(y), scipy.special.ndtri(y)
+        central = (y > EXP_M2) & (y <= 1.0 - EXP_M2)
+        np.testing.assert_array_equal(ours[central], ref[central])
+        assert ulp_distance(ours[~central], ref[~central]).max(initial=0) <= 8
+        return central
+
+    def test_matches_scipy_on_seeded_uniforms(self):
+        central = self.check(RngStream(2024, 3).uniform(2**20))
+        assert 0.2 < np.mean(~central) < 0.35  # both code paths well exercised
+
+    def test_matches_scipy_at_the_edges(self):
+        lo, hi = EXP_M2, 1.0 - EXP_M2
+        far = math.exp(-32)  # below it the tail switches to its x >= 8 polynomial
+        edges = np.array([
+            2.0**-53, 1.0 - 2.0**-53, 0.5,
+            np.nextafter(lo, 0.0), lo, np.nextafter(lo, 1.0),
+            np.nextafter(hi, 0.0), hi, np.nextafter(hi, 1.0),
+            np.nextafter(far, 0.0), far, np.nextafter(far, 1.0), 1e-15, 1e-300, 5e-324,
+        ])  # fmt: skip
+        self.check(edges)
+        self.check(1.0 - edges[edges > 2.0**-53])
+
+    def test_limits_and_domain(self):
+        out = ndtri(np.array([0.0, 1.0, -0.5, 1.5, np.nan]))
+        assert out[0] == -np.inf and out[1] == np.inf
+        assert np.isnan(out[2:]).all()
+
+    def test_scalar_in_scalar_out(self):
+        for y in (0.3, 0.01, 0.99, np.float64(0.5)):
+            z = ndtri(y)
+            assert isinstance(z, float)
+            assert z == scipy.special.ndtri(y) or abs(z - scipy.special.ndtri(y)) <= 8 * math.ulp(z)
+
+    def test_keeps_the_input_shape(self):
+        y = RngStream(5).uniform(12).reshape(3, 4)
+        np.testing.assert_array_equal(ndtri(y), ndtri(y.ravel()).reshape(3, 4))
 
 
 class TestRngStream:
