@@ -64,6 +64,10 @@ class BurstDescriptor(namedtuple("BurstDescriptor", "burst_size next_period_ns")
 
     Construction checks both fields; ``tuple.__new__(BurstDescriptor, (size,
     period))`` skips the checks, for values that already satisfy them.
+
+    A descriptor is a tuple: it equals the plain tuple ``(size, period)``,
+    unpacks, indexes and orders as one, and the ``dataclasses`` helpers
+    (``asdict``, ``replace``) do not accept it.
     """
 
     __slots__ = ()

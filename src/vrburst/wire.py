@@ -191,9 +191,7 @@ class BurstReassembler:
     :class:`BurstDiscarded` and :class:`BurstReceived` from the same call when
     the newcomer is a single-fragment burst). Sequence numbers compare in RFC
     1982 serial order, so 0 follows 2**32 - 1; a burst exactly 2**31 ahead
-    counts as older. An older burst stamped later than the current one comes
-    from a restarted sender (senders stamp with a monotonic clock) and is
-    taken as the flow's new current burst.
+    counts as older.
     """
 
     def __init__(self):
@@ -223,7 +221,7 @@ class BurstReassembler:
 
         # RFC 1982 serial order on the u32 sequence: newer iff ahead by 1 .. 2**31 - 1
         ahead = 1 if self._current_seq is None else (header.burst_seq - self._current_seq) % _U32
-        if ahead >= _U32 // 2 and header.timestamp_ns <= self._current.timestamp_ns:
+        if ahead >= _U32 // 2:
             return [LateFragmentIgnored(header.burst_seq, header.frag_index)]
 
         if ahead:

@@ -349,12 +349,14 @@ class TestUdpLoopback:
 
 class TestCliPlumbing:
     def test_commands_import_no_scipy(self, tmp_path):
-        # scipy is a test dependency only: the CLI runs on numpy and the stdlib
+        # scipy is a test dependency only: the CLI runs on numpy and the stdlib.
+        # Runs the same commands as the CI step that installs without extras.
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             f"import sys; sys.path.insert(0, {str(src)!r}); import vrburst.cli; "
             "vrburst.cli.build_parser(); "
             f"assert vrburst.cli.main(['generate', '--duration-s', '1', '--out', {str(tmp_path / 'vr.csv')!r}]) == 0; "
+            "assert vrburst.cli.main(['simulate', '--stations', '2', '--duration-s', '1']) == 0; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)

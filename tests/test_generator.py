@@ -36,6 +36,12 @@ class TestBurstDescriptor:
         assert burst == BurstDescriptor(1000, 5_000_000) != BurstDescriptor(1000, 5_000_001)
         assert repr(burst) == "BurstDescriptor(burst_size=1000, next_period_ns=5000000)"
 
+    def test_is_a_size_period_tuple(self):
+        burst = BurstDescriptor(1000, 5_000_000)
+        assert burst == (1000, 5_000_000)
+        size, period = burst
+        assert (size, period) == (burst.burst_size, burst.next_period_ns)
+
 
 class TestSimpleBurstGenerator:
     def test_constant_generator_repeats(self):

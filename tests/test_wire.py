@@ -199,32 +199,6 @@ class TestReassembler:
         events = deliver(r, fragment_burst(4 + 2**31, 100, 0, 1278))
         assert [type(e) for e in events] == [BurstReceived]
 
-    def test_sender_restart_resets_the_flow(self):
-        # a new sender on the same address starts over at 0, stamping later
-        r = BurstReassembler()
-        for seq in range(1003):
-            deliver(r, fragment_burst(seq, 3000, seq * 1000, 1278))
-        restart_ns = 1003 * 1000
-        received = []
-        for seq in range(1100):
-            events = deliver(r, fragment_burst(seq, 3000, restart_ns + seq * 1000, 1278))
-            received += [e.burst_seq for e in events if isinstance(e, BurstReceived)]
-        assert received == list(range(1100))
-
-    def test_restart_discards_the_incomplete_current_burst(self):
-        r = BurstReassembler()
-        deliver(r, fragment_burst(1002, 3000, 5000, 1278)[:2])
-        events = deliver(r, fragment_burst(0, 100, 6000, 1278))
-        assert [(type(e), e.burst_seq) for e in events] == [(BurstDiscarded, 1002), (BurstReceived, 0)]
-
-    def test_reordered_fragment_with_older_stamp_is_late(self):
-        r = BurstReassembler()
-        old = fragment_burst(7, 3000, 7000, 1278)
-        deliver(r, old[:2])
-        deliver(r, fragment_burst(8, 3000, 8000, 1278))
-        assert deliver(r, old[2:]) == [LateFragmentIgnored(7, 2)]
-        assert r.counters.bursts_started == 2
-
     def test_duplicates_ignored_but_counted(self):
         r = BurstReassembler()
         frags = fragment_burst(0, 3000, 0, 1278)
