@@ -124,12 +124,12 @@ def cmd_replay(args) -> int:
 
 
 def _parse_stations(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, _, hi = spec.partition("..")
-        counts = list(range(int(lo), int(hi) + 1))
-    else:
-        counts = [int(spec)]
-    if not counts or min(counts) < 1:
+    lo, sep, hi = spec.partition("..")
+    try:
+        counts = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        counts = []
+    if not counts or counts[0] < 1:
         raise ParameterError(f"bad --stations spec {spec!r}")
     return counts
 
@@ -224,8 +224,8 @@ def cmd_fit(args) -> int:
 
 def _parse_addr(spec: str) -> tuple[str, int]:
     host, _, port = spec.rpartition(":")
-    if not host or not port.isdigit():
-        raise ParameterError(f"expected HOST:PORT, got {spec!r}")
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise ParameterError(f"expected HOST:PORT with a port in 0-65535, got {spec!r}")
     return host, int(port)
 
 
@@ -305,7 +305,8 @@ def receive_bursts(
 
     Writes one CSV row per burst outcome: ``burst_seq,outcome,delay_ns,size``
     (outcome is ``received`` or ``discarded``; discarded rows leave delay
-    empty). Returns receive counters.
+    empty). Returns receive counters; ``malformed`` counts datagrams whose
+    header fails to decode or disagrees with its burst's first header.
     """
     own_sock = sock is None
     if own_sock:
@@ -330,11 +331,12 @@ def receive_bursts(
                 datagrams += 1
                 try:
                     header = decode_header(data)
+                    flow = flows.get(addr) or flows.setdefault(addr, BurstReassembler())
+                    events = flow.on_fragment(header, arrival, len(data) - HEADER_LEN)
                 except ValueError:
                     malformed += 1
                     continue
-                flow = flows.setdefault(addr, BurstReassembler())
-                for event in flow.on_fragment(header, arrival, len(data) - HEADER_LEN):
+                for event in events:
                     if isinstance(event, BurstReceived):
                         received += 1
                         fh.write(

@@ -26,7 +26,7 @@ each word when it needs it.
 Trace CSV grammar: optional ``# key: value`` metadata lines, then one
 ``burst_size_bytes,next_period_us`` row per burst (unsigned integers, LF or
 CRLF line endings). Periods are stored as integer microseconds to keep files
-round-trip exact; ``period_unit="s"`` accepts fractional seconds instead.
+round-trip exact.
 """
 
 from __future__ import annotations
@@ -319,14 +319,8 @@ def _parse_uint(token: str, what: str, lineno: int) -> int:
     return int(token)
 
 
-def load_trace(path, period_unit: str = "us") -> TraceFile:
-    """Parse a trace CSV; raises :class:`TraceParseError` with line numbers.
-
-    ``period_unit`` selects the period column format: ``"us"`` (default,
-    unsigned integer microseconds) or ``"s"`` (fractional seconds).
-    """
-    if period_unit not in ("us", "s"):
-        raise ValueError(f"period_unit must be 'us' or 's', got {period_unit!r}")
+def load_trace(path) -> TraceFile:
+    """Parse a trace CSV; raises :class:`TraceParseError` with line numbers."""
     records: list[BurstDescriptor] = []
     metadata: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
@@ -343,18 +337,7 @@ def load_trace(path, period_unit: str = "us") -> TraceFile:
         if len(fields) != 2:
             raise TraceParseError(f"line {lineno}: expected 'burst_size,next_period', got {line!r}")
         size = _parse_uint(fields[0], "burst size", lineno)
-        if period_unit == "us":
-            period_ns = _parse_uint(fields[1], "next period", lineno) * NS_PER_US
-        else:
-            try:
-                period_s = float(fields[1])
-            except ValueError:
-                raise TraceParseError(
-                    f"line {lineno}: next period must be a number, got {fields[1]!r}"
-                ) from None
-            if period_s < 0:
-                raise TraceParseError(f"line {lineno}: next period must be non-negative")
-            period_ns = round(period_s * NS_PER_S)
+        period_ns = _parse_uint(fields[1], "next period", lineno) * NS_PER_US
         if size < 1:
             raise TraceParseError(f"line {lineno}: burst size must be at least 1 byte")
         if period_ns <= 0:

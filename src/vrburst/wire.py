@@ -6,16 +6,24 @@ order): burst sequence number (u32), fragment index (u16), fragment count
 This header is the wire contract shared by the simulator and the live UDP
 send/receive path.
 
+Headers and fragments are tuples. A :class:`FragmentHeader` is checked when
+it is constructed, not again when it is encoded or decoded:
+:func:`decode_header` makes the only checks a 24-byte unpack can fail, and
+:func:`fragment_burst` checks the fields its fragments share once per burst.
+
 Reassembly is best effort: fragments of the current burst are collected in
 any order, a burst completes only when every fragment index is present, and
-the arrival of a newer burst discards an incomplete older one. There is no
+the arrival of a newer burst discards an incomplete older one. The first
+header of a burst that arrives fixes its count, size and timestamp; a later
+fragment of that burst that disagrees is rejected. There is no
 retransmission and at most one in-progress burst per flow.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 HEADER_LEN = 24
 # Observed VR streams fragment frames into packets of this size.
@@ -30,69 +38,68 @@ _U64 = 2**64
 
 
 class HeaderError(ValueError):
-    """Raised when a header fails validation on encode or decode."""
+    """Raised when a header fails validation on construction or decode."""
 
 
 class FragmentationError(ValueError):
     """Raised for impossible fragmentation requests."""
 
 
-@dataclass(frozen=True)
-class FragmentHeader:
-    burst_seq: int
-    frag_index: int
-    frag_count: int
-    burst_size: int
-    timestamp_ns: int
+class FragmentHeader(
+    namedtuple("FragmentHeader", "burst_seq frag_index frag_count burst_size timestamp_ns")
+):
+    """The 24-byte fragment header, field for field in wire order.
 
-    def __post_init__(self):
-        if not 0 <= self.burst_seq < _U32:
-            raise HeaderError(f"burst_seq out of u32 range: {self.burst_seq}")
-        if not 0 <= self.frag_index < _U16:
-            raise HeaderError(f"frag_index out of u16 range: {self.frag_index}")
-        if not 1 <= self.frag_count < _U16:
-            raise HeaderError(f"frag_count must be in [1, 65535]: {self.frag_count}")
-        if self.frag_index >= self.frag_count:
-            raise HeaderError(
-                f"frag_index {self.frag_index} not below frag_count {self.frag_count}"
-            )
-        if not 0 <= self.burst_size < _U64:
-            raise HeaderError(f"burst_size out of u64 range: {self.burst_size}")
-        if not 0 <= self.timestamp_ns < _U64:
-            raise HeaderError(f"timestamp_ns out of u64 range: {self.timestamp_ns}")
+    Construction checks every field against its wire range and the index
+    against the count, and so do ``_make`` and ``_replace``;
+    ``tuple.__new__(FragmentHeader, fields)`` skips the checks, for fields
+    that already satisfy them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, burst_seq: int, frag_index: int, frag_count: int, burst_size: int, timestamp_ns: int):
+        if not 0 <= burst_seq < _U32:
+            raise HeaderError(f"burst_seq out of u32 range: {burst_seq}")
+        if not 0 <= frag_index < _U16:
+            raise HeaderError(f"frag_index out of u16 range: {frag_index}")
+        if not 1 <= frag_count < _U16:
+            raise HeaderError(f"frag_count must be in [1, 65535]: {frag_count}")
+        if frag_index >= frag_count:
+            raise HeaderError(f"frag_index {frag_index} not below frag_count {frag_count}")
+        if not 0 <= burst_size < _U64:
+            raise HeaderError(f"burst_size out of u64 range: {burst_size}")
+        if not 0 <= timestamp_ns < _U64:
+            raise HeaderError(f"timestamp_ns out of u64 range: {timestamp_ns}")
+        return tuple.__new__(cls, (burst_seq, frag_index, frag_count, burst_size, timestamp_ns))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 def encode_header(header: FragmentHeader) -> bytes:
     """Serialize a header to its 24-byte wire form."""
-    return _HEADER.pack(
-        header.burst_seq,
-        header.frag_index,
-        header.frag_count,
-        header.burst_size,
-        header.timestamp_ns,
-    )
+    return _HEADER.pack(*header)
 
 
 def decode_header(buf: bytes) -> FragmentHeader:
     """Parse the leading 24 bytes of ``buf``; validates the fragment fields."""
     if len(buf) < HEADER_LEN:
         raise HeaderError(f"buffer too small for header: {len(buf)} < {HEADER_LEN} bytes")
-    burst_seq, frag_index, frag_count, burst_size, timestamp_ns = _HEADER.unpack_from(buf)
-    if frag_count < 1:
+    fields = _HEADER.unpack_from(buf)
+    # the unpack bounds every field; only the count and the index can be wrong
+    if fields[2] < 1:
         raise HeaderError("frag_count must be at least 1")
-    if frag_index >= frag_count:
-        raise HeaderError(f"frag_index {frag_index} not below frag_count {frag_count}")
-    return FragmentHeader(burst_seq, frag_index, frag_count, burst_size, timestamp_ns)
+    if fields[1] >= fields[2]:
+        raise HeaderError(f"frag_index {fields[1]} not below frag_count {fields[2]}")
+    return tuple.__new__(FragmentHeader, fields)
 
 
-@dataclass(frozen=True)
-class Fragment:
-    header: FragmentHeader
-    payload_len: int
-
-    @property
-    def wire_size(self) -> int:
-        return HEADER_LEN + self.payload_len
+# One fragment: its header and the payload bytes after it; on the wire it
+# takes HEADER_LEN + payload_len bytes.
+Fragment = namedtuple("Fragment", "header payload_len")
 
 
 def fragment_layout(burst_size: int, fragment_size: int) -> tuple[int, int]:
@@ -130,10 +137,14 @@ def fragment_burst(
     Every header shares the burst's sequence number, size, timestamp, and count.
     """
     count, last = fragment_layout(burst_size, fragment_size)
-    payloads = [fragment_size - HEADER_LEN] * (count - 1) + [last]
+    FragmentHeader(burst_seq, 0, count, burst_size, timestamp_ns)  # checks the shared fields once
+    full = fragment_size - HEADER_LEN
     return [
-        Fragment(FragmentHeader(burst_seq, index, count, burst_size, timestamp_ns), payload)
-        for index, payload in enumerate(payloads)
+        Fragment(
+            tuple.__new__(FragmentHeader, (burst_seq, index, count, burst_size, timestamp_ns)),
+            full if index < count - 1 else last,
+        )
+        for index in range(count)
     ]
 
 
@@ -172,15 +183,6 @@ class ReassemblyCounters:
     bytes_received: int
 
 
-@dataclass
-class _InProgress:
-    frag_count: int
-    burst_size: int
-    timestamp_ns: int
-    payloads: dict[int, int] = field(default_factory=dict)  # frag_index -> payload bytes
-    complete: bool = False
-
-
 class BurstReassembler:
     """Per-flow state machine turning fragment arrivals into burst events.
 
@@ -192,11 +194,16 @@ class BurstReassembler:
     the newcomer is a single-fragment burst). Sequence numbers compare in RFC
     1982 serial order, so 0 follows 2**32 - 1; a burst exactly 2**31 ahead
     counts as older.
+
+    The first header of the current burst to arrive stands for the whole
+    burst: a later fragment of it whose count, size or timestamp differs is
+    rejected with :class:`HeaderError` and counted nowhere.
     """
 
     def __init__(self):
-        self._current_seq: int | None = None
-        self._current: _InProgress | None = None
+        self._first: FragmentHeader | None = None  # first header of the current burst
+        self._seen: set[int] = set()  # its fragment indices that arrived
+        self._payload = 0  # their payload bytes
         self._started = 0
         self._received = 0
         self._failed = 0
@@ -215,49 +222,52 @@ class BurstReassembler:
 
     def on_fragment(self, header: FragmentHeader, arrival_ns: int, payload_len: int = 0) -> list:
         """Process one fragment arrival; returns the events it triggered."""
+        first = self._first
+        # RFC 1982 serial order on the u32 sequence: newer iff ahead by 1 .. 2**31 - 1
+        ahead = 1 if first is None else (header.burst_seq - first.burst_seq) % _U32
+        # header[2:] is (frag_count, burst_size, timestamp_ns)
+        if not ahead and header[2:] != first[2:]:
+            raise HeaderError(
+                f"fragment {header.frag_index} of burst {header.burst_seq} disagrees with the "
+                f"burst's first header on (frag_count, burst_size, timestamp_ns): "
+                f"{header[2:]} != {first[2:]}"
+            )
         self._fragments += 1
         self._bytes += payload_len
-        events: list = []
-
-        # RFC 1982 serial order on the u32 sequence: newer iff ahead by 1 .. 2**31 - 1
-        ahead = 1 if self._current_seq is None else (header.burst_seq - self._current_seq) % _U32
         if ahead >= _U32 // 2:
             return [LateFragmentIgnored(header.burst_seq, header.frag_index)]
 
+        events: list = []
         if ahead:
-            current = self._current
-            if current is not None and not current.complete and current.payloads:
+            if first is not None and len(self._seen) < first.frag_count:
                 self._failed += 1
                 events.append(
                     BurstDiscarded(
-                        burst_seq=self._current_seq,
-                        burst_size=current.burst_size,
-                        frag_count=current.frag_count,
-                        fragments_received=len(current.payloads),
+                        burst_seq=first.burst_seq,
+                        burst_size=first.burst_size,
+                        frag_count=first.frag_count,
+                        fragments_received=len(self._seen),
                     )
                 )
-            self._current_seq = header.burst_seq
-            self._current = _InProgress(
-                frag_count=header.frag_count,
-                burst_size=header.burst_size,
-                timestamp_ns=header.timestamp_ns,
-            )
+            self._first = first = header
+            self._seen = set()
+            self._payload = 0
             self._started += 1
 
-        current = self._current
-        if current.complete or header.frag_index in current.payloads:
+        seen = self._seen
+        if header.frag_index in seen:
             return events  # duplicate; burst outcome unchanged
-        current.payloads[header.frag_index] = payload_len
-        if len(current.payloads) == current.frag_count:
-            current.complete = True
+        seen.add(header.frag_index)
+        self._payload += payload_len
+        if len(seen) == first.frag_count:
             self._received += 1
             events.append(
                 BurstReceived(
-                    burst_seq=self._current_seq,
-                    burst_size=current.burst_size,
-                    frag_count=current.frag_count,
-                    delay_ns=arrival_ns - current.timestamp_ns,
-                    payload_bytes=sum(current.payloads.values()),
+                    burst_seq=first.burst_seq,
+                    burst_size=first.burst_size,
+                    frag_count=first.frag_count,
+                    delay_ns=arrival_ns - first.timestamp_ns,
+                    payload_bytes=self._payload,
                 )
             )
         return events

@@ -16,7 +16,7 @@ from collections import deque
 from vrburst.generator import NS_PER_S, build_generators
 from vrburst.rv import RngStream
 from vrburst.sim import _LOSS_STREAM_ID, ScenarioConfig, SimulationLog, StationLog, _serialization_ns
-from vrburst.wire import BurstDiscarded, BurstReassembler, BurstReceived, fragment_burst
+from vrburst.wire import HEADER_LEN, BurstDiscarded, BurstReassembler, BurstReceived, fragment_burst
 
 # event kinds, dequeued in (time, insertion sequence) order
 _EV_BURST = 0
@@ -85,13 +85,13 @@ def simulate_reference(cfg: ScenarioConfig) -> SimulationLog:
                     queue.append(payload)
             else:
                 link_busy = True
-                ser = _serialization_ns(payload[1].wire_size, cfg.overhead_bytes, cfg.link_rate_bps)
+                ser = _serialization_ns(HEADER_LEN + payload[1].payload_len, cfg.overhead_bytes, cfg.link_rate_bps)
                 push(now + ser, _EV_LINK_DONE, (payload, ser))
 
         elif kind == _EV_LINK_DONE:
             item, ser = payload
             station, frag, lost = item
-            log.served_bytes += frag.wire_size + cfg.overhead_bytes
+            log.served_bytes += HEADER_LEN + frag.payload_len + cfg.overhead_bytes
             log.link_busy_ns += ser
             if lost:
                 log.fragments_lost += 1
@@ -99,7 +99,7 @@ def simulate_reference(cfg: ScenarioConfig) -> SimulationLog:
                 push(now + cfg.propagation_delay_ns, _EV_SINK_RX, item)
             if queue:
                 nxt = queue.popleft()
-                ser = _serialization_ns(nxt[1].wire_size, cfg.overhead_bytes, cfg.link_rate_bps)
+                ser = _serialization_ns(HEADER_LEN + nxt[1].payload_len, cfg.overhead_bytes, cfg.link_rate_bps)
                 push(now + ser, _EV_LINK_DONE, (nxt, ser))
             else:
                 link_busy = False

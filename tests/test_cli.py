@@ -12,6 +12,7 @@ from vrburst.cli import _open_receive_socket, main, receive_bursts, send_bursts
 from vrburst.generator import BurstDescriptor, SimpleBurstGenerator, load_trace, save_trace
 from vrburst.model import VrModelConstants
 from vrburst.rv import RngStream, dist_from_spec
+from vrburst.wire import FragmentHeader, encode_header
 
 
 def run(capsys, *argv):
@@ -165,6 +166,11 @@ class TestSimulate:
     def test_bad_stations_spec(self, capsys):
         code, _, err = run(capsys, "simulate", "--stations", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["abc", "1..x", "..3", "3..1"])
+    def test_unparsable_stations_spec_is_usage_error(self, capsys, spec):
+        code, stdout, err = run(capsys, "simulate", "--stations", spec)
+        assert (code, stdout, err) == (2, "", f"error: bad --stations spec {spec!r}\n")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -327,6 +333,30 @@ class TestUdpLoopback:
         ]
         assert data_rows == []
 
+    def test_fragment_disagreeing_with_its_burst_is_malformed(self, tmp_path):
+        recv_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        recv_sock.bind(("127.0.0.1", 0))
+        addr = recv_sock.getsockname()
+        out = tmp_path / "events.csv"
+        result = {}
+
+        def receiver():
+            result.update(receive_bursts(addr, out, duration_s=1.0, sock=recv_sock))
+
+        thread = threading.Thread(target=receiver)
+        thread.start()
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            for header, payload in [((0, 0, 2, 2000, 100), 1254),
+                                    ((0, 5, 10, 9999, 7), 10),  # claims "index 5 of 10"
+                                    ((0, 1, 2, 2000, 100), 746)]:
+                sender.sendto(encode_header(FragmentHeader(*header)) + b"\x00" * payload, addr)
+        thread.join()
+        recv_sock.close()
+        assert result == {"datagrams": 3, "malformed": 1, "bursts_received": 1,
+                          "bursts_discarded": 0, "flows": 1}
+        seq, outcome, _, size = out.read_text().splitlines()[-1].split(",")
+        assert (seq, outcome, size) == ("0", "received", "2000")
+
     def test_tiny_fragments_on_the_wire(self, tmp_path):
         recv_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         recv_sock.bind(("127.0.0.1", 0))
@@ -376,3 +406,16 @@ class TestCliPlumbing:
     def test_bad_dest_is_usage_error(self, capsys):
         code, _, err = run(capsys, "send", "--dest", "nonsense", "--max-bursts", "1")
         assert code == 2
+
+    def test_send_port_out_of_range_is_usage_error(self, capsys):
+        code, stdout, err = run(capsys, "send", "--dest", "127.0.0.1:70000", "--max-bursts", "1")
+        assert (code, stdout) == (2, "")
+        assert "port in 0-65535" in err
+
+    def test_recv_port_out_of_range_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "events.csv"
+        code, stdout, err = run(capsys, "recv", "--listen", "127.0.0.1:65536", "--out", str(out),
+                                "--duration-s", "0.1")
+        assert (code, stdout) == (2, "")
+        assert "port in 0-65535" in err
+        assert not out.exists()

@@ -91,10 +91,6 @@ class TestLoadTrace:
         trace = load_trace(write(tmp_path, "# fps: 30\r\n500,1000\r\n600,2000\r\n"))
         assert [r.burst_size for r in trace.records] == [500, 600]
 
-    def test_fractional_seconds_unit(self, tmp_path):
-        trace = load_trace(write(tmp_path, "1000,0.016667\n"), period_unit="s")
-        assert trace.records[0].next_period_ns == 16_667_000
-
     def test_non_integer_size_names_line(self, tmp_path):
         with pytest.raises(TraceParseError, match="line 1"):
             load_trace(write(tmp_path, "abc,5\n"))

@@ -1,6 +1,9 @@
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrburst.wire import (
     DEFAULT_FRAGMENT_SIZE,
@@ -8,6 +11,7 @@ from vrburst.wire import (
     BurstDiscarded,
     BurstReassembler,
     BurstReceived,
+    Fragment,
     FragmentHeader,
     FragmentationError,
     HeaderError,
@@ -58,8 +62,6 @@ class TestHeaderCodec:
             decode_header(b"\x00" * 23)
 
     def test_bad_fragment_fields_rejected(self):
-        import struct
-
         blob = struct.pack("!IHHQQ", 0, 5, 5, 0, 0)  # index == count
         with pytest.raises(HeaderError):
             decode_header(blob)
@@ -68,10 +70,36 @@ class TestHeaderCodec:
             decode_header(blob)
 
     def test_header_field_ranges_validated(self):
-        with pytest.raises(HeaderError):
-            FragmentHeader(2**32, 0, 1, 0, 0)
-        with pytest.raises(HeaderError):
-            FragmentHeader(0, 3, 2, 0, 0)
+        for fields, message in [
+            ((2**32, 0, 1, 0, 0), "burst_seq"),
+            ((-1, 0, 1, 0, 0), "burst_seq"),
+            ((0, 2**16, 1, 0, 0), "frag_index out of u16"),
+            ((0, 0, 0, 0, 0), "frag_count"),
+            ((0, 0, 2**16, 0, 0), "frag_count"),
+            ((0, 3, 2, 0, 0), "not below"),
+            ((0, 0, 1, 2**64, 0), "burst_size"),
+            ((0, 0, 1, 0, -1), "timestamp_ns"),
+        ]:
+            with pytest.raises(HeaderError, match=message):
+                FragmentHeader(*fields)
+
+    def test_header_is_a_tuple_in_wire_order(self):
+        h = FragmentHeader(1, 2, 5, 3000, 10**9)
+        assert h == (1, 2, 5, 3000, 10**9)
+        assert encode_header(h) == struct.pack("!IHHQQ", *h)
+        decoded = decode_header(encode_header(h))
+        assert type(decoded) is FragmentHeader
+        assert decoded.frag_count == 5
+        with pytest.raises(AttributeError):
+            h.frag_index = 0
+
+    def test_replace_and_make_check_fields(self):
+        h = FragmentHeader(0, 0, 2, 10, 0)
+        assert h._replace(frag_index=1) == FragmentHeader(0, 1, 2, 10, 0)
+        with pytest.raises(HeaderError, match="not below"):
+            h._replace(frag_index=9)
+        with pytest.raises(HeaderError, match="not below"):
+            FragmentHeader._make([0, 5, 1, 0, 0])
 
 
 class TestFragmentBurst:
@@ -79,7 +107,17 @@ class TestFragmentBurst:
         frags = fragment_burst(0, 3000, 0, DEFAULT_FRAGMENT_SIZE)
         assert [f.payload_len for f in frags] == [1254, 1254, 492]
         assert sum(f.payload_len for f in frags) == 3000
-        assert all(f.wire_size <= DEFAULT_FRAGMENT_SIZE for f in frags)
+        assert all(HEADER_LEN + f.payload_len <= DEFAULT_FRAGMENT_SIZE for f in frags)
+
+    def test_fragment_is_a_header_payload_pair(self):
+        frags = fragment_burst(9, 3000, 777, 1278)
+        assert frags[2] == Fragment(FragmentHeader(9, 2, 3, 3000, 777), 492)
+        assert frags[2] == ((9, 2, 3, 3000, 777), 492)
+
+    @pytest.mark.parametrize("burst_seq, timestamp_ns", [(2**32, 0), (-1, 0), (0, 2**64), (0, -1)])
+    def test_out_of_range_shared_fields_rejected(self, burst_seq, timestamp_ns):
+        with pytest.raises(HeaderError):
+            fragment_burst(burst_seq, 3000, timestamp_ns, 1278)
 
     def test_headers_share_burst_fields(self):
         frags = fragment_burst(9, 3000, 777, 1278)
@@ -263,3 +301,55 @@ class TestReassembler:
             deliver(r, keep)
             c = r.counters
             assert c.bursts_received + c.bursts_failed <= c.bursts_started
+
+    def test_fragment_disagreeing_with_its_burst_is_rejected(self):
+        # a forged "index 5 of 10" must not complete a 2-fragment burst
+        r = BurstReassembler()
+        assert r.on_fragment(FragmentHeader(0, 0, 2, 2000, 100), 1_000, 1254) == []
+        forged = decode_header(struct.pack("!IHHQQ", 0, 5, 10, 9999, 7))
+        before = r.counters
+        with pytest.raises(HeaderError, match="disagrees"):
+            r.on_fragment(forged, 1_010, 10)
+        assert r.counters == before
+        events = r.on_fragment(FragmentHeader(0, 1, 2, 2000, 100), 1_020, 746)
+        assert events == [BurstReceived(0, 2000, 2, 920, 2000)]
+
+    @pytest.mark.parametrize("field, value", [(2, 3), (3, 2001), (4, 101)])
+    def test_each_shared_field_is_compared(self, field, value):
+        r = BurstReassembler()
+        r.on_fragment(FragmentHeader(0, 0, 2, 2000, 100), 1_000, 1254)
+        fields = [0, 1, 2, 2000, 100]
+        fields[field] = value
+        with pytest.raises(HeaderError):
+            r.on_fragment(FragmentHeader(*fields), 1_010, 746)
+
+
+@st.composite
+def one_burst_deliveries(draw):
+    """A burst's layout and the indices that arrive: any drop, duplicate or reorder."""
+    fragment_size = draw(st.integers(HEADER_LEN + 1, 1500))
+    burst_size = draw(st.integers(1, 40 * (fragment_size - HEADER_LEN)))
+    count = fragment_layout(burst_size, fragment_size)[0]
+    dropped = draw(st.one_of(st.just(set()), st.sets(st.integers(0, count - 1))))
+    order = [i for i in draw(st.permutations(range(count))) if i not in dropped]
+    for _ in range(draw(st.integers(0, 3)) if order else 0):
+        order.insert(draw(st.integers(0, len(order))), draw(st.sampled_from(order)))
+    return burst_size, fragment_size, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_burst_deliveries())
+def test_burst_outcome_depends_only_on_which_indices_arrived(case):
+    burst_size, fragment_size, order = case
+    frags = fragment_burst(7, burst_size, 100, fragment_size)
+    follow = fragment_burst(8, burst_size, 200, fragment_size)[0]
+    r = BurstReassembler()
+    events = deliver(r, [frags[i] for i in order] + [follow])
+
+    arrived = len(set(order))
+    complete = arrived == len(frags)
+    received = [e.payload_bytes for e in events if isinstance(e, BurstReceived) and e.burst_seq == 7]
+    assert received == ([burst_size] if complete else [])
+    discarded = [e for e in events if isinstance(e, BurstDiscarded)]
+    assert discarded == ([] if complete or not arrived else [BurstDiscarded(7, burst_size, len(frags), arrived)])
+    assert r.counters.fragments_received == len(order) + 1
