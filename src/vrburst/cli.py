@@ -23,6 +23,7 @@ from . import __version__
 from .fit import fit_vr_model, group_traces
 from .generator import (
     NS_PER_S,
+    BurstDescriptor,
     GeneratorConfig,
     TraceFileBurstGenerator,
     TraceParseError,
@@ -72,13 +73,19 @@ def _generator_config(args) -> GeneratorConfig:
     )
 
 
+def _bursts(schedule) -> list[BurstDescriptor]:
+    """The bursts of a ``BurstGenerator.schedule`` result, as descriptors."""
+    _, sizes, periods = schedule
+    return [tuple.__new__(BurstDescriptor, burst) for burst in zip(sizes.tolist(), periods.tolist())]
+
+
 def cmd_generate(args) -> int:
     if args.model == "trace":
         raise ParameterError("--model trace is not a synthetic generator here; "
                              "use the replay command for traces")
     constants = _load_constants(args)
     (generator,), _ = build_generators(_generator_config(args), 1, args.seed, args.duration_s, constants)
-    records = [burst for _, burst in generator.schedule(round(args.duration_s * NS_PER_S))]
+    records = _bursts(generator.schedule(round(args.duration_s * NS_PER_S)))
     if not records:
         raise ValueError(f"no bursts generated in {args.duration_s} s; trace would be empty")
     metadata = {
@@ -105,7 +112,7 @@ def cmd_replay(args) -> int:
     trace = load_trace(args.trace)
     generator = TraceFileBurstGenerator(trace, start_time_s=args.start_time)
     duration_ns = math.inf if args.duration_s is None else round(args.duration_s * NS_PER_S)
-    records = [burst for _, burst in generator.schedule(duration_ns)]
+    records = _bursts(generator.schedule(duration_ns))
     if not records:
         raise ValueError("replay window contains no bursts")
     metadata = dict(trace.metadata)

@@ -7,7 +7,9 @@ following burst. Three generators are provided: arbitrary random variates
 (:class:`VrBurstGenerator`), and CSV trace replay
 (:class:`TraceFileBurstGenerator`). :func:`build_generators` builds one per
 station from a :class:`GeneratorConfig`, and :meth:`BurstGenerator.schedule`
-is the generation horizon every caller applies.
+is the generation horizon every caller applies; it returns the bursts'
+times, sizes and periods as int64 arrays. :func:`schedule_stations` schedules
+every station of a scenario, drawing the VR stations' blocks together.
 
 The two random generators compute up to ``BLOCK_BURSTS`` bursts at a time
 from one flat array of uniforms, read burst after burst in this word layout:
@@ -32,9 +34,9 @@ round-trip exact.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque, namedtuple
-from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +64,9 @@ class TraceParseError(ValueError):
 class BurstDescriptor(namedtuple("BurstDescriptor", "burst_size next_period_ns")):
     """One burst: size in bytes (>= 1) and the gap to the next burst in ns.
 
-    Construction checks both fields; ``tuple.__new__(BurstDescriptor, (size,
-    period))`` skips the checks, for values that already satisfy them.
+    Construction checks both fields, and so do ``_make`` and ``_replace``;
+    ``tuple.__new__(BurstDescriptor, (size, period))`` skips the checks, for
+    values that already satisfy them.
 
     A descriptor is a tuple: it equals the plain tuple ``(size, period)``,
     unpacks, indexes and orders as one, and the ``dataclasses`` helpers
@@ -79,6 +82,11 @@ class BurstDescriptor(namedtuple("BurstDescriptor", "burst_size next_period_ns")
             raise ValueError(f"next period must be non-negative, got {next_period_ns}")
         return tuple.__new__(cls, (burst_size, next_period_ns))
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
 
 @dataclass
 class TraceFile:
@@ -93,52 +101,95 @@ class TraceFile:
 
 
 class BurstGenerator(ABC):
-    """Yields burst descriptors until exhausted (stochastic ones never are)."""
+    """Hands out burst descriptors until exhausted (stochastic ones never are).
+
+    A generator keeps the bursts it has computed but not handed out yet;
+    :meth:`_next_bursts` computes more when they run out.
+    """
+
+    def __init__(self):
+        self._sizes = self._periods = np.empty(0, dtype=np.int64)
+        self._next = 0  # index of the next burst to hand out
 
     @abstractmethod
+    def _next_bursts(self):
+        """Sizes (bytes) and periods (ns) of the next bursts, as int64 arrays,
+        or None when the generator is exhausted."""
+
     def has_next_burst(self) -> bool:
         """True iff generate_burst() may be called."""
+        if self._next == len(self._sizes):
+            more = self._next_bursts()
+            if more is None:
+                return False
+            (self._sizes, self._periods), self._next = more, 0
+        return True
 
-    @abstractmethod
     def generate_burst(self) -> BurstDescriptor:
         """Return the next burst descriptor and advance the generator."""
+        if not self.has_next_burst():
+            raise GeneratorExhaustedError("generator has handed out its last burst")
+        i = self._next
+        self._next = i + 1
+        return tuple.__new__(BurstDescriptor, (int(self._sizes[i]), int(self._periods[i])))
+
+    def _reach(self, offset_ns: int) -> int:
+        """Generation time of the first burst not computed yet, when the next
+        burst is generated at ``offset_ns``."""
+        if self._next == len(self._periods):
+            return offset_ns
+        return offset_ns + int(np.maximum(self._periods[self._next:], 1).sum())
+
+    def _keep(self, blocks) -> None:
+        """Queue computed ``(sizes, periods)`` blocks after the bursts not handed out yet."""
+        if not blocks:
+            return
+        if self._next == len(self._sizes) and len(blocks) == 1:
+            (self._sizes, self._periods), self._next = blocks[0], 0
+            return
+        self._sizes = np.concatenate([self._sizes[self._next:], *(sizes for sizes, _ in blocks)])
+        self._periods = np.concatenate([self._periods[self._next:], *(periods for _, periods in blocks)])
+        self._next = 0
 
     def schedule(self, duration_ns, offset_ns: int = 0):
-        """Lazily yield ``(generation time ns, burst)`` for every burst
-        generated before ``duration_ns``.
+        """Generation times, sizes and periods, as int64 arrays, of every burst
+        generated before ``duration_ns``; the generator advances past them.
 
         The first burst is generated at ``offset_ns`` and each later one a
         period after the previous; periods are clamped to at least 1 ns so
-        time always advances.
+        time always advances. A random generator computes bursts until the
+        horizon is passed and keeps the ones after it for the next call, so
+        ``duration_ns`` must be finite for it.
         """
-        time_ns = offset_ns
-        while time_ns < duration_ns and self.has_next_burst():
-            burst = self.generate_burst()
-            yield time_ns, burst
-            time_ns += max(1, burst.next_period_ns)
+        blocks = []
+        reach = self._reach(offset_ns)
+        try:
+            while reach < duration_ns and (block := self._next_bursts()) is not None:
+                blocks.append(block)
+                reach += int(np.maximum(block[1], 1).sum())
+        finally:  # on an error, the bursts computed before it stay next in line
+            self._keep(blocks)
+        return self._cut(duration_ns, offset_ns)
+
+    def _cut(self, duration_ns, offset_ns: int):
+        """:meth:`schedule` of the bursts computed so far."""
+        sizes, periods = self._sizes[self._next:], self._periods[self._next:]
+        steps = np.maximum(periods, 1)
+        times = np.cumsum(steps) - steps + offset_ns
+        n = int(np.searchsorted(times, duration_ns))
+        self._next += n
+        return times[:n], sizes[:n], periods[:n]
 
 
 class _BlockBurstGenerator(BurstGenerator):
     """A random generator that computes its bursts ``BLOCK_BURSTS`` at a time."""
 
     def __init__(self, rng: RngStream):
+        super().__init__()
         self.rng = rng
-        self._block = iter(())
 
-    def has_next_burst(self) -> bool:
-        return True
-
-    def generate_burst(self) -> BurstDescriptor:
-        burst = next(self._block, None)
-        if burst is None:
-            sizes, periods_s = self._draw_block()
-            # sizes round to whole bytes (at least 1), periods to whole ns (at
-            # least 0), so the descriptors need no checks
-            sizes = map(int, np.maximum(np.rint(sizes), 1.0).tolist())
-            periods_ns = map(int, np.rint(np.maximum(0.0, periods_s) * NS_PER_S).tolist())
-            self._block = map(tuple.__new__, repeat(BurstDescriptor), zip(sizes, periods_ns))
-            burst = next(self._block)
-        return burst
+    def _next_bursts(self):
+        return _whole(*self._draw_block())
 
     @abstractmethod
     def _draw_block(self):
@@ -182,13 +233,46 @@ class VrBurstGenerator(_BlockBurstGenerator):
         self._carry = np.empty(0)  # words the last block left unread
 
     # defined on this class, not inherited: perfbench/tracer.py patches it here
-    generate_burst = _BlockBurstGenerator.generate_burst
+    generate_burst = BurstGenerator.generate_burst
 
     def _draw_block(self):
-        words = np.concatenate((self._carry, self.rng.uniform(3 * BLOCK_BURSTS)))
-        # draws[j] is the mixture draw from words j and j+1; a burst starting
-        # at word p reads the draws at p, p+2, ... until one is positive
-        draws = gmm2_quantile(self._gmm, words[:-1], words[1:])
+        words = self._block_words()
+        sizes, ifi_words = self._read_block(words, gmm2_quantile(self._gmm, words[:-1], words[1:]))
+        return sizes, logistic_quantile(ifi_words, self._ifi)
+
+    def _block_words(self):
+        return np.concatenate((self._carry, self.rng.uniform(3 * BLOCK_BURSTS)))
+
+    @staticmethod
+    def _draw_blocks(generators):
+        """The next block of each of several generators of one model, as
+        :meth:`_next_bursts` computes it, evaluating the mixture once for all.
+
+        A block with no rejected draw is ``BLOCK_BURSTS`` 3-word rows, which
+        needs the mixture at the row starts only; a generator whose rows hold
+        a rejected draw reads its block from the draws at every word offset.
+        """
+        gmm, rows = generators[0]._gmm, 3 * BLOCK_BURSTS
+        words = [g._block_words() for g in generators]
+        draws = gmm2_quantile(gmm, np.concatenate([w[0:rows:3] for w in words]),
+                              np.concatenate([w[1:rows:3] for w in words]))
+        blocks = []
+        for g, w, d in zip(generators, words, np.split(draws, len(words))):
+            if (d <= 0.0).any():
+                blocks.append(g._read_block(w, gmm2_quantile(gmm, w[:-1], w[1:])))
+            else:
+                g._carry = w[rows:]
+                blocks.append((d, w[2:rows:3]))
+        sizes, periods = _whole(np.concatenate([raw for raw, _ in blocks]),
+                                logistic_quantile(np.concatenate([ifi for _, ifi in blocks]), generators[0]._ifi))
+        bounds = np.cumsum([0, *(len(raw) for raw, _ in blocks)]).tolist()
+        return [(sizes[a:b], periods[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def _read_block(self, words, draws):
+        """The block's raw sizes and inter-frame-interval words, from its words
+        and ``draws[j]``, the mixture draw from words j and j+1."""
+        # a burst starting at word p reads the draws at p, p+2, ... until one
+        # is positive
         sizes, ifi_words = [], []
         pos = n = 0
         while n < BLOCK_BURSTS:
@@ -213,7 +297,7 @@ class VrBurstGenerator(_BlockBurstGenerator):
             n += 1
             pos += 2 * used + 1
         self._carry = words[pos:]
-        return np.concatenate(sizes), logistic_quantile(np.concatenate(ifi_words), self._ifi)
+        return np.concatenate(sizes), np.concatenate(ifi_words)
 
 
 class TraceFileBurstGenerator(BurstGenerator):
@@ -228,19 +312,50 @@ class TraceFileBurstGenerator(BurstGenerator):
     def __init__(self, trace: TraceFile | str | Path, start_time_s: float = 0.0):
         if start_time_s < 0:
             raise ValueError(f"start time must be non-negative, got {start_time_s}")
+        super().__init__()
         self.trace = load_trace(trace) if isinstance(trace, (str, Path)) else trace
-        self._cursor = 0
-        deque(self.schedule(round(start_time_s * NS_PER_S)), maxlen=0)  # skip the bursts before t0
+        records = self.trace.records
+        columns = np.fromiter(chain.from_iterable(records), np.int64, 2 * len(records)).reshape(-1, 2)
+        self._sizes, self._periods = columns[:, 0], columns[:, 1]
+        self.schedule(round(start_time_s * NS_PER_S))  # skip the bursts before t0
 
-    def has_next_burst(self) -> bool:
-        return self._cursor < len(self.trace.records)
+    def _next_bursts(self):
+        return None
 
-    def generate_burst(self) -> BurstDescriptor:
-        if not self.has_next_burst():
-            raise GeneratorExhaustedError("trace generator has yielded its last record")
-        record = self.trace.records[self._cursor]
-        self._cursor += 1
-        return record
+
+def _whole(sizes, periods_s):
+    """Sizes rounded to whole bytes (at least 1) and periods (s) to whole ns (at least 0)."""
+    return (
+        np.maximum(np.rint(sizes), 1.0).astype(np.int64),
+        np.rint(np.maximum(0.0, periods_s) * NS_PER_S).astype(np.int64),
+    )
+
+
+def schedule_stations(generators: list[BurstGenerator], duration_ns: int, offsets_ns: list[int]) -> list:
+    """``generator.schedule(duration_ns, offset)`` of every station.
+
+    VR stations of one model compute their blocks in rounds: each round
+    evaluates the frame-size mixture once for every station still short of
+    the horizon. The mixture is elementwise and a station's bursts do not
+    depend on its block boundaries, so the bursts are those each station
+    draws alone. After an error the generators are not to be used.
+    """
+    vr = [g for g in generators if isinstance(g, VrBurstGenerator)]
+    banked = {g for g in vr if (g._gmm, g._ifi) == (vr[0]._gmm, vr[0]._ifi)}
+    if len(banked) < 2:
+        return [g.schedule(duration_ns, offset) for g, offset in zip(generators, offsets_ns)]
+    reach = {g: g._reach(offset) for g, offset in zip(generators, offsets_ns) if g in banked}
+    blocks = {g: [] for g in reach}
+    short = [g for g in reach if reach[g] < duration_ns]
+    while short:
+        for g, block in zip(short, VrBurstGenerator._draw_blocks(short)):
+            blocks[g].append(block)
+            reach[g] += int(np.maximum(block[1], 1).sum())
+        short = [g for g in short if reach[g] < duration_ns]
+    for g, queued in blocks.items():
+        g._keep(queued)
+    return [g._cut(duration_ns, offset) if g in banked else g.schedule(duration_ns, offset)
+            for g, offset in zip(generators, offsets_ns)]
 
 
 @dataclass
@@ -269,7 +384,7 @@ class GeneratorConfig:
             raise ParameterError("trace model needs trace_path")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_generators(
@@ -378,4 +493,5 @@ __all__ = [
     "build_generators",
     "load_trace",
     "save_trace",
+    "schedule_stations",
 ]

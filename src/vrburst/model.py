@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from itertools import islice, repeat
 from pathlib import Path
 
@@ -65,7 +65,7 @@ class VrModelConstants:
             raise ParameterError("std coefficients must be non-negative")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "VrModelConstants":

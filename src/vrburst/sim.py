@@ -7,13 +7,26 @@ link_rate`` (rounded up to whole nanoseconds) and delivers to the station
 after the propagation delay. Random losses corrupt fragments on the link (they
 still consume link time); a finite queue tail-drops arrivals instead.
 
-A burst's fragments arrive together and leave back to back, so the link is
-computed per burst with Lindley's recursion: burst j arriving at ``A_j``
-starts service at ``max(A_j, D_{j-1})``, ``D_{j-1}`` being the departure of
-the previous burst's last admitted fragment. Bursts enter in (time,
-generation order); a departure at instant t precedes an arrival at t and frees
-its queue slot for it. Each burst draws one loss uniform per fragment when it
-is generated, tail-dropped fragments included.
+The run is computed on arrays, one row per burst. Each station's schedule
+(:meth:`~vrburst.generator.BurstGenerator.schedule`) is merged into link
+order: by time, and on a tie in the order an event heap keyed by (time, push
+order) pops them, each station pushing its next burst when its current one
+pops. So a station's first burst goes before the others, in station order,
+and other tied bursts go by when their station's previous burst reached the
+link; a plain (time, station) sort gets this wrong.
+
+A burst's fragments arrive together and leave back to back, so the link
+follows Lindley's recursion per burst: burst j arriving at ``A_j`` starts
+service at ``max(A_j, D_{j-1})``, ``D_{j-1}`` being the departure of the
+previous burst's last admitted fragment. With an unbounded queue it has the
+closed form ``D = C + max(0, max_{i<=j} A_i - C_{i-1})``, C being the
+cumulative service time, exact in int64. With a queue limit the recursion
+runs burst by burst; a departure at instant t precedes an arrival at t and
+frees its queue slot for it. Losses are one uniform draw per fragment sent,
+made in one call in link order, tail-dropped fragments included.
+
+The :class:`SimulationLog` keeps per-burst columns; :func:`summarize`
+expands them into per-fragment delays only to aggregate them.
 
 Time is integer nanoseconds end to end, so a (config, seed) pair always
 produces the same report. Stations stop generating at the configured duration
@@ -22,16 +35,13 @@ and the link then drains; delivered stragglers still count toward the metrics.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
-from collections import deque
-from dataclasses import asdict, dataclass, field
-from itertools import compress, count
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .generator import NS_PER_S, GeneratorConfig, build_generators
+from .generator import NS_PER_S, GeneratorConfig, build_generators, schedule_stations
 from .model import DEFAULT_CONSTANTS, VrModelConstants
 from .rv import RNG_ALGORITHM, ParameterError, RngStream
 from .wire import DEFAULT_FRAGMENT_SIZE, HEADER_LEN, fragment_layout
@@ -42,15 +52,24 @@ from .wire import fragment_burst  # noqa: F401  (perfbench/tracer.py patches it 
 _LOSS_STREAM_ID = 0
 
 
-def percentile(samples, p: float):
-    """Nearest-rank percentile: the sorted sample at index ceil(p*n/100)."""
-    n = len(samples)
+def _nearest_rank(n: int, p: float) -> int:
+    """The 1-based rank of the nearest-rank ``p``-th percentile of ``n`` samples."""
     if n == 0:
         raise ValueError("percentile of an empty sample set is undefined")
     if not 0 < p <= 100:
         raise ValueError(f"percentile must lie in (0, 100], got {p}")
-    rank = math.ceil(p * n / 100.0)
-    return sorted(samples)[rank - 1]
+    return math.ceil(p * n / 100.0)
+
+
+def percentile(samples, p: float):
+    """Nearest-rank percentile: the sorted sample at index ceil(p*n/100).
+
+    ``samples`` is a sequence or an ndarray of numbers; the result is a Python
+    int or float.
+    """
+    k = _nearest_rank(len(samples), p) - 1
+    value = np.partition(np.asarray(samples), k)[k]
+    return value.item() if isinstance(value, np.generic) else value  # ints beyond int64 stay objects
 
 
 @dataclass
@@ -101,29 +120,37 @@ class ScenarioConfig:
         }
 
 
-@dataclass
-class StationLog:
-    """Per-station counters. Every sent burst ends received, lost (no fragment
-    delivered), discarded (incomplete, and a newer burst delivered a fragment)
-    or in flight (incomplete, and no newer burst delivered one)."""
-
-    bursts_sent: int = 0
-    bursts_received: int = 0
-    bursts_discarded: int = 0
-    bursts_lost: int = 0
-    bursts_in_flight: int = 0
-    fragments_sent: int = 0
-    fragments_delivered: int = 0
-    burst_delays_ns: list[int] = field(default_factory=list)
+# Burst outcomes, the values of SimulationLog.outcome
+RECEIVED, DISCARDED, LOST, IN_FLIGHT = range(4)
 
 
-@dataclass
+def _ints():
+    return np.empty(0, dtype=np.int64)
+
+
+@dataclass(eq=False)
 class SimulationLog:
-    """Raw per-run samples and counters, aggregated by :func:`summarize`."""
+    """Per-burst columns and the link's counters, aggregated by :func:`summarize`.
 
-    fragment_delays_ns: list[int] = field(default_factory=list)
-    burst_delays_ns: list[int] = field(default_factory=list)
-    stations: list[StationLog] = field(default_factory=list)
+    Row j of every column is the j-th burst to reach the link: its station,
+    generation time, size, fragment count, fragments admitted by the queue
+    and delivered to the station, the link's service start and departure of
+    its last admitted fragment (both equal to ``time_ns`` when none was
+    admitted), and its outcome. ``fragment_lost`` holds the loss draw of
+    each admitted fragment in the same order, or None without losses.
+    """
+
+    n_stations: int = 0
+    station: np.ndarray = field(default_factory=_ints)
+    time_ns: np.ndarray = field(default_factory=_ints)
+    burst_size: np.ndarray = field(default_factory=_ints)
+    fragments: np.ndarray = field(default_factory=_ints)
+    admitted: np.ndarray = field(default_factory=_ints)
+    delivered: np.ndarray = field(default_factory=_ints)
+    start_ns: np.ndarray = field(default_factory=_ints)
+    departure_ns: np.ndarray = field(default_factory=_ints)
+    outcome: np.ndarray = field(default_factory=_ints)
+    fragment_lost: np.ndarray | None = None
     fragments_sent: int = 0
     fragments_lost: int = 0
     fragments_queue_dropped: int = 0
@@ -133,130 +160,219 @@ class SimulationLog:
     end_time_ns: int = 0
     trace_metadata: dict | None = None
 
-    @property
-    def bursts_sent(self) -> int:
-        return sum(s.bursts_sent for s in self.stations)
 
-    @property
-    def bursts_received(self) -> int:
-        return sum(s.bursts_received for s in self.stations)
-
-    @property
-    def bursts_discarded(self) -> int:
-        return sum(s.bursts_discarded for s in self.stations)
-
-
-def _serialization_ns(wire_bytes: int, overhead: int, link_rate_bps: float) -> int:
+def _serialization_ns(wire_bytes, overhead: int, link_rate_bps: float):
+    """Whole ns to serialize ``wire_bytes`` (an int or an int64 array) plus
+    the overhead, rounded up."""
     bits = (wire_bytes + overhead) * 8
     if float(link_rate_bps).is_integer():
         rate = int(link_rate_bps)
         return -(-(bits * NS_PER_S) // rate)
+    if isinstance(bits, np.ndarray):
+        return np.ceil(bits * NS_PER_S / link_rate_bps).astype(np.int64)
     return math.ceil(bits * NS_PER_S / link_rate_bps)
 
 
+def _link_order(times: np.ndarray, counts: list[int]) -> np.ndarray:
+    """The order in which the bursts reach the link, as indices into ``times``
+    (every station's times, station after station).
+
+    Bursts go by time. A tie goes the way an event heap keyed by (time, push
+    order) pops it, where each station pushes its next burst when its
+    current one pops: first bursts before the others, in station order; the
+    others by when their station's previous burst reached the link.
+    """
+    n = len(times)
+    counts = np.asarray(counts)
+    # key 2t for a station's first burst and 2t + 1 for the others; equal keys go by station
+    key = 2 * times + 1
+    key[(np.cumsum(counts) - counts)[counts > 0]] -= 1
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    tied = (key[1:] == key[:-1]) & (key[1:] % 2 == 1)
+    if not tied.any():
+        return order
+    # resolve each run of tied later bursts by when their predecessors (the
+    # bursts before them in times) reached the link
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    edges = np.diff(np.concatenate(([False], tied, [False])).astype(np.int8))
+    for a, b in zip(np.flatnonzero(edges == 1).tolist(), (np.flatnonzero(edges == -1) + 1).tolist()):
+        members = order[a:b]
+        order[a:b] = members = members[np.argsort(rank[members - 1])]
+        rank[members] = np.arange(a, b)
+    return order
+
+
 def simulate(cfg: ScenarioConfig) -> SimulationLog:
-    """Run the scenario burst by burst and collect the raw log."""
+    """Run the scenario and collect the per-burst log."""
     duration_ns = round(cfg.duration_s * NS_PER_S)
     generators, trace_metadata = build_generators(
         cfg.generator, cfg.n_stations, cfg.seed, cfg.duration_s, cfg.constants
     )
-    loss_rng = RngStream(cfg.seed, _LOSS_STREAM_ID) if cfg.loss_prob > 0 else None
-    log = SimulationLog(stations=[StationLog() for _ in range(cfg.n_stations)])
-    log.trace_metadata = trace_metadata
-    limit, prop, overhead = cfg.queue_limit, cfg.propagation_delay_ns, cfg.overhead_bytes
-    full_ser = _serialization_ns(cfg.fragment_size, overhead, cfg.link_rate_bps)
-
-    # each station's next burst, popped in (time, push sequence) order
     offsets = cfg.station_start_offsets_ns or [0] * cfg.n_stations
-    schedules = [gen.schedule(duration_ns, offset) for gen, offset in zip(generators, offsets)]
-    heap: list = []
-    pushes = count()
+    schedules = schedule_stations(generators, duration_ns, offsets)
+    counts = [len(times) for times, _, _ in schedules]
+    times = np.concatenate([times for times, _, _ in schedules])
+    order = _link_order(times, counts)
+    times = times[order]
+    sizes = np.concatenate([sizes for _, sizes, _ in schedules])[order]
+    station = np.repeat(np.arange(cfg.n_stations), counts)[order]
 
-    def push_next(station: int) -> None:
-        entry = next(schedules[station], None)
-        if entry is not None:
-            heapq.heappush(heap, (entry[0], next(pushes), station, entry[1]))
+    n_bursts = len(times)
+    fsize, overhead = cfg.fragment_size, cfg.overhead_bytes
+    if n_bursts:  # raises if the headers cannot describe the largest burst
+        fragment_layout(int(sizes.max()), fsize)
+    capacity = fsize - HEADER_LEN
+    frags = -(-sizes // capacity)
+    last_wire = HEADER_LEN + sizes - (frags - 1) * capacity
+    full_ser = _serialization_ns(fsize, overhead, cfg.link_rate_bps)
+    last_ser = _serialization_ns(last_wire, overhead, cfg.link_rate_bps)
 
-    for station in range(cfg.n_stations):
-        push_next(station)
+    if cfg.queue_limit:
+        admitted, start, departure = _tail_drop_link(times, frags, last_ser, full_ser, cfg.queue_limit)
+        last_wire = np.where(admitted == frags, last_wire, fsize)
+        service = departure - start
+    else:
+        # Lindley's recursion D_j = max(A_j, D_{j-1}) + S_j in closed form:
+        # with C the cumulative service, D = C + max(0, max_{i<=j} A_i - C_{i-1})
+        admitted = frags
+        service = (frags - 1) * full_ser + last_ser
+        done = np.cumsum(service)
+        departure = done + np.maximum(np.maximum.accumulate(times - done + service), 0)
+        start = departure - service
 
-    link_free = 0  # departure of the last admitted fragment
-    last_arrival = 0  # sink arrival of the last delivered fragment
-    backlog: deque = deque()  # (start, admitted, end) of bursts not fully departed
-    backlog_frags = 0
-    now = 0
+    fragments_sent = int(frags.sum())
+    delivered = admitted
+    lost = None
+    if cfg.loss_prob > 0:
+        # one draw per fragment sent, in link order, tail-dropped ones included
+        lost = RngStream(cfg.seed, _LOSS_STREAM_ID).uniform(fragments_sent) < cfg.loss_prob
+        if cfg.queue_limit:  # keep the draws of the admitted fragments, the first of each burst
+            index = np.arange(fragments_sent) - np.repeat(np.cumsum(frags) - frags, frags)
+            lost = lost[index < np.repeat(admitted, frags)]
+        lost_before = np.r_[0, np.cumsum(lost)]
+        bounds = np.r_[0, np.cumsum(admitted)]
+        delivered = admitted - (lost_before[bounds[1:]] - lost_before[bounds[:-1]])
 
-    while heap:
-        now, _, station, desc = heapq.heappop(heap)
-        n_frags, last_payload = fragment_layout(desc.burst_size, cfg.fragment_size)
-        lost = loss_rng.uniform(n_frags) < cfg.loss_prob if loss_rng is not None else None
-        st = log.stations[station]
-        st.bursts_sent += 1
-        st.fragments_sent += n_frags
-        log.fragments_sent += n_frags
-        push_next(station)
+    live = delivered > 0
+    outcome = np.where(live, np.where(delivered == frags, RECEIVED, DISCARDED), LOST)
+    # an incomplete burst is discarded once a newer burst of its station
+    # delivers a fragment; the last such burst of a station is still in flight
+    last_live = np.full(cfg.n_stations, -1)
+    np.maximum.at(last_live, station[live], np.flatnonzero(live))
+    newest = last_live[last_live >= 0]
+    outcome[newest[outcome[newest] == DISCARDED]] = IN_FLIGHT
 
-        admitted = n_frags
-        if limit:
-            while backlog and backlog[0][2] <= now:
-                backlog_frags -= backlog.popleft()[1]
-            if backlog:  # busy: every fragment not yet departed waits but the one in service
-                head_start, head_admitted, _ = backlog[0]
-                sent = min(head_admitted - 1, (now - head_start) // full_ser)
-                admitted = min(n_frags, limit - (backlog_frags - sent - 1))
-            else:
-                admitted = min(n_frags, limit + 1)
-            log.fragments_queue_dropped += n_frags - admitted
-            if not admitted:
-                st.bursts_lost += 1
-                continue
-
-        start = now if now > link_free else link_free
-        last_wire = HEADER_LEN + last_payload if admitted == n_frags else cfg.fragment_size
-        last_ser = _serialization_ns(last_wire, overhead, cfg.link_rate_bps)
-        link_free = start + (admitted - 1) * full_ser + last_ser
-        log.link_busy_ns += link_free - start
-        log.served_bytes += (admitted - 1) * (cfg.fragment_size + overhead) + last_wire + overhead
-        if limit:
-            backlog.append((start, admitted, link_free))
-            backlog_frags += admitted
-
-        # fragment i of the burst reaches the station at start + (i+1)*full_ser + prop
-        first = start + full_ser + prop - now
-        delays = list(range(first, first + (admitted - 1) * full_ser, full_ser))
-        delays.append(link_free + prop - now)
+    # the run ends at the last burst, the last departure or the last delivery,
+    # whichever is latest; the link delivers in FIFO order, and fragment i of
+    # a burst reaches its station at start + (i+1)*full_ser + prop
+    end_time_ns = max(int(times[-1]), int(departure.max())) if n_bursts else 0
+    if live.any():
+        j = int(np.flatnonzero(live)[-1])
+        i = int(admitted[j]) - 1
         if lost is not None:
-            delays = list(compress(delays, (~lost[:admitted]).tolist()))
-            log.fragments_lost += admitted - len(delays)
-        if not delays:
-            st.bursts_lost += 1
+            i = int(np.flatnonzero(~lost[bounds[j]:bounds[j + 1]])[-1])
+        arrival = departure[j] if i == admitted[j] - 1 else start[j] + (i + 1) * full_ser
+        end_time_ns = max(end_time_ns, int(arrival) + cfg.propagation_delay_ns)
+
+    return SimulationLog(
+        n_stations=cfg.n_stations,
+        station=station,
+        time_ns=times,
+        burst_size=sizes,
+        fragments=frags,
+        admitted=admitted,
+        delivered=delivered,
+        start_ns=start,
+        departure_ns=departure,
+        outcome=outcome,
+        fragment_lost=lost,
+        fragments_sent=fragments_sent,
+        fragments_lost=0 if lost is None else int(lost.sum()),
+        fragments_queue_dropped=int((frags - admitted).sum()),
+        # a burst with no fragment admitted adds 0 to both
+        served_bytes=int(((admitted - 1) * (fsize + overhead) + last_wire + overhead).sum()),
+        link_busy_ns=int(service.sum()),
+        payload_bytes_received=int(sizes[outcome == RECEIVED].sum()),
+        end_time_ns=end_time_ns,
+        trace_metadata=trace_metadata,
+    )
+
+
+def _tail_drop_link(times, frags, last_ser, full_ser: int, limit: int):
+    """Fragments admitted, service start and last departure of each burst
+    through a queue of ``limit`` waiting fragments (start and departure are
+    the arrival for a burst with none admitted).
+
+    A departure at instant t precedes an arrival at t and frees its slot.
+    """
+    admitted, start, departure = [], [], []
+    busy_start, busy_end, busy_admitted = [], [], []  # admitted bursts, in order
+    head = 0  # first admitted burst not fully departed
+    backlog = 0  # fragments of the bursts from head on
+    link_free = 0
+    for now, n, ser in zip(times.tolist(), frags.tolist(), last_ser.tolist()):
+        while head < len(busy_end) and busy_end[head] <= now:
+            backlog -= busy_admitted[head]
+            head += 1
+        if head < len(busy_end):  # busy: every fragment not yet departed waits but the one in service
+            sent = min(busy_admitted[head] - 1, (now - busy_start[head]) // full_ser)
+            a = min(n, limit - (backlog - sent - 1))
+        else:
+            a = min(n, limit + 1)
+        admitted.append(a)
+        if not a:
+            start.append(now)
+            departure.append(now)
             continue
-        log.fragment_delays_ns.extend(delays)
-        last_arrival = now + delays[-1]
-        st.fragments_delivered += len(delays)
-        if st.bursts_in_flight:  # a newer burst's fragment discards the incomplete one
-            st.bursts_discarded += 1
-        st.bursts_in_flight = int(len(delays) < n_frags)
-        if not st.bursts_in_flight:
-            log.burst_delays_ns.append(delays[-1])
-            st.burst_delays_ns.append(delays[-1])
-            st.bursts_received += 1
-            log.payload_bytes_received += desc.burst_size
-
-    log.end_time_ns = max(now, link_free, last_arrival)
-    return log
+        begin = now if now > link_free else link_free
+        link_free = begin + (a - 1) * full_ser + (ser if a == n else full_ser)
+        start.append(begin)
+        departure.append(link_free)
+        busy_start.append(begin)
+        busy_end.append(link_free)
+        busy_admitted.append(a)
+        backlog += a
+    return (np.array(admitted, dtype=np.int64), np.array(start, dtype=np.int64),
+            np.array(departure, dtype=np.int64))
 
 
-def _delay_summary(delays) -> dict:
-    if not delays:
+def fragment_delays(log: SimulationLog, cfg: ScenarioConfig) -> np.ndarray:
+    """Delay of every delivered fragment, in the order the link delivered them.
+
+    The delays are whole float64 numbers, exact while the run ends before
+    2**52 ns (52 days); a longer run gets them as int64.
+    """
+    admitted = log.admitted
+    full_ser = _serialization_ns(cfg.fragment_size, cfg.overhead_bytes, cfg.link_rate_bps)
+    prop = cfg.propagation_delay_ns
+    ends = np.cumsum(admitted)
+    total = int(ends[-1]) if len(ends) else 0
+    dtype = np.float64 if log.end_time_ns < 2**52 else np.int64
+    # fragment k overall, the i-th of its burst, has delay
+    # start + (i+1)*full_ser + prop - time, and i + 1 = k + 1 - (end - admitted)
+    delays = np.repeat((log.start_ns + prop - log.time_ns - (ends - admitted) * full_ser).astype(dtype), admitted)
+    delays += np.arange(full_ser, (total + 1) * full_ser, full_ser, dtype=dtype)
+    served = admitted > 0
+    delays[ends[served] - 1] = (log.departure_ns + prop - log.time_ns)[served]
+    return delays if log.fragment_lost is None else delays[~log.fragment_lost]
+
+
+def _delay_summary(delays: np.ndarray) -> dict:
+    """Count, mean, std and nearest-rank p95 of whole-ns delays, which it reorders."""
+    if not len(delays):
         return {"count": 0, "mean_delay_ns": None, "std_delay_ns": None, "p95_delay_ns": None}
-    arr = np.asarray(delays, dtype=float)
-    return {
-        "count": len(delays),
-        "mean_delay_ns": float(arr.mean()),
-        "std_delay_ns": float(arr.std()),
-        "p95_delay_ns": percentile(delays, 95),
-    }
+    arr = delays.astype(float, copy=False)
+    mean, std = float(arr.mean()), float(arr.std())
+    return {"count": len(delays), "mean_delay_ns": mean, "std_delay_ns": std, "p95_delay_ns": _p95(delays)}
+
+
+def _p95(delays: np.ndarray) -> int:
+    """Nearest-rank 95th percentile of whole-ns delays, which it reorders."""
+    k = _nearest_rank(len(delays), 95) - 1
+    delays.partition(k)
+    return int(delays[k])
 
 
 @dataclass
@@ -273,7 +389,8 @@ class MetricsReport:
     trace_metadata: dict | None = None
 
     def to_dict(self) -> dict:
-        out = asdict(self)  # field order is the report's key order
+        # a shallow copy, in field order: the report's key order
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.trace_metadata is None:
             del out["trace_metadata"]
         return out
@@ -283,46 +400,60 @@ class MetricsReport:
 
 
 def summarize(log: SimulationLog, cfg: ScenarioConfig) -> MetricsReport:
-    """Aggregate a raw run log into a :class:`MetricsReport`.
+    """Aggregate a run log into a :class:`MetricsReport`.
 
     Burst delays are last-fragment arrival minus the burst timestamp and only
     successfully reassembled bursts contribute delay samples; fragment delays
     cover every delivered fragment.
     """
-    sent = log.bursts_sent
-    burst = _delay_summary(log.burst_delays_ns)
-    burst = {
-        "count": sent,
-        "received": log.bursts_received,
-        "failed": log.bursts_discarded,
-        "lost": sum(s.bursts_lost for s in log.stations),
-        "in_flight": sum(s.bursts_in_flight for s in log.stations),
-        "mean_delay_ns": burst["mean_delay_ns"],
-        "std_delay_ns": burst["std_delay_ns"],
-        "p95_delay_ns": burst["p95_delay_ns"],
-        "success_ratio": (log.bursts_received / sent) if sent else None,
-    }
+    n = log.n_stations
+    # outcomes[s, o]: bursts of station s with outcome o
+    outcomes = np.bincount(log.station * 4 + log.outcome, minlength=4 * n).reshape(n, 4).tolist()
+    frags_sent = np.bincount(log.station, log.fragments, minlength=n).tolist()
+    frags_delivered = np.bincount(log.station, log.delivered, minlength=n).tolist()
+    received = log.outcome == RECEIVED
+    delays = (log.departure_ns + cfg.propagation_delay_ns - log.time_ns)[received]
+    delay_station = log.station[received]
     per_station = []
-    for idx, st in enumerate(log.stations):
-        delays = st.burst_delays_ns
+    for idx, counts in enumerate(outcomes):
+        mean = p95 = None
+        station_delays = delays[delay_station == idx]
+        if len(station_delays):
+            # np.mean's float64 sum and division, without its wrapper
+            mean = float(np.add.reduce(station_delays, dtype=np.float64) / len(station_delays))
+            p95 = _p95(station_delays)
         per_station.append(
             {
                 "station": idx,
-                "bursts_sent": st.bursts_sent,
-                "bursts_received": st.bursts_received,
-                "bursts_discarded": st.bursts_discarded,
-                "bursts_lost": st.bursts_lost,
-                "bursts_in_flight": st.bursts_in_flight,
-                "fragments_sent": st.fragments_sent,
-                "fragments_delivered": st.fragments_delivered,
-                "mean_burst_delay_ns": float(np.mean(delays)) if delays else None,
-                "p95_burst_delay_ns": percentile(delays, 95) if delays else None,
+                "bursts_sent": sum(counts),
+                "bursts_received": counts[RECEIVED],
+                "bursts_discarded": counts[DISCARDED],
+                "bursts_lost": counts[LOST],
+                "bursts_in_flight": counts[IN_FLIGHT],
+                "fragments_sent": int(frags_sent[idx]),
+                "fragments_delivered": int(frags_delivered[idx]),
+                "mean_burst_delay_ns": mean,
+                "p95_burst_delay_ns": p95,
             }
         )
+    sent = len(log.outcome)
+    n_received = len(delays)
+    summary = _delay_summary(delays)
+    burst = {
+        "count": sent,
+        "received": n_received,
+        "failed": sum(o[DISCARDED] for o in outcomes),
+        "lost": sum(o[LOST] for o in outcomes),
+        "in_flight": sum(o[IN_FLIGHT] for o in outcomes),
+        "mean_delay_ns": summary["mean_delay_ns"],
+        "std_delay_ns": summary["std_delay_ns"],
+        "p95_delay_ns": summary["p95_delay_ns"],
+        "success_ratio": (n_received / sent) if sent else None,
+    }
     return MetricsReport(
         config=cfg.to_dict(),
         rng_algorithm=RNG_ALGORITHM,
-        fragment=_delay_summary(log.fragment_delays_ns),
+        fragment=_delay_summary(fragment_delays(log, cfg)),
         burst=burst,
         link={
             "fragments_sent": log.fragments_sent,
@@ -347,7 +478,7 @@ __all__ = [
     "MetricsReport",
     "ScenarioConfig",
     "SimulationLog",
-    "StationLog",
+    "fragment_delays",
     "percentile",
     "run_scenario",
     "simulate",

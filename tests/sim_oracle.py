@@ -6,17 +6,56 @@ fragment becomes a LINK_RX, LINK_DONE and SINK_RX event, carries a validated
 header and passes through a real :class:`~vrburst.wire.BurstReassembler`.
 Events run in (time, insertion sequence) order. It is slow and obviously
 faithful to the model, which is what an oracle should be.
+
+It logs per-fragment lists (:class:`SimulationLog`, the log the package kept
+before it moved to per-burst columns), and ``summarize_reference`` is the
+list-based aggregation the package ran on that log.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from vrburst.generator import NS_PER_S, build_generators
-from vrburst.rv import RngStream
-from vrburst.sim import _LOSS_STREAM_ID, ScenarioConfig, SimulationLog, StationLog, _serialization_ns
+from vrburst.rv import RNG_ALGORITHM, RngStream
+from vrburst.sim import _LOSS_STREAM_ID, MetricsReport, ScenarioConfig, _serialization_ns
 from vrburst.wire import HEADER_LEN, BurstDiscarded, BurstReassembler, BurstReceived, fragment_burst
+
+@dataclass
+class StationLog:
+    """Per-station counters and the delays of its received bursts."""
+
+    bursts_sent: int = 0
+    bursts_received: int = 0
+    bursts_discarded: int = 0
+    bursts_lost: int = 0
+    bursts_in_flight: int = 0
+    fragments_sent: int = 0
+    fragments_delivered: int = 0
+    burst_delays_ns: list[int] = field(default_factory=list)
+
+
+@dataclass
+class SimulationLog:
+    """Delay samples in delivery order, per-station counters and link counters."""
+
+    fragment_delays_ns: list[int] = field(default_factory=list)
+    burst_delays_ns: list[int] = field(default_factory=list)
+    stations: list[StationLog] = field(default_factory=list)
+    fragments_sent: int = 0
+    fragments_lost: int = 0
+    fragments_queue_dropped: int = 0
+    served_bytes: int = 0
+    link_busy_ns: int = 0
+    payload_bytes_received: int = 0
+    end_time_ns: int = 0
+    trace_metadata: dict | None = None
+
 
 # event kinds, dequeued in (time, insertion sequence) order
 _EV_BURST = 0
@@ -125,3 +164,70 @@ def simulate_reference(cfg: ScenarioConfig) -> SimulationLog:
         st.bursts_lost = st.bursts_sent - counters.bursts_started
         st.bursts_in_flight = counters.bursts_started - counters.bursts_received - counters.bursts_failed
     return log
+
+
+def _percentile(samples, p):
+    return sorted(samples)[math.ceil(p * len(samples) / 100.0) - 1]
+
+
+def _delay_summary(delays) -> dict:
+    if not delays:
+        return {"count": 0, "mean_delay_ns": None, "std_delay_ns": None, "p95_delay_ns": None}
+    arr = np.asarray(delays, dtype=float)
+    return {
+        "count": len(delays),
+        "mean_delay_ns": float(arr.mean()),
+        "std_delay_ns": float(arr.std()),
+        "p95_delay_ns": _percentile(delays, 95),
+    }
+
+
+def summarize_reference(log: SimulationLog, cfg: ScenarioConfig) -> MetricsReport:
+    """Aggregate a per-fragment log into the report ``vrburst.sim.summarize`` writes."""
+    sent = sum(s.bursts_sent for s in log.stations)
+    received = sum(s.bursts_received for s in log.stations)
+    burst = _delay_summary(log.burst_delays_ns)
+    burst = {
+        "count": sent,
+        "received": received,
+        "failed": sum(s.bursts_discarded for s in log.stations),
+        "lost": sum(s.bursts_lost for s in log.stations),
+        "in_flight": sum(s.bursts_in_flight for s in log.stations),
+        "mean_delay_ns": burst["mean_delay_ns"],
+        "std_delay_ns": burst["std_delay_ns"],
+        "p95_delay_ns": burst["p95_delay_ns"],
+        "success_ratio": (received / sent) if sent else None,
+    }
+    per_station = []
+    for idx, st in enumerate(log.stations):
+        delays = st.burst_delays_ns
+        per_station.append(
+            {
+                "station": idx,
+                "bursts_sent": st.bursts_sent,
+                "bursts_received": st.bursts_received,
+                "bursts_discarded": st.bursts_discarded,
+                "bursts_lost": st.bursts_lost,
+                "bursts_in_flight": st.bursts_in_flight,
+                "fragments_sent": st.fragments_sent,
+                "fragments_delivered": st.fragments_delivered,
+                "mean_burst_delay_ns": float(np.mean(delays)) if delays else None,
+                "p95_burst_delay_ns": _percentile(delays, 95) if delays else None,
+            }
+        )
+    return MetricsReport(
+        config=cfg.to_dict(),
+        rng_algorithm=RNG_ALGORITHM,
+        fragment=_delay_summary(log.fragment_delays_ns),
+        burst=burst,
+        link={
+            "fragments_sent": log.fragments_sent,
+            "fragments_lost": log.fragments_lost,
+            "fragments_queue_dropped": log.fragments_queue_dropped,
+            "served_bytes": log.served_bytes,
+            "busy_ns": log.link_busy_ns,
+        },
+        throughput_mbps=log.payload_bytes_received * 8 / cfg.duration_s / 1e6,
+        per_station=per_station,
+        trace_metadata=log.trace_metadata,
+    )

@@ -29,6 +29,13 @@ class TestBurstDescriptor:
             BurstDescriptor(1, -1)
         assert BurstDescriptor(1, 0).next_period_ns == 0
 
+    def test_make_and_replace_check_fields(self):
+        with pytest.raises(ValueError, match="burst size"):
+            BurstDescriptor(1, 1)._replace(burst_size=-5)
+        with pytest.raises(ValueError, match="next period"):
+            BurstDescriptor._make((1, -1))
+        assert BurstDescriptor(1, 1)._replace(next_period_ns=7) == BurstDescriptor(1, 7)
+
     def test_immutable_with_field_equality(self):
         burst = BurstDescriptor(1000, 5_000_000)
         with pytest.raises(AttributeError):
@@ -183,6 +190,14 @@ class TestSeekStartTime:
         gen = TraceFileBurstGenerator(self.trace(), start_time_s=0.007)
         assert gen.generate_burst().burst_size == 3
         assert not gen.has_next_burst()
+
+    def test_consecutive_schedules_replay_consecutive_windows(self):
+        trace = TraceFile(records=[BurstDescriptor(i + 1, 10_000_000) for i in range(10)])
+        gen = TraceFileBurstGenerator(trace, start_time_s=0.02)
+        times, sizes, _ = gen.schedule(25_000_000, offset_ns=5_000_000)
+        assert (times.tolist(), sizes.tolist()) == ([5_000_000, 15_000_000], [3, 4])
+        assert gen.schedule(30_000_000)[1].tolist() == [5, 6, 7]
+        assert gen.generate_burst() == BurstDescriptor(8, 10_000_000)
 
     def test_seek_past_end_exhausts(self):
         gen = TraceFileBurstGenerator(self.trace(), start_time_s=1.0)

@@ -3,19 +3,20 @@
 ``vrburst`` generators compute bursts a block at a time from one flat array
 of uniforms; ``generator_oracle`` draws every burst word by word. Both must
 hand out the same :class:`BurstDescriptor` sequence, whether the bursts are
-taken one by one through ``generate_burst()`` or through ``schedule()``, in
-chunks that straddle block boundaries, and must raise
+taken one by one through ``generate_burst()`` or as the arrays of
+``schedule()``, in chunks that straddle block boundaries, and must raise
 :class:`DegenerateModelError` at the same burst. ``schedule()`` must keep the
-same bursts as the oracle's generation horizon.
+same bursts as the oracle's generation horizon, and ``schedule_stations``,
+which draws the blocks of several VR stations together, the same schedules
+as each station alone.
 """
 
-import math
-
 import generator_oracle as oracle
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vrburst.generator import BLOCK_BURSTS, SimpleBurstGenerator, VrBurstGenerator
+from vrburst.generator import BLOCK_BURSTS, SimpleBurstGenerator, VrBurstGenerator, schedule_stations
 from vrburst.model import DegenerateModelError, VrModelConstants, VrStreamParams
 from vrburst.rv import RngStream, dist_from_spec
 
@@ -28,20 +29,38 @@ chunk_lists = st.lists(st.integers(1, 2 * BLOCK_BURSTS), min_size=1, max_size=6)
 seeds = st.integers(0, 2**32 - 1)
 
 
-def take(generator, chunks):
+def take(generator, chunks, expected):
     """Bursts taken alternately through generate_burst() and schedule(), one
-    chunk at a time, and whether the generator raised DegenerateModelError."""
+    chunk at a time, and whether the generator raised DegenerateModelError.
+
+    A schedule() chunk of n bursts asks for the horizon at which the
+    ``expected`` bursts put exactly n bursts; past the end of ``expected``
+    (the oracle raised there), for one burst more.
+    """
     bursts = []
     try:
         for k, size in enumerate(chunks):
             if k % 2:
-                schedule = generator.schedule(math.inf)
-                for _ in range(size):
-                    bursts.append(next(schedule)[1])
+                offset = 1000 * k
+                ahead = expected[len(bursts):len(bursts) + size]
+                steps = [max(1, burst.next_period_ns) for burst in ahead]
+                horizon = offset + sum(steps[:size - 1]) + 1 if len(ahead) == size else offset + sum(steps) + 1
+                times, sizes, periods = generator.schedule(horizon, offset)
+                assert times.dtype == sizes.dtype == periods.dtype == np.int64
+                assert times.tolist() == (offset + np.cumsum([0, *steps])[:len(times)]).tolist()
+                bursts.extend(zip(sizes.tolist(), periods.tolist()))
             else:
                 for _ in range(size):
                     bursts.append(generator.generate_burst())
     except DegenerateModelError:
+        # a schedule() that raised keeps the bursts it computed next in line;
+        # a generator raising later than the oracle would have scheduled one
+        # burst more instead
+        try:
+            for _ in range(len(expected) - len(bursts)):
+                bursts.append(generator.generate_burst())
+        except DegenerateModelError:
+            pass
         return bursts, True
     return bursts, False
 
@@ -62,8 +81,8 @@ def take_oracle(generator, n):
 @example(rate_mbps=1.0, fps=60.0, seed=2, chunks=[1, 255, 2, 511])
 def test_vr_bursts_match_the_scalar_walk(rate_mbps, fps, seed, chunks):
     params = VrStreamParams(rate_mbps * 1e6, fps)
-    got = take(VrBurstGenerator(params, RngStream(seed, 1)), chunks)
     want = take_oracle(oracle.VrBurstGenerator(params, RngStream(seed, 1)), sum(chunks))
+    got = take(VrBurstGenerator(params, RngStream(seed, 1)), chunks, want[0])
     assert got == want
 
 
@@ -77,8 +96,8 @@ def test_vr_degenerate_model_raises_at_the_same_burst(iframe_slope, seed, chunks
                                  iframe_std_coeff=0.0, pframe_std_coeff=0.0)
     params = VrStreamParams(5e6, 60)
     chunks = chunks + [4 * BLOCK_BURSTS]
-    got = take(VrBurstGenerator(params, RngStream(seed, 1), constants), chunks)
     want = take_oracle(oracle.VrBurstGenerator(params, RngStream(seed, 1), constants), sum(chunks))
+    got = take(VrBurstGenerator(params, RngStream(seed, 1), constants), chunks, want[0])
     assert got == want
 
 
@@ -86,11 +105,12 @@ def test_vr_degenerate_model_raises_at_the_same_burst(iframe_slope, seed, chunks
 @given(size=st.sampled_from(SIZE_SPECS), period=st.sampled_from(PERIOD_SPECS), seed=seeds,
        chunks=chunk_lists)
 def test_simple_bursts_match_the_scalar_walk(size, period, seed, chunks):
-    got = take(SimpleBurstGenerator(dist_from_spec(size), dist_from_spec(period), RngStream(seed, 1)), chunks)
     want = take_oracle(
         oracle.SimpleBurstGenerator(oracle.dist_from_spec(size), oracle.dist_from_spec(period), RngStream(seed, 1)),
         sum(chunks),
     )
+    generator = SimpleBurstGenerator(dist_from_spec(size), dist_from_spec(period), RngStream(seed, 1))
+    got = take(generator, chunks, want[0])
     assert got == want
 
 
@@ -98,13 +118,28 @@ def test_simple_bursts_match_the_scalar_walk(size, period, seed, chunks):
 @given(rate_mbps=st.floats(0.2, 200.0), seed=seeds, duration_s=st.floats(0.001, 12.0))
 def test_schedule_keeps_the_bursts_of_the_generation_horizon(rate_mbps, seed, duration_s):
     params = VrStreamParams(rate_mbps * 1e6, 60)
-    schedule = VrBurstGenerator(params, RngStream(seed, 1)).schedule(round(duration_s * 1e9))
-    times, bursts = zip(*schedule)
-    assert list(bursts) == oracle.collect_bursts(oracle.VrBurstGenerator(params, RngStream(seed, 1)), duration_s)
+    times, sizes, periods = VrBurstGenerator(params, RngStream(seed, 1)).schedule(round(duration_s * 1e9))
+    bursts = list(zip(sizes.tolist(), periods.tolist()))
+    assert bursts == oracle.collect_bursts(oracle.VrBurstGenerator(params, RngStream(seed, 1)), duration_s)
     assert times[0] == 0
-    assert all(b - a == max(1, burst.next_period_ns) for a, b, burst in zip(times, times[1:], bursts))
+    assert (np.diff(times) == np.maximum(periods[:-1], 1)).all()
 
 
 def test_schedule_of_zero_periods_still_advances():
     gen = SimpleBurstGenerator(dist_from_spec("constant:10"), dist_from_spec("constant:0"), RngStream(1))
-    assert [t for t, _ in gen.schedule(5, offset_ns=2)] == [2, 3, 4]
+    assert gen.schedule(5, offset_ns=2)[0].tolist() == [2, 3, 4]
+
+
+@settings(max_examples=20, deadline=None)
+@given(rate_mbps=st.floats(0.2, 200.0), seed=seeds, duration_s=st.floats(0.01, 12.0),
+       offsets=st.lists(st.integers(0, 3_000_000_000), min_size=2, max_size=5))
+@example(rate_mbps=0.3, seed=1, duration_s=10.0, offsets=[0, 0, 7, 2_000_000_000])
+def test_stations_scheduled_together_match_each_alone(rate_mbps, seed, duration_s, offsets):
+    params = VrStreamParams(rate_mbps * 1e6, 60)
+    horizon = round(duration_s * 1e9)
+    together = [VrBurstGenerator(params, RngStream(seed, i + 1)) for i in range(len(offsets))]
+    alone = [VrBurstGenerator(params, RngStream(seed, i + 1)) for i in range(len(offsets))]
+    got = schedule_stations(together, horizon, offsets)
+    want = [g.schedule(horizon, offset) for g, offset in zip(alone, offsets)]
+    assert [[a.tolist() for a in s] for s in got] == [[a.tolist() for a in s] for s in want]
+    assert [g.generate_burst() for g in together] == [g.generate_burst() for g in alone]

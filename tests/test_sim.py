@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from vrburst.generator import BurstDescriptor, save_trace
@@ -58,6 +59,18 @@ class TestPercentile:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             percentile([], 95)
+        with pytest.raises(ValueError):
+            percentile(np.empty(0), 95)
+
+    def test_ndarray_gives_a_python_number(self):
+        ints = percentile(np.arange(100, 0, -1, dtype=np.int64), 95)
+        floats = percentile(np.array([0.5, 2.5, 1.5]), 50)
+        assert (ints, floats) == (95, 1.5)
+        assert type(ints) is int and type(floats) is float
+        assert json.dumps([ints, floats]) == "[95, 1.5]"
+
+    def test_ints_beyond_int64(self):
+        assert percentile([2**70, 3, 2**65], 95) == 2**70
 
     @pytest.mark.parametrize("p", [0, -5, 101])
     def test_out_of_range_rejected(self, p):

@@ -1,18 +1,77 @@
 """Differential test: ``vrburst.sim.simulate`` against the event-heap oracle.
 
-Both engines must produce the same :class:`SimulationLog` field for field
-(delay samples in the same order, link counters, ``end_time_ns``) and hence
-byte-identical metrics reports, for any small scenario, including stations
-that tie on every burst instant.
+The oracle logs per-fragment lists; the engine logs per-burst columns. Each
+test projects the oracle's log onto what the columns determine and compares
+the two there: every delivered fragment's delay in delivery order (the
+engine's expanded from its columns by ``vrburst.sim.fragment_delays``), the
+received bursts' delays overall and per station, each station's burst
+outcomes and fragment counts, and the link counters including
+``end_time_ns``. The metrics reports must also be byte-identical: the
+engine's ``summarize`` against the oracle's list-based
+``summarize_reference``. This holds for any small scenario, including
+stations that tie on every burst instant.
 """
 
-from dataclasses import asdict
-
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sim_oracle import simulate_reference
+from sim_oracle import simulate_reference, summarize_reference
 
-from vrburst.sim import GeneratorConfig, ScenarioConfig, simulate, summarize
+from vrburst.generator import BurstDescriptor, save_trace
+from vrburst.sim import (
+    DISCARDED,
+    IN_FLIGHT,
+    LOST,
+    RECEIVED,
+    GeneratorConfig,
+    ScenarioConfig,
+    fragment_delays,
+    simulate,
+    summarize,
+)
+
+LINK_COUNTERS = ("fragments_sent", "fragments_lost", "fragments_queue_dropped", "served_bytes",
+                 "link_busy_ns", "payload_bytes_received", "end_time_ns", "trace_metadata")
+OUTCOMES = {"bursts_received": RECEIVED, "bursts_discarded": DISCARDED, "bursts_lost": LOST,
+            "bursts_in_flight": IN_FLIGHT}
+
+
+def project(oracle_log) -> dict:
+    """The oracle's per-fragment log, reduced to what the engine's columns determine."""
+    stations = [
+        {"fragments_sent": s.fragments_sent, "fragments_delivered": s.fragments_delivered,
+         "burst_delays_ns": s.burst_delays_ns, **{key: getattr(s, key) for key in OUTCOMES}}
+        for s in oracle_log.stations
+    ]
+    return {"fragment_delays_ns": oracle_log.fragment_delays_ns,
+            "burst_delays_ns": oracle_log.burst_delays_ns,
+            "stations": stations, **{key: getattr(oracle_log, key) for key in LINK_COUNTERS}}
+
+
+def view(log, cfg) -> dict:
+    """The same reduction of the engine's per-burst columns."""
+    received = log.outcome == RECEIVED
+    delays = log.departure_ns + cfg.propagation_delay_ns - log.time_ns
+    stations = []
+    for idx in range(log.n_stations):
+        mine = log.station == idx
+        stations.append({
+            "fragments_sent": int(log.fragments[mine].sum()),
+            "fragments_delivered": int(log.delivered[mine].sum()),
+            "burst_delays_ns": delays[mine & received].tolist(),
+            **{key: int((log.outcome[mine] == code).sum()) for key, code in OUTCOMES.items()},
+        })
+    return {"fragment_delays_ns": fragment_delays(log, cfg).astype(np.int64).tolist(),
+            "burst_delays_ns": delays[received].tolist(),
+            "stations": stations, **{key: getattr(log, key) for key in LINK_COUNTERS}}
+
+
+def assert_matches_oracle(cfg):
+    expected = simulate_reference(cfg)
+    actual = simulate(cfg)
+    assert view(actual, cfg) == project(expected)
+    assert summarize(actual, cfg).to_json() == summarize_reference(expected, cfg).to_json()
+    return actual
 
 
 @st.composite
@@ -64,10 +123,34 @@ TIED = ScenarioConfig(
 @example(cfg=TIED)
 @given(cfg=scenarios())
 def test_simulate_matches_event_heap_oracle(cfg):
-    expected = simulate_reference(cfg)
-    actual = simulate(cfg)
-    assert actual.served_bytes == expected.served_bytes
-    assert actual.link_busy_ns == expected.link_busy_ns
-    assert actual.end_time_ns == expected.end_time_ns
-    assert asdict(actual) == asdict(expected)
-    assert summarize(actual, cfg).to_json() == summarize(expected, cfg).to_json()
+    assert_matches_oracle(cfg)
+
+
+def test_tie_goes_to_the_burst_whose_predecessor_reached_the_link_first(tmp_path):
+    # Station 0 bursts at 0, 7 and 10 us, station 1 at 5 and 10 us. Station
+    # 0's second burst reaches the link after station 1's first, so an event
+    # heap keyed by (time, push order) serves station 1's burst at 10 us
+    # first; a (time, station) sort would not.
+    path = tmp_path / "ties.csv"
+    periods_us = [7, 3, 1, 5, 1]  # station 1 starts 11 us into the file, at offset 5 us
+    save_trace(path, [BurstDescriptor(1000 * (i + 1), p * 1000) for i, p in enumerate(periods_us)])
+    cfg = ScenarioConfig(
+        generator=GeneratorConfig(model="trace", trace_path=str(path)),
+        n_stations=2, link_rate_bps=100e6, duration_s=11e-6, station_start_offsets_ns=[0, 5_000],
+    )
+    log = assert_matches_oracle(cfg)
+    assert log.time_ns.tolist() == [0, 5_000, 7_000, 10_000, 10_000]
+    assert log.station.tolist() == [0, 1, 0, 1, 0]
+    assert log.burst_size.tolist() == [1000, 4000, 2000, 5000, 3000]
+    assert np.all(np.diff(log.start_ns) > 0)
+
+
+def test_a_run_past_2_52_ns_matches_the_oracle():
+    # a run ending after 2**52 ns (52 days) expands its delays as int64
+    cfg = ScenarioConfig(
+        generator=GeneratorConfig(model="simple", size_dist="constant:5000", period_dist="constant:3e6"),
+        n_stations=2, link_rate_bps=10e6, duration_s=1e7, loss_prob=0.3, seed=4,
+    )
+    log = assert_matches_oracle(cfg)
+    assert log.end_time_ns >= 2**52
+    assert fragment_delays(log, cfg).dtype == np.int64
