@@ -181,22 +181,7 @@ class BurstGenerator(ABC):
         return times[:n], sizes[:n], periods[:n]
 
 
-class _BlockBurstGenerator(BurstGenerator):
-    """A random generator that computes its bursts ``BLOCK_BURSTS`` at a time."""
-
-    def __init__(self, rng: RngStream):
-        super().__init__()
-        self.rng = rng
-
-    def _next_bursts(self):
-        return _whole(*self._draw_block())
-
-    @abstractmethod
-    def _draw_block(self):
-        """Raw sizes (bytes) and periods (seconds) of the next block of bursts."""
-
-
-class SimpleBurstGenerator(_BlockBurstGenerator):
+class SimpleBurstGenerator(BurstGenerator):
     """Independent draws from arbitrary size/period distributions.
 
     ``size_dist`` samples are bytes (rounded, floored at 1); ``period_dist``
@@ -206,17 +191,18 @@ class SimpleBurstGenerator(_BlockBurstGenerator):
     """
 
     def __init__(self, size_dist, period_dist, rng: RngStream):
-        super().__init__(rng)
+        super().__init__()
+        self.rng = rng
         self.size_dist = size_dist
         self.period_dist = period_dist
 
-    def _draw_block(self):
+    def _next_bursts(self):
         split, width = self.size_dist.words, self.size_dist.words + self.period_dist.words
         u = self.rng.uniform(BLOCK_BURSTS * width).reshape(BLOCK_BURSTS, width)
-        return self.size_dist.quantile(u[:, :split]), self.period_dist.quantile(u[:, split:])
+        return _whole(self.size_dist.quantile(u[:, :split]), self.period_dist.quantile(u[:, split:]))
 
 
-class VrBurstGenerator(_BlockBurstGenerator):
+class VrBurstGenerator(BurstGenerator):
     """Bursts following the fitted VR model for a (rate, fps) stream."""
 
     def __init__(
@@ -225,7 +211,8 @@ class VrBurstGenerator(_BlockBurstGenerator):
         rng: RngStream,
         constants: VrModelConstants = DEFAULT_CONSTANTS,
     ):
-        super().__init__(rng)
+        super().__init__()
+        self.rng = rng
         self.params = params
         self.constants = constants
         self._gmm = derive_frame_size_model(params, constants)
@@ -235,31 +222,33 @@ class VrBurstGenerator(_BlockBurstGenerator):
     # defined on this class, not inherited: perfbench/tracer.py patches it here
     generate_burst = BurstGenerator.generate_burst
 
-    def _draw_block(self):
-        words = self._block_words()
-        sizes, ifi_words = self._read_block(words, gmm2_quantile(self._gmm, words[:-1], words[1:]))
-        return sizes, logistic_quantile(ifi_words, self._ifi)
-
-    def _block_words(self):
-        return np.concatenate((self._carry, self.rng.uniform(3 * BLOCK_BURSTS)))
+    def _next_bursts(self):
+        return self._draw_blocks([self])[0]
 
     @staticmethod
     def _draw_blocks(generators):
-        """The next block of each of several generators of one model, as
-        :meth:`_next_bursts` computes it, evaluating the mixture once for all.
+        """The next block of each of several generators of one model, as each
+        computes it alone, from at most two mixture evaluations for all.
 
         A block with no rejected draw is ``BLOCK_BURSTS`` 3-word rows, which
-        needs the mixture at the row starts only; a generator whose rows hold
-        a rejected draw reads its block from the draws at every word offset.
+        needs the mixture at the row starts only. The blocks whose rows hold a
+        rejected draw are read from the draws at every word offset, which one
+        more evaluation gives for all of them.
         """
         gmm, rows = generators[0]._gmm, 3 * BLOCK_BURSTS
-        words = [g._block_words() for g in generators]
-        draws = gmm2_quantile(gmm, np.concatenate([w[0:rows:3] for w in words]),
-                              np.concatenate([w[1:rows:3] for w in words]))
+        words = [np.concatenate((g._carry, g.rng.uniform(rows))) for g in generators]
+        starts = gmm2_quantile(gmm, np.concatenate([w[0:rows:3] for w in words]),
+                               np.concatenate([w[1:rows:3] for w in words]))
+        starts = np.split(starts, len(words))
+        rejected = [bool((d <= 0.0).any()) for d in starts]
+        redo = [w for w, r in zip(words, rejected) if r]
+        if redo:
+            every = gmm2_quantile(gmm, np.concatenate([w[:-1] for w in redo]), np.concatenate([w[1:] for w in redo]))
+            every = iter(np.split(every, np.cumsum([len(w) - 1 for w in redo[:-1]])))
         blocks = []
-        for g, w, d in zip(generators, words, np.split(draws, len(words))):
-            if (d <= 0.0).any():
-                blocks.append(g._read_block(w, gmm2_quantile(gmm, w[:-1], w[1:])))
+        for g, w, d, r in zip(generators, words, starts, rejected):
+            if r:
+                blocks.append(g._read_block(w, next(every)))
             else:
                 g._carry = w[rows:]
                 blocks.append((d, w[2:rows:3]))
@@ -335,15 +324,13 @@ def schedule_stations(generators: list[BurstGenerator], duration_ns: int, offset
     """``generator.schedule(duration_ns, offset)`` of every station.
 
     VR stations of one model compute their blocks in rounds: each round
-    evaluates the frame-size mixture once for every station still short of
-    the horizon. The mixture is elementwise and a station's bursts do not
+    evaluates the frame-size mixture for every station still short of the
+    horizon together (:meth:`VrBurstGenerator._draw_blocks`). The mixture is elementwise and a station's bursts do not
     depend on its block boundaries, so the bursts are those each station
     draws alone. After an error the generators are not to be used.
     """
     vr = [g for g in generators if isinstance(g, VrBurstGenerator)]
     banked = {g for g in vr if (g._gmm, g._ifi) == (vr[0]._gmm, vr[0]._ifi)}
-    if len(banked) < 2:
-        return [g.schedule(duration_ns, offset) for g, offset in zip(generators, offsets_ns)]
     reach = {g: g._reach(offset) for g, offset in zip(generators, offsets_ns) if g in banked}
     blocks = {g: [] for g in reach}
     short = [g for g in reach if reach[g] < duration_ns]

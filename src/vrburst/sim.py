@@ -52,23 +52,19 @@ from .wire import fragment_burst  # noqa: F401  (perfbench/tracer.py patches it 
 _LOSS_STREAM_ID = 0
 
 
-def _nearest_rank(n: int, p: float) -> int:
-    """The 1-based rank of the nearest-rank ``p``-th percentile of ``n`` samples."""
-    if n == 0:
-        raise ValueError("percentile of an empty sample set is undefined")
-    if not 0 < p <= 100:
-        raise ValueError(f"percentile must lie in (0, 100], got {p}")
-    return math.ceil(p * n / 100.0)
-
-
 def percentile(samples, p: float):
     """Nearest-rank percentile: the sorted sample at index ceil(p*n/100).
 
     ``samples`` is a sequence or an ndarray of numbers; the result is a Python
     int or float.
     """
-    k = _nearest_rank(len(samples), p) - 1
-    value = np.partition(np.asarray(samples), k)[k]
+    n = len(samples)
+    if n == 0:
+        raise ValueError("percentile of an empty sample set is undefined")
+    if not 0 < p <= 100:
+        raise ValueError(f"percentile must lie in (0, 100], got {p}")
+    rank = math.ceil(p * n / 100.0)
+    value = np.partition(np.asarray(samples), rank - 1)[rank - 1]
     return value.item() if isinstance(value, np.generic) else value  # ints beyond int64 stay objects
 
 
@@ -341,15 +337,17 @@ def _tail_drop_link(times, frags, last_ser, full_ser: int, limit: int):
 def fragment_delays(log: SimulationLog, cfg: ScenarioConfig) -> np.ndarray:
     """Delay of every delivered fragment, in the order the link delivered them.
 
-    The delays are whole float64 numbers, exact while the run ends before
-    2**52 ns (52 days); a longer run gets them as int64.
+    The delays are whole float64 numbers while every value the expansion
+    adds up stays below 2**52 ns, where float64 holds it exactly: the run's
+    end plus the propagation delay, and ``(fragments + 1) * full_ser``.
+    Otherwise they are int64.
     """
     admitted = log.admitted
     full_ser = _serialization_ns(cfg.fragment_size, cfg.overhead_bytes, cfg.link_rate_bps)
     prop = cfg.propagation_delay_ns
     ends = np.cumsum(admitted)
     total = int(ends[-1]) if len(ends) else 0
-    dtype = np.float64 if log.end_time_ns < 2**52 else np.int64
+    dtype = np.float64 if max(log.end_time_ns + prop, (total + 1) * full_ser) < 2**52 else np.int64
     # fragment k overall, the i-th of its burst, has delay
     # start + (i+1)*full_ser + prop - time, and i + 1 = k + 1 - (end - admitted)
     delays = np.repeat((log.start_ns + prop - log.time_ns - (ends - admitted) * full_ser).astype(dtype), admitted)
@@ -360,19 +358,13 @@ def fragment_delays(log: SimulationLog, cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _delay_summary(delays: np.ndarray) -> dict:
-    """Count, mean, std and nearest-rank p95 of whole-ns delays, which it reorders."""
+    """Count, mean, std and nearest-rank p95 of whole-ns delays."""
     if not len(delays):
         return {"count": 0, "mean_delay_ns": None, "std_delay_ns": None, "p95_delay_ns": None}
     arr = delays.astype(float, copy=False)
     mean, std = float(arr.mean()), float(arr.std())
-    return {"count": len(delays), "mean_delay_ns": mean, "std_delay_ns": std, "p95_delay_ns": _p95(delays)}
-
-
-def _p95(delays: np.ndarray) -> int:
-    """Nearest-rank 95th percentile of whole-ns delays, which it reorders."""
-    k = _nearest_rank(len(delays), 95) - 1
-    delays.partition(k)
-    return int(delays[k])
+    return {"count": len(delays), "mean_delay_ns": mean, "std_delay_ns": std,
+            "p95_delay_ns": int(percentile(delays, 95))}
 
 
 @dataclass
@@ -421,7 +413,7 @@ def summarize(log: SimulationLog, cfg: ScenarioConfig) -> MetricsReport:
         if len(station_delays):
             # np.mean's float64 sum and division, without its wrapper
             mean = float(np.add.reduce(station_delays, dtype=np.float64) / len(station_delays))
-            p95 = _p95(station_delays)
+            p95 = percentile(station_delays, 95)
         per_station.append(
             {
                 "station": idx,

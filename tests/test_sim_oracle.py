@@ -118,9 +118,19 @@ TIED = ScenarioConfig(
     duration_s=0.05, seed=9, station_start_offsets_ns=[0, 0, 0, 0],
 )
 
+# A 97 bit/s link serializes a full 65001-byte fragment in an odd
+# 5360907216495 ns, so the 3014 fragments' expansion passes 2**53 ns, where
+# float64 rounds, while the run, nearly all 1-byte bursts, ends at 3.2e14 ns.
+SLOW = ScenarioConfig(
+    generator=GeneratorConfig(model="simple", size_dist="normal:-100000:60000",
+                              period_dist="constant:0.02"),
+    link_rate_bps=97.0, duration_s=60.0, fragment_size=65001, seed=1,
+)
+
 
 @settings(max_examples=60, deadline=None)
 @example(cfg=TIED)
+@example(cfg=SLOW)
 @given(cfg=scenarios())
 def test_simulate_matches_event_heap_oracle(cfg):
     assert_matches_oracle(cfg)
