@@ -19,11 +19,12 @@ import statistics
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .fit import fit_vr_model, group_traces
 from .generator import (
     NS_PER_S,
-    BurstDescriptor,
     GeneratorConfig,
     TraceFileBurstGenerator,
     TraceParseError,
@@ -73,20 +74,14 @@ def _generator_config(args) -> GeneratorConfig:
     )
 
 
-def _bursts(schedule) -> list[BurstDescriptor]:
-    """The bursts of a ``BurstGenerator.schedule`` result, as descriptors."""
-    _, sizes, periods = schedule
-    return [tuple.__new__(BurstDescriptor, burst) for burst in zip(sizes.tolist(), periods.tolist())]
-
-
 def cmd_generate(args) -> int:
     if args.model == "trace":
         raise ParameterError("--model trace is not a synthetic generator here; "
                              "use the replay command for traces")
     constants = _load_constants(args)
     (generator,), _ = build_generators(_generator_config(args), 1, args.seed, args.duration_s, constants)
-    records = _bursts(generator.schedule(round(args.duration_s * NS_PER_S)))
-    if not records:
+    _, sizes, periods = generator.schedule(round(args.duration_s * NS_PER_S))
+    if not len(sizes):
         raise ValueError(f"no bursts generated in {args.duration_s} s; trace would be empty")
     metadata = {
         "source": "vrburst generate",
@@ -102,9 +97,9 @@ def cmd_generate(args) -> int:
     else:
         metadata["size_dist"] = args.size_dist
         metadata["period_dist"] = args.period_dist
-    save_trace(args.out, records, metadata)
-    mean_size = sum(r.burst_size for r in records) / len(records)
-    print(f"wrote {len(records)} bursts to {args.out} (mean size {mean_size:.0f} B)")
+    save_trace(args.out, np.column_stack((sizes, periods)), metadata)
+    mean_size = sum(sizes.tolist()) / len(sizes)
+    print(f"wrote {len(sizes)} bursts to {args.out} (mean size {mean_size:.0f} B)")
     return EXIT_OK
 
 
@@ -112,8 +107,8 @@ def cmd_replay(args) -> int:
     trace = load_trace(args.trace)
     generator = TraceFileBurstGenerator(trace, start_time_s=args.start_time)
     duration_ns = math.inf if args.duration_s is None else round(args.duration_s * NS_PER_S)
-    records = _bursts(generator.schedule(duration_ns))
-    if not records:
+    _, sizes, periods = generator.schedule(duration_ns)
+    if not len(sizes):
         raise ValueError("replay window contains no bursts")
     metadata = dict(trace.metadata)
     metadata.update(
@@ -125,8 +120,8 @@ def cmd_replay(args) -> int:
     )
     if args.duration_s is not None:
         metadata["duration_s"] = args.duration_s
-    save_trace(args.out, records, metadata)
-    print(f"wrote {len(records)} bursts to {args.out}")
+    save_trace(args.out, np.column_stack((sizes, periods)), metadata)
+    print(f"wrote {len(sizes)} bursts to {args.out}")
     return EXIT_OK
 
 
@@ -172,8 +167,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_stats(args) -> int:
     trace = load_trace(args.trace)
-    sizes = [r.burst_size for r in trace.records]
-    periods = [r.next_period_ns for r in trace.records]
+    sizes, periods = trace.records.T.tolist()
     total_s = sum(periods) / NS_PER_S
 
     def summary(values):
@@ -186,7 +180,7 @@ def cmd_stats(args) -> int:
     out = {
         "source": str(args.trace),
         "metadata": trace.metadata,
-        "bursts": len(trace.records),
+        "bursts": len(sizes),
         "size_bytes": summary(sizes),
         "period_ns": summary(periods),
         "data_rate_mbps": (sum(sizes) * 8 / total_s / 1e6) if total_s > 0 else None,

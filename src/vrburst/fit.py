@@ -457,9 +457,9 @@ def group_traces(traces) -> dict[tuple[float, float], TraceFile]:
             ) from None
         key = (rate_bps, fps)
         if key in groups:
-            groups[key].records.extend(trace.records)
+            groups[key].records = np.concatenate((groups[key].records, trace.records))
         else:
-            groups[key] = TraceFile(records=list(trace.records), metadata=dict(trace.metadata))
+            groups[key] = TraceFile(records=trace.records, metadata=dict(trace.metadata))
     return groups
 
 
@@ -485,8 +485,8 @@ def fit_vr_model(
     for index, key in enumerate(sorted(groups)):
         rate_bps, fps = key
         trace = groups[key]
-        sizes = np.array([r.burst_size for r in trace.records], dtype=float)
-        ifis = np.array([r.next_period_ns for r in trace.records], dtype=float) * 1e-9
+        sizes = trace.records[:, 0].astype(float)
+        ifis = trace.records[:, 1].astype(float) * 1e-9
         gmm = fit_gmm2_em(
             sizes,
             restarts=em_restarts,
@@ -499,7 +499,7 @@ def fit_vr_model(
             GroupFit(
                 rate_bps=rate_bps,
                 fps=fps,
-                n_frames=len(trace.records),
+                n_frames=len(sizes),
                 mean_frame_size=float(sizes.mean()),
                 gmm=gmm,
                 ifi=ifi,

@@ -28,7 +28,9 @@ each word when it needs it.
 Trace CSV grammar: optional ``# key: value`` metadata lines, then one
 ``burst_size_bytes,next_period_us`` row per burst (unsigned integers, LF or
 CRLF line endings). Periods are stored as integer microseconds to keep files
-round-trip exact.
+round-trip exact. A parsed :class:`TraceFile` holds the rows as ``records``,
+one ``(n, 2)`` int64 array with the columns ``burst_size`` (bytes) and
+``next_period_ns``, so sizes and periods (in ns) must fit in int64.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ from .rv import ParameterError, RngStream, dist_from_spec, gmm2_quantile, logist
 
 NS_PER_US = 1_000
 NS_PER_S = 1_000_000_000
+_INT64_MAX = 2**63 - 1
 
 # Bursts computed per block by the random generators.
 BLOCK_BURSTS = 256
@@ -88,16 +90,18 @@ class BurstDescriptor(namedtuple("BurstDescriptor", "burst_size next_period_ns")
         return cls(*iterable)
 
 
-@dataclass
+@dataclass(eq=False)
 class TraceFile:
-    """Parsed trace: ordered burst records plus the commented-header metadata."""
+    """Parsed trace: ``records``, an ``(n, 2)`` int64 array of (burst_size,
+    next_period_ns) rows in file order, plus the commented-header metadata.
+    Any ``(n, 2)`` integer sequence given, such as a list of descriptors,
+    becomes one."""
 
-    records: list[BurstDescriptor]
+    records: np.ndarray
     metadata: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def duration_ns(self) -> int:
-        return sum(r.next_period_ns for r in self.records)
+    def __post_init__(self):
+        self.records = np.asarray(self.records, np.int64).reshape(-1, 2)
 
 
 class BurstGenerator(ABC):
@@ -298,14 +302,11 @@ class TraceFileBurstGenerator(BurstGenerator):
     trace. Records are skipped whole; bursts are atomic.
     """
 
-    def __init__(self, trace: TraceFile | str | Path, start_time_s: float = 0.0):
+    def __init__(self, trace: TraceFile, start_time_s: float = 0.0):
         if start_time_s < 0:
             raise ValueError(f"start time must be non-negative, got {start_time_s}")
         super().__init__()
-        self.trace = load_trace(trace) if isinstance(trace, (str, Path)) else trace
-        records = self.trace.records
-        columns = np.fromiter(chain.from_iterable(records), np.int64, 2 * len(records)).reshape(-1, 2)
-        self._sizes, self._periods = columns[:, 0], columns[:, 1]
+        self._sizes, self._periods = trace.records.T
         self.schedule(round(start_time_s * NS_PER_S))  # skip the bursts before t0
 
     def _next_bursts(self):
@@ -423,7 +424,7 @@ def _parse_uint(token: str, what: str, lineno: int) -> int:
 
 def load_trace(path) -> TraceFile:
     """Parse a trace CSV; raises :class:`TraceParseError` with line numbers."""
-    records: list[BurstDescriptor] = []
+    values: list[int] = []  # size, period (ns), size, period, ...
     metadata: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -445,24 +446,25 @@ def load_trace(path) -> TraceFile:
         if period_ns <= 0:
             # burst times must be strictly increasing along the trace
             raise TraceParseError(f"line {lineno}: next period must be positive")
-        records.append(tuple.__new__(BurstDescriptor, (size, period_ns)))
-    if not records:
+        if size > _INT64_MAX or period_ns > _INT64_MAX:
+            raise TraceParseError(f"line {lineno}: burst size and next period (in ns) must fit in int64")
+        values += size, period_ns
+    if not values:
         raise TraceParseError(f"{path}: no data rows")
-    return TraceFile(records=records, metadata=metadata)
+    return TraceFile(records=np.array(values, np.int64).reshape(-1, 2), metadata=metadata)
 
 
 def save_trace(path, records, metadata: dict | None = None) -> None:
     """Write a trace CSV with a ``# key: value`` metadata header.
 
-    Periods are rounded to integer microseconds and floored at 1 us so the
-    written file always satisfies the strictly-increasing-time invariant.
+    ``records`` is any ``(n, 2)`` integer sequence of (size, period in ns)
+    rows, such as an array or a list of descriptors. Periods are rounded to
+    integer microseconds and floored at 1 us so the written file always
+    satisfies the strictly-increasing-time invariant.
     """
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}: {value}")
-    for record in records:
-        period_us = max(1, round(record.next_period_ns / NS_PER_US))
-        lines.append(f"{record.burst_size},{period_us}")
+    lines = [f"# {key}: {value}" for key, value in (metadata or {}).items()]
+    rows = np.asarray(records, np.int64).reshape(-1, 2).tolist()
+    lines += [f"{size},{max(1, round(period_ns / NS_PER_US))}" for size, period_ns in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -31,7 +31,7 @@ class TestGenerate:
         assert code == 0
         trace = load_trace(out)
         assert len(trace.records) == pytest.approx(3600, rel=0.02)
-        mean_size = sum(r.burst_size for r in trace.records) / len(trace.records)
+        mean_size = trace.records[:, 0].mean()
         assert mean_size == pytest.approx(104_167, rel=0.02)
         assert trace.metadata["target_rate_mbps"] == "50.0"
         assert trace.metadata["fps"] == "60.0"
@@ -62,7 +62,7 @@ class TestGenerate:
         assert code == 0
         trace = load_trace(out)
         assert len(trace.records) == 50
-        assert all(r.burst_size == 500 for r in trace.records)
+        assert (trace.records[:, 0] == 500).all()
 
     def test_simple_model_requires_dists(self, tmp_path, capsys):
         code, _, err = run(
@@ -81,7 +81,7 @@ class TestGenerate:
         )
         assert code == 0
         # zero IFI spread: every period is exactly 20 ms
-        assert all(r.next_period_ns == 20_000_000 for r in load_trace(out).records)
+        assert (load_trace(out).records[:, 1] == 20_000_000).all()
 
 
 class TestReplay:
@@ -95,7 +95,7 @@ class TestReplay:
         )
         assert code == 0
         replayed = load_trace(out)
-        assert [r.burst_size for r in replayed.records] == [6, 7, 8]
+        assert replayed.records[:, 0].tolist() == [6, 7, 8]
         assert replayed.metadata["fps"] == "100"
         assert replayed.metadata["source"] == "vrburst replay"
 
@@ -114,6 +114,21 @@ class TestReplay:
         code, _, err = run(capsys, "replay", "--trace", str(bad), "--out", str(tmp_path / "w.csv"))
         assert code == 3
         assert "line 1" in err
+
+    @pytest.mark.parametrize("row", ["1180591620717411303424,16000", "1000,9300000000000000"])
+    @pytest.mark.parametrize("command", ["stats", "replay", "simulate"])
+    def test_values_beyond_int64_are_parse_errors(self, tmp_path, capsys, command, row):
+        # a size, or a period in ns, past 2**63 - 1 names its line in every trace command
+        src = tmp_path / "big.csv"
+        src.write_text(f"1000,16000\n{row}\n")
+        argv = {
+            "stats": ["stats", str(src)],
+            "replay": ["replay", "--trace", str(src), "--out", str(tmp_path / "w.csv")],
+            "simulate": ["simulate", "--model", "trace", "--trace", str(src), "--duration-s", "1"],
+        }[command]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("error: line 2: ") and "int64" in err
 
 
 class TestSimulate:

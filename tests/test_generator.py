@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vrburst.generator import (
     BurstDescriptor,
@@ -92,11 +95,12 @@ class TestLoadTrace:
     def test_metadata_and_units(self, tmp_path):
         trace = load_trace(write(tmp_path, "# fps: 60\n1000,16667\n"))
         assert trace.metadata == {"fps": "60"}
-        assert trace.records == [BurstDescriptor(1000, 16_667_000)]
+        assert trace.records.dtype == np.int64
+        assert trace.records.tolist() == [[1000, 16_667_000]]
 
     def test_crlf_endings(self, tmp_path):
         trace = load_trace(write(tmp_path, "# fps: 30\r\n500,1000\r\n600,2000\r\n"))
-        assert [r.burst_size for r in trace.records] == [500, 600]
+        assert trace.records[:, 0].tolist() == [500, 600]
 
     def test_non_integer_size_names_line(self, tmp_path):
         with pytest.raises(TraceParseError, match="line 1"):
@@ -127,7 +131,7 @@ class TestLoadTrace:
         rows = "\n".join("1000,16667" for _ in range(33_000))
         trace = load_trace(write(tmp_path, rows + "\n"))
         assert len(trace.records) == 33_000
-        assert trace.duration_ns == pytest.approx(550e9, rel=0.01)
+        assert trace.records[:, 1].sum() == pytest.approx(550e9, rel=0.01)
 
 
 class TestSaveTrace:
@@ -136,13 +140,34 @@ class TestSaveTrace:
         path = tmp_path / "out.csv"
         save_trace(path, records, {"fps": "60", "seed": "3"})
         back = load_trace(path)
-        assert back.records == records
+        assert back.records.tolist() == [list(r) for r in records]
         assert back.metadata == {"fps": "60", "seed": "3"}
 
     def test_sub_microsecond_periods_floor_at_one(self, tmp_path):
         path = tmp_path / "out.csv"
         save_trace(path, [BurstDescriptor(10, 300)])
-        assert load_trace(path).records[0].next_period_ns == 1000
+        assert load_trace(path).records[0, 1] == 1000
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(1, 2**63 - 1),
+                st.one_of(st.integers(0, 999), st.integers(0, 2**63 - 1), st.integers(2**53, 2**63 - 1)),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        as_array=st.booleans(),
+    )
+    def test_rows_are_written_as_whole_microseconds(self, tmp_path, rows, as_array):
+        # the same bytes from an (n, 2) array and from descriptors, periods of
+        # 2**53 ns and more included
+        path = tmp_path / "out.csv"
+        records = np.array(rows, np.int64) if as_array else [BurstDescriptor(*row) for row in rows]
+        save_trace(path, records, {"fps": "60"})
+        data = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        assert data == [f"{size},{max(1, round(period / 1000))}" for size, period in rows]
 
 
 class TestTraceReplay:
@@ -155,12 +180,8 @@ class TestTraceReplay:
         assert gen.generate_burst() == BurstDescriptor(2000, 7_000_000)
         assert not gen.has_next_burst()
 
-    def test_accepts_path_directly(self, tmp_path):
-        gen = TraceFileBurstGenerator(write(tmp_path, "1,1\n"))
-        assert gen.generate_burst().burst_size == 1
-
     def test_generate_after_exhaustion_raises(self, tmp_path):
-        gen = TraceFileBurstGenerator(write(tmp_path, "1,1\n"))
+        gen = TraceFileBurstGenerator(load_trace(write(tmp_path, "1,1\n")))
         gen.generate_burst()
         assert not gen.has_next_burst()
         with pytest.raises(GeneratorExhaustedError):
@@ -169,7 +190,7 @@ class TestTraceReplay:
     def test_full_replay_matches_file(self, tmp_path):
         rows = [(100 + i, 1000 + i) for i in range(50)]
         text = "\n".join(f"{s},{p}" for s, p in rows) + "\n"
-        gen = TraceFileBurstGenerator(write(tmp_path, text))
+        gen = TraceFileBurstGenerator(load_trace(write(tmp_path, text)))
         out = []
         while gen.has_next_burst():
             out.append(gen.generate_burst())
