@@ -5,6 +5,9 @@ new trace), simulate (bottleneck-link scenario -> metrics JSON), fit (traces
 -> model constants JSON), stats (trace summary JSON), send/recv (live UDP
 using the 24-byte fragment header).
 
+`main` builds its argument parser once per process, on first use, and reuses
+it for every later call; `build_parser` still returns a fresh parser.
+
 Exit codes: 0 success, 2 usage/parameter error, 3 data or parse error,
 4 I/O error.
 """
@@ -12,6 +15,7 @@ Exit codes: 0 success, 2 usage/parameter error, 3 data or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import socket
@@ -406,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--duration-s", type=float, required=True, help="trace duration in seconds")
     p.add_argument("--out", required=True, help="output trace CSV path")
-    p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("replay", help="re-window an existing trace into a new trace CSV")
     p.add_argument("--trace", required=True, help="input trace CSV")
@@ -415,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration-s", type=float, default=None,
                    help="cap the replay window in seconds (default: rest of the trace)")
     p.add_argument("--out", required=True, help="output trace CSV path")
-    p.set_defaults(handler=cmd_replay)
 
     p = sub.add_parser("simulate", help="run a bottleneck-link scenario, emit metrics JSON")
     _add_model_flags(p)
@@ -435,11 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fragment-size", type=int, default=DEFAULT_FRAGMENT_SIZE,
                    help=f"fragment size in bytes incl. header (default: {DEFAULT_FRAGMENT_SIZE})")
     p.add_argument("--out", help="write the metrics JSON here instead of stdout")
-    p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("stats", help="summarize a trace CSV as JSON on stdout")
     p.add_argument("trace", help="trace CSV path")
-    p.set_defaults(handler=cmd_stats)
 
     p = sub.add_parser("fit", help="fit model constants from grouped trace CSVs")
     p.add_argument("traces", nargs="+", help="trace CSVs carrying target_rate_mbps/fps metadata")
@@ -450,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uniform-weights", action="store_true",
                    help="weight groups uniformly instead of by fit goodness")
     p.add_argument("--seed", type=int, default=0, help="RNG seed for EM restarts (default: 0)")
-    p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("send", help="send bursts over UDP")
     _add_model_flags(p)
@@ -461,22 +460,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration-s", type=float, default=None, help="stop after this many seconds")
     p.add_argument("--no-pacing", action="store_true",
                    help="ignore generator periods and send as fast as possible")
-    p.set_defaults(handler=cmd_send)
 
     p = sub.add_parser("recv", help="receive bursts over UDP, log outcomes to CSV")
     p.add_argument("--listen", required=True, help="bind address HOST:PORT")
     p.add_argument("--out", required=True, help="per-burst event CSV path")
     p.add_argument("--duration-s", type=float, default=10.0,
                    help="how long to listen in seconds (default: 10)")
-    p.set_defaults(handler=cmd_recv)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # looked up per call, so a cmd_* patched after the first call is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except TraceParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

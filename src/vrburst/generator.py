@@ -30,7 +30,8 @@ Trace CSV grammar: optional ``# key: value`` metadata lines, then one
 CRLF line endings). Periods are stored as integer microseconds to keep files
 round-trip exact. A parsed :class:`TraceFile` holds the rows as ``records``,
 one ``(n, 2)`` int64 array with the columns ``burst_size`` (bytes) and
-``next_period_ns``, so sizes and periods (in ns) must fit in int64.
+``next_period_ns``, so sizes and the total of the periods (in ns) must fit
+in int64.
 """
 
 from __future__ import annotations
@@ -417,7 +418,7 @@ def _parse_metadata_line(line: str) -> tuple[str, str] | None:
 
 def _parse_uint(token: str, what: str, lineno: int) -> int:
     token = token.strip()
-    if not token.isdigit():
+    if not token.isdecimal():  # isdigit() also takes superscripts, which int() rejects
         raise TraceParseError(f"line {lineno}: {what} must be an unsigned integer, got {token!r}")
     return int(token)
 
@@ -425,6 +426,7 @@ def _parse_uint(token: str, what: str, lineno: int) -> int:
 def load_trace(path) -> TraceFile:
     """Parse a trace CSV; raises :class:`TraceParseError` with line numbers."""
     values: list[int] = []  # size, period (ns), size, period, ...
+    total_ns = 0  # burst times are int64 running totals of the periods
     metadata: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -446,8 +448,11 @@ def load_trace(path) -> TraceFile:
         if period_ns <= 0:
             # burst times must be strictly increasing along the trace
             raise TraceParseError(f"line {lineno}: next period must be positive")
-        if size > _INT64_MAX or period_ns > _INT64_MAX:
-            raise TraceParseError(f"line {lineno}: burst size and next period (in ns) must fit in int64")
+        total_ns += period_ns
+        if size > _INT64_MAX or total_ns > _INT64_MAX:
+            raise TraceParseError(
+                f"line {lineno}: burst size and the total of the next periods so far (in ns) must fit in int64"
+            )
         values += size, period_ns
     if not values:
         raise TraceParseError(f"{path}: no data rows")

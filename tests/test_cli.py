@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import vrburst.cli
 import vrburst.fit
-from vrburst.cli import _open_receive_socket, main, receive_bursts, send_bursts
+from vrburst.cli import _open_receive_socket, build_parser, main, receive_bursts, send_bursts
 from vrburst.generator import BurstDescriptor, SimpleBurstGenerator, load_trace, save_trace
 from vrburst.model import VrModelConstants
 from vrburst.rv import RngStream, dist_from_spec
@@ -129,6 +130,22 @@ class TestReplay:
         code, stdout, err = run(capsys, *argv)
         assert (code, stdout) == (3, "")
         assert err.startswith("error: line 2: ") and "int64" in err
+
+    @pytest.mark.parametrize("command", ["stats", "replay", "simulate"])
+    def test_total_period_beyond_int64_is_parse_error(self, tmp_path, capsys, command):
+        # every row fits, but burst times are int64 running totals of the periods
+        src = tmp_path / "long.csv"
+        src.write_text("1000,9000000000000000\n2000,9000000000000000\n3000,16000\n")
+        argv = {
+            "stats": ["stats", str(src)],
+            "replay": ["replay", "--trace", str(src), "--duration-s", "9500000000",
+                       "--out", str(tmp_path / "w.csv")],
+            "simulate": ["simulate", "--model", "trace", "--trace", str(src), "--duration-s", "1"],
+        }[command]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("error: line 2: ") and "int64" in err
+        assert not (tmp_path / "w.csv").exists()
 
 
 class TestSimulate:
@@ -407,6 +424,38 @@ class TestCliPlumbing:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_reused_parser_keeps_calls_apart(self, tmp_path, capsys):
+        # main parses every call with one parser; no value of an earlier call,
+        # nor a usage error, may reach a later one
+        def outputs(tag):
+            out = tmp_path / f"{tag}.csv"
+            gen = main(["generate", "--rate-mbps", "20", "--fps", "30", "--duration-s", "1",
+                        "--seed", "7", "--out", str(out)])
+            capsys.readouterr()
+            sim = run(capsys, "simulate", "--stations", "2", "--duration-s", "0.5", "--seed", "9")
+            return gen, out.read_bytes(), sim
+
+        first = outputs("a")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--seed", "3", "--queue-limit", "5", "--stations"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert outputs("b") == first
+        assert first[0] == 0 and first[2][0] == 0
+
+    def test_handler_is_looked_up_at_call_time(self, capsys, monkeypatch):
+        assert main(["simulate", "--duration-s", "0.01"]) == 0
+        calls = []
+        monkeypatch.setattr(vrburst.cli, "cmd_simulate", lambda args: calls.append(args) or 17)
+        assert main(["simulate", "--seed", "4"]) == 17
+        assert [args.seed for args in calls] == [4]
+
+    def test_build_parser_returns_a_fresh_full_parser(self):
+        a, b = build_parser(), build_parser()
+        assert a is not b
+        listed = {line.split()[0] for line in a.format_help().splitlines() if line.startswith("    ")}
+        assert {"generate", "replay", "simulate", "stats", "fit", "send", "recv"} <= listed
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -106,6 +106,11 @@ class TestLoadTrace:
         with pytest.raises(TraceParseError, match="line 1"):
             load_trace(write(tmp_path, "abc,5\n"))
 
+    def test_superscript_digit_names_line(self, tmp_path):
+        # str.isdigit accepts '²', which int() does not parse
+        with pytest.raises(TraceParseError, match="line 1: next period must be an unsigned integer"):
+            load_trace(write(tmp_path, "1000,1\u00b2\n"))
+
     def test_error_line_numbers_count_header(self, tmp_path):
         with pytest.raises(TraceParseError, match="line 3"):
             load_trace(write(tmp_path, "# fps: 60\n10,10\nabc,5\n"))
