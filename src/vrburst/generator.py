@@ -25,10 +25,11 @@ Words a block leaves unread are the first words of the next block, so the
 bursts do not depend on the block size and equal those of a walk that draws
 each word when it needs it.
 
-Trace CSV grammar: optional ``# key: value`` metadata lines, then one
-``burst_size_bytes,next_period_us`` row per burst (unsigned integers, LF or
-CRLF line endings). Periods are stored as integer microseconds to keep files
-round-trip exact. A parsed :class:`TraceFile` holds the rows as ``records``,
+Trace CSV grammar: one ``burst_size_bytes,next_period_us`` row per burst
+(unsigned integers in ASCII digits, whitespace allowed around each field),
+with blank lines and ``#`` comment lines anywhere (``# key: value`` ones are
+metadata), LF or CRLF line endings and an optional UTF-8 byte-order mark.
+Periods are stored as integer microseconds to keep files round-trip exact. A parsed :class:`TraceFile` holds the rows as ``records``,
 one ``(n, 2)`` int64 array with the columns ``burst_size`` (bytes) and
 ``next_period_ns``, so sizes and the total of the periods (in ns) must fit
 in int64.
@@ -36,6 +37,8 @@ in int64.
 
 from __future__ import annotations
 
+import itertools
+import re
 from abc import ABC, abstractmethod
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
@@ -416,47 +419,73 @@ def _parse_metadata_line(line: str) -> tuple[str, str] | None:
     return key, value.strip()
 
 
-def _parse_uint(token: str, what: str, lineno: int) -> int:
-    token = token.strip()
-    if not token.isdecimal():  # isdigit() also takes superscripts, which int() rejects
-        raise TraceParseError(f"line {lineno}: {what} must be an unsigned integer, got {token!r}")
-    return int(token)
+# The trace grammar over a text whose lines each follow a "\n". A line is a data
+# row, a comment or blank; whitespace is what str.strip() removes ([^\S\n] on
+# one line) and digits are ASCII. _MALFORMED finds the "\n" before the first
+# line that is none of these; the first alternative is the row save_trace writes.
+_WS = r"[^\S\n]*"
+_MALFORMED = re.compile(
+    rf"\n(?![0-9]+,[0-9]+(?:\n|\Z)|{_WS}(?:#[^\n]*|[0-9]+{_WS},{_WS}[0-9]+{_WS})?(?:\n|\Z))"
+)
+# In well-formed lines, "#" starts a comment and a digit a data row.
+_COMMENT = re.compile(r"#[^\n]*")
+_DATA_ROW = re.compile(rf"\n{_WS}[0-9]")
+# Every byte of a data row but its digits is a separator (UTF-8 whitespace
+# included), as np.fromstring(sep=" ") reads one.
+_DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
+_VALUE_RULES = (
+    "burst size must be at least 1 byte",
+    "next period must be positive",  # burst times must be strictly increasing along the trace
+    "burst size and the total of the next periods so far (in ns) must fit in int64",
+)
+# uint64 scalars: numpy 1.x compares a uint64 array with a Python int in float64
+_U64_INT64_MAX = np.uint64(_INT64_MAX)
+_U64_PERIOD_US_MAX = np.uint64(_INT64_MAX // NS_PER_US)
+
+
+def _malformed_line_error(lineno: int, line: str) -> TraceParseError:
+    """The first rule a line that is no data row, comment or blank breaks."""
+    line = line.strip()
+    fields = line.split(",")
+    if len(fields) != 2:
+        return TraceParseError(f"line {lineno}: expected 'burst_size,next_period', got {line!r}")
+    size, period = (token.strip() for token in fields)
+    what, token = ("next period", period) if size.isascii() and size.isdecimal() else ("burst size", size)
+    return TraceParseError(f"line {lineno}: {what} must be an unsigned integer, got {token!r}")
 
 
 def load_trace(path) -> TraceFile:
-    """Parse a trace CSV; raises :class:`TraceParseError` with line numbers."""
-    values: list[int] = []  # size, period (ns), size, period, ...
-    total_ns = 0  # burst times are int64 running totals of the periods
-    metadata: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parsed = _parse_metadata_line(line)
-            if parsed:
-                metadata[parsed[0]] = parsed[1]
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise TraceParseError(f"line {lineno}: expected 'burst_size,next_period', got {line!r}")
-        size = _parse_uint(fields[0], "burst size", lineno)
-        period_ns = _parse_uint(fields[1], "next period", lineno) * NS_PER_US
-        if size < 1:
-            raise TraceParseError(f"line {lineno}: burst size must be at least 1 byte")
-        if period_ns <= 0:
-            # burst times must be strictly increasing along the trace
-            raise TraceParseError(f"line {lineno}: next period must be positive")
-        total_ns += period_ns
-        if size > _INT64_MAX or total_ns > _INT64_MAX:
-            raise TraceParseError(
-                f"line {lineno}: burst size and the total of the next periods so far (in ns) must fit in int64"
-            )
-        values += size, period_ns
-    if not values:
+    """Parse a trace CSV; raises :class:`TraceParseError` with line numbers.
+
+    The whole text is checked and converted at once; an error names the first
+    line that breaks a rule, and the first rule it breaks, in this order: two
+    fields, an unsigned size, an unsigned period, size >= 1, period > 0, and
+    the size and the running total of the periods (in ns) within int64.
+    """
+    # line k starts after the k-th "\n"; splitlines() draws the line boundaries
+    text = "\n" + "\n".join(Path(path).read_text(encoding="utf-8-sig").splitlines())
+    malformed = _MALFORMED.search(text)
+    head = text[: malformed.start()] if malformed else text  # the well-formed lines before it
+    digits = _COMMENT.sub("", head).encode().translate(_DIGITS_ONLY).strip()  # fromstring reads " " as [0]
+    values = np.fromstring(digits, np.uint64, sep=" ")
+    sizes, periods_us = values.reshape(-1, 2).T  # a value past uint64 reads as its maximum
+    period_ns = np.where(periods_us > _U64_PERIOD_US_MAX, 0, periods_us * np.uint64(NS_PER_US))
+    # the uint64 total is exact up to the first row that takes it past int64
+    total_ns = np.cumsum(period_ns)
+    too_big = (sizes > _U64_INT64_MAX) | (periods_us > _U64_PERIOD_US_MAX) | (total_ns > _U64_INT64_MAX)
+    broken = np.stack((sizes == 0, periods_us == 0, too_big))
+    row_broken = broken.any(axis=0)
+    if row_broken.any():
+        row = int(row_broken.argmax())
+        start = next(itertools.islice(_DATA_ROW.finditer(head), row, None)).start()
+        lineno = head.count("\n", 0, start + 1)
+        raise TraceParseError(f"line {lineno}: {_VALUE_RULES[int(broken[:, row].argmax())]}")
+    if malformed:
+        raise _malformed_line_error(head.count("\n") + 1, text[malformed.start() + 1 :].partition("\n")[0])
+    if not len(sizes):
         raise TraceParseError(f"{path}: no data rows")
-    return TraceFile(records=np.array(values, np.int64).reshape(-1, 2), metadata=metadata)
+    metadata = dict(filter(None, map(_parse_metadata_line, _COMMENT.findall(text))))
+    return TraceFile(records=np.column_stack((sizes, period_ns)), metadata=metadata)
 
 
 def save_trace(path, records, metadata: dict | None = None) -> None:
@@ -467,10 +496,15 @@ def save_trace(path, records, metadata: dict | None = None) -> None:
     integer microseconds and floored at 1 us so the written file always
     satisfies the strictly-increasing-time invariant.
     """
-    lines = [f"# {key}: {value}" for key, value in (metadata or {}).items()]
-    rows = np.asarray(records, np.int64).reshape(-1, 2).tolist()
-    lines += [f"{size},{max(1, round(period_ns / NS_PER_US))}" for size, period_ns in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sizes, periods_ns = np.asarray(records, np.int64).reshape(-1, 2).T
+    # np.rint of the float quotient is round(period_ns / NS_PER_US) while the
+    # int64 -> float64 conversion is exact; Python's int division stays exact beyond
+    periods_us = np.maximum(np.rint(periods_ns / NS_PER_US), 1).astype(np.int64)
+    beyond = np.flatnonzero(periods_ns >= 2**53)
+    periods_us[beyond] = [max(1, round(period_ns / NS_PER_US)) for period_ns in periods_ns[beyond].tolist()]
+    header = "".join(f"# {key}: {value}\n" for key, value in (metadata or {}).items())
+    rows = ("%d,%d\n" * len(sizes)) % tuple(np.column_stack((sizes, periods_us)).ravel().tolist())
+    Path(path).write_text(header + rows, encoding="utf-8")
 
 
 __all__ = [

@@ -131,6 +131,16 @@ class TestLoadTrace:
         with pytest.raises(TraceParseError, match="no data rows"):
             load_trace(write(tmp_path, "# fps: 60\n"))
 
+    def test_byte_order_mark_before_metadata_line(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one
+        trace = load_trace(write(tmp_path, "\ufeff# source: excel\n1000,16667\n2000,16667\n"))
+        assert trace.metadata == {"source": "excel"}
+        assert trace.records.tolist() == [[1000, 16_667_000], [2000, 16_667_000]]
+
+    def test_byte_order_mark_before_data_row(self, tmp_path):
+        trace = load_trace(write(tmp_path, "\ufeff1000,16667\r\n2000,16667\r\n"))
+        assert trace.records.tolist() == [[1000, 16_667_000], [2000, 16_667_000]]
+
     def test_row_count_scales_with_duration(self, tmp_path):
         # a 550 s trace at 60 FPS carries about 33k records
         rows = "\n".join("1000,16667" for _ in range(33_000))

@@ -2,7 +2,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vrburst.wire import (
@@ -52,6 +52,26 @@ class TestHeaderCodec:
         for _ in range(10_000):
             h = random_header(rng)
             assert decode_header(encode_header(h)) == h
+
+    @given(st.integers(1, 2**16 - 1).flatmap(lambda count: st.builds(
+        FragmentHeader, st.integers(0, 2**32 - 1), st.integers(0, count - 1), st.just(count),
+        st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))))
+    def test_round_trip_over_the_field_bounds(self, header):
+        assert decode_header(encode_header(header)) == header
+
+    @given(st.integers(0, 2**16 - 1).flatmap(lambda count: st.tuples(
+        st.integers(0, 2**32 - 1), st.integers(count, 2**16 - 1), st.just(count),
+        st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))), st.binary(max_size=8))
+    @example((0, 0, 0, 0, 0), b"")
+    @example((0, 2**16 - 1, 2**16 - 1, 0, 0), b"")
+    def test_zero_count_or_index_not_below_count_rejected(self, fields, payload):
+        with pytest.raises(HeaderError):
+            decode_header(struct.pack("!IHHQQ", *fields) + payload)
+
+    @given(st.binary(max_size=HEADER_LEN - 1))
+    def test_any_buffer_shorter_than_a_header_rejected(self, buf):
+        with pytest.raises(HeaderError, match="too small"):
+            decode_header(buf)
 
     def test_decode_ignores_trailing_payload(self):
         h = FragmentHeader(7, 0, 1, 10, 123)
