@@ -45,9 +45,11 @@ from .wire import (
     BurstDiscarded,
     BurstReassembler,
     BurstReceived,
+    LateFragmentIgnored,
     decode_header,
-    encode_header,
-    fragment_burst,
+    encode_header,  # noqa: F401  (perfbench/tracer.py patches it here)
+    fragment_burst,  # noqa: F401  (perfbench/tracer.py patches it here)
+    pack_burst,
 )
 
 EXIT_OK = 0
@@ -58,6 +60,18 @@ EXIT_IO = 4
 # receive buffer requested by the socket `recv` binds itself; the kernel caps
 # the request at net.core.rmem_max
 _RECV_BUFFER_BYTES = 4 * 2**20
+
+# Linux UDP offloads, socket options at IPPROTO_UDP (udp(7)). UDP_SEGMENT sets
+# the segment size a send is cut into (GSO); UDP_GRO lets one read return
+# several datagrams of a flow, with their segment size in a control message.
+_UDP_SEGMENT = 103
+_UDP_GRO = 104
+# A GSO send holds at most 64 segments (older kernels refuse more) and at most
+# the 65507 payload bytes of one IPv4 UDP datagram; a read, coalesced or not,
+# returns no more than 65535 bytes.
+_GSO_MAX_SEGMENTS = 64
+_UDP_MAX_PAYLOAD = 65507
+_MAX_READ = 65535
 
 
 def _load_constants(args) -> VrModelConstants:
@@ -234,6 +248,25 @@ def _parse_addr(spec: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _gso_segments(sock: socket.socket, fragment_size: int) -> int:
+    """Segments per send: the GSO cap when ``sock`` accepts ``UDP_SEGMENT``, else 1."""
+    cap = min(_GSO_MAX_SEGMENTS, _UDP_MAX_PAYLOAD // fragment_size)
+    if cap < 2:
+        return 1
+    try:
+        sock.setsockopt(socket.IPPROTO_UDP, _UDP_SEGMENT, fragment_size)
+    except OSError:
+        return 1
+    return cap
+
+
+def _gso_off(sock: socket.socket) -> None:
+    try:
+        sock.setsockopt(socket.IPPROTO_UDP, _UDP_SEGMENT, 0)
+    except OSError:
+        pass
+
+
 def send_bursts(
     dest: tuple[str, int],
     generator,
@@ -249,13 +282,23 @@ def send_bursts(
     within a burst go out back-to-back. Timestamps are the sender's
     monotonic clock, so receiver-side delays are only meaningful when both
     ends share a clock (e.g. loopback).
+
+    Each burst is packed once into one buffer (:func:`pack_burst`). Where the
+    socket accepts ``UDP_SEGMENT``, one ``sendto`` hands the kernel up to
+    ``min(64, 65507 // fragment_size)`` of its datagrams (``gso`` in the
+    counters); otherwise each datagram takes a ``sendto`` of its own. A GSO
+    send that fails turns GSO off for the rest of the run and goes out again
+    one datagram per call, so a burst is neither lost nor sent twice.
+    ``send_calls`` counts the ``sendto`` calls that succeeded. A passed-in
+    ``sock`` keeps the segment size it was left with.
     """
     own_sock = sock is None
     if own_sock:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    bursts = fragments = payload_bytes = 0
+    bursts = fragments = payload_bytes = calls = 0
     deadline = None if duration_s is None else time.monotonic() + duration_s
     try:
+        per_call = _gso_segments(sock, fragment_size)
         burst_seq = 0
         next_send_ns = time.monotonic_ns()  # absolute schedule avoids sleep drift
         while generator.has_next_burst():
@@ -265,9 +308,22 @@ def send_bursts(
                 break
             desc = generator.generate_burst()
             stamp = time.monotonic_ns()
-            for frag in fragment_burst(burst_seq % 2**32, desc.burst_size, stamp, fragment_size):
-                sock.sendto(encode_header(frag.header) + b"\x00" * frag.payload_len, dest)
-                fragments += 1
+            buf = memoryview(pack_burst(burst_seq % 2**32, desc.burst_size, stamp, fragment_size))
+            start = 0
+            while start < len(buf):
+                step = per_call * fragment_size
+                try:
+                    sock.sendto(buf[start:start + step], dest)
+                except OSError:
+                    if per_call == 1:
+                        raise
+                    # nothing of a failed send went out: send it again one datagram per call
+                    per_call = 1
+                    _gso_off(sock)
+                    continue
+                start += step
+                calls += 1
+            fragments += -(-len(buf) // fragment_size)
             payload_bytes += desc.burst_size
             bursts += 1
             burst_seq += 1
@@ -279,7 +335,13 @@ def send_bursts(
     finally:
         if own_sock:
             sock.close()
-    return {"bursts_sent": bursts, "fragments_sent": fragments, "payload_bytes": payload_bytes}
+    return {
+        "bursts_sent": bursts,
+        "fragments_sent": fragments,
+        "payload_bytes": payload_bytes,
+        "send_calls": calls,
+        "gso": per_call > 1,
+    }
 
 
 def _open_receive_socket(listen: tuple[str, int]) -> socket.socket:
@@ -300,6 +362,24 @@ def _open_receive_socket(listen: tuple[str, int]) -> socket.socket:
     return sock
 
 
+def _gro_segments(data: bytes, ancdata, flags: int) -> list | None:
+    """The datagrams of one read, as views of ``data``.
+
+    A read that carries a ``UDP_GRO`` control message is cut at the segment
+    size it gives, the last datagram being the shorter one; any other read is
+    one datagram. Returns None for a read the kernel truncated
+    (``MSG_TRUNC``), whose cut points are unknown.
+    """
+    if flags & socket.MSG_TRUNC:
+        return None
+    step = len(data) or 1
+    for level, kind, cdata in ancdata:
+        if level == socket.IPPROTO_UDP and kind == _UDP_GRO and len(cdata) >= 4:
+            step = int.from_bytes(cdata[:4], sys.byteorder) or step
+    view = memoryview(data)
+    return [view[start:start + step] for start in range(0, len(data) or 1, step)]
+
+
 def receive_bursts(
     listen: tuple[str, int],
     out_path,
@@ -311,14 +391,28 @@ def receive_bursts(
     Writes one CSV row per burst outcome: ``burst_seq,outcome,delay_ns,size``
     (outcome is ``received`` or ``discarded``; discarded rows leave delay
     empty). Returns receive counters; ``malformed`` counts datagrams whose
-    header fails to decode or disagrees with its burst's first header.
+    header fails to decode or disagrees with its burst's first header, and
+    reads the kernel truncated.
+
+    ``UDP_GRO`` is turned on for the socket, a passed-in one too, where the
+    kernel accepts it (``gro`` in the counters). One read (``reads``) may then
+    return several datagrams of a flow, which are split at their segment size
+    and reassembled one by one (``datagrams``). ``late`` counts fragments of a
+    burst older than the flow's current one, and ``duplicates`` fragments that
+    arrived twice.
     """
     own_sock = sock is None
     if own_sock:
         sock = _open_receive_socket(listen)
     sock.settimeout(0.2)
+    try:
+        sock.setsockopt(socket.IPPROTO_UDP, _UDP_GRO, 1)
+        gro = True
+    except OSError:
+        gro = False
+    cmsg_size = socket.CMSG_SPACE(4)
     flows: dict = {}
-    received = discarded = malformed = datagrams = 0
+    received = discarded = malformed = datagrams = reads = late = 0
     deadline = time.monotonic() + duration_s
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("# source: vrburst recv\n")
@@ -329,36 +423,49 @@ def receive_bursts(
         try:
             while time.monotonic() < deadline:
                 try:
-                    data, addr = sock.recvfrom(65535)
+                    data, ancdata, flags, addr = sock.recvmsg(_MAX_READ, cmsg_size)
                 except socket.timeout:
                     continue
                 arrival = time.monotonic_ns()
-                datagrams += 1
-                try:
-                    header = decode_header(data)
-                    flow = flows.get(addr) or flows.setdefault(addr, BurstReassembler())
-                    events = flow.on_fragment(header, arrival, len(data) - HEADER_LEN)
-                except ValueError:
+                reads += 1
+                segments = _gro_segments(data, ancdata, flags)
+                if segments is None:
+                    datagrams += 1
                     malformed += 1
                     continue
-                for event in events:
-                    if isinstance(event, BurstReceived):
-                        received += 1
-                        fh.write(
-                            f"{event.burst_seq},received,{event.delay_ns},{event.burst_size}\n"
-                        )
-                    elif isinstance(event, BurstDiscarded):
-                        discarded += 1
-                        fh.write(f"{event.burst_seq},discarded,,{event.burst_size}\n")
+                for segment in segments:
+                    datagrams += 1
+                    try:
+                        header = decode_header(segment)
+                        flow = flows.get(addr) or flows.setdefault(addr, BurstReassembler())
+                        events = flow.on_fragment(header, arrival, len(segment) - HEADER_LEN)
+                    except ValueError:
+                        malformed += 1
+                        continue
+                    for event in events:
+                        if isinstance(event, BurstReceived):
+                            received += 1
+                            fh.write(
+                                f"{event.burst_seq},received,{event.delay_ns},{event.burst_size}\n"
+                            )
+                        elif isinstance(event, BurstDiscarded):
+                            discarded += 1
+                            fh.write(f"{event.burst_seq},discarded,,{event.burst_size}\n")
+                        elif isinstance(event, LateFragmentIgnored):
+                            late += 1
         finally:
             if own_sock:
                 sock.close()
     return {
         "datagrams": datagrams,
         "malformed": malformed,
+        "late": late,
+        "duplicates": sum(flow.counters.fragments_duplicate for flow in flows.values()),
         "bursts_received": received,
         "bursts_discarded": discarded,
         "flows": len(flows),
+        "reads": reads,
+        "gro": gro,
     }
 
 

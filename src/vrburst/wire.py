@@ -9,7 +9,8 @@ send/receive path.
 Headers and fragments are tuples. A :class:`FragmentHeader` is checked when
 it is constructed, not again when it is encoded or decoded:
 :func:`decode_header` makes the only checks a 24-byte unpack can fail, and
-:func:`fragment_burst` checks the fields its fragments share once per burst.
+:func:`fragment_burst` and :func:`pack_burst` check the fields a burst's
+fragments share once per burst.
 
 Reassembly is best effort: fragments of the current burst are collected in
 any order, a burst completes only when every fragment index is present, and
@@ -148,6 +149,28 @@ def fragment_burst(
     ]
 
 
+def pack_burst(
+    burst_seq: int,
+    burst_size: int,
+    timestamp_ns: int,
+    fragment_size: int = DEFAULT_FRAGMENT_SIZE,
+) -> bytearray:
+    """A burst's datagrams back to back in one buffer, as the send path writes them.
+
+    Datagram ``i`` starts at ``i * fragment_size``: its header, then zero
+    payload. Every datagram is ``fragment_size`` bytes long but the last, which
+    ends with the burst; the bytes are those of :func:`fragment_burst`'s
+    fragments, each header encoded and followed by its payload of zeros.
+    """
+    count, last = fragment_layout(burst_size, fragment_size)
+    FragmentHeader(burst_seq, 0, count, burst_size, timestamp_ns)  # checks the shared fields once
+    buf = bytearray((count - 1) * fragment_size + HEADER_LEN + last)
+    pack_into = _HEADER.pack_into
+    for index in range(count):
+        pack_into(buf, index * fragment_size, burst_seq, index, count, burst_size, timestamp_ns)
+    return buf
+
+
 # --- reassembly -------------------------------------------------------------
 
 
@@ -180,6 +203,7 @@ class ReassemblyCounters:
     bursts_received: int
     bursts_failed: int
     fragments_received: int
+    fragments_duplicate: int
     bytes_received: int
 
 
@@ -187,11 +211,12 @@ class BurstReassembler:
     """Per-flow state machine turning fragment arrivals into burst events.
 
     ``on_fragment`` classifies every arrival: fragments of an older burst are
-    ignored, duplicates of the current burst are ignored, completing the
-    current burst emits :class:`BurstReceived`, and the first fragment of a
-    newer burst discards an incomplete current one (possibly emitting
-    :class:`BurstDiscarded` and :class:`BurstReceived` from the same call when
-    the newcomer is a single-fragment burst). Sequence numbers compare in RFC
+    ignored, duplicates of the current burst are ignored (and counted in
+    ``counters.fragments_duplicate``), completing the current burst emits
+    :class:`BurstReceived`, and the first fragment of a newer burst discards
+    an incomplete current one (possibly emitting :class:`BurstDiscarded` and
+    :class:`BurstReceived` from the same call when the newcomer is a
+    single-fragment burst). Sequence numbers compare in RFC
     1982 serial order, so 0 follows 2**32 - 1; a burst exactly 2**31 ahead
     counts as older.
 
@@ -208,6 +233,7 @@ class BurstReassembler:
         self._received = 0
         self._failed = 0
         self._fragments = 0
+        self._duplicates = 0
         self._bytes = 0
 
     @property
@@ -217,6 +243,7 @@ class BurstReassembler:
             bursts_received=self._received,
             bursts_failed=self._failed,
             fragments_received=self._fragments,
+            fragments_duplicate=self._duplicates,
             bytes_received=self._bytes,
         )
 
@@ -256,7 +283,8 @@ class BurstReassembler:
 
         seen = self._seen
         if header.frag_index in seen:
-            return events  # duplicate; burst outcome unchanged
+            self._duplicates += 1
+            return events  # burst outcome unchanged
         seen.add(header.frag_index)
         self._payload += payload_len
         if len(seen) == first.frag_count:
@@ -289,4 +317,5 @@ __all__ = [
     "encode_header",
     "fragment_burst",
     "fragment_layout",
+    "pack_burst",
 ]
