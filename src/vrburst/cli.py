@@ -367,15 +367,16 @@ def _gro_segments(data: bytes, ancdata, flags: int) -> list | None:
 
     A read that carries a ``UDP_GRO`` control message is cut at the segment
     size it gives, the last datagram being the shorter one; any other read is
-    one datagram. Returns None for a read the kernel truncated
-    (``MSG_TRUNC``), whose cut points are unknown.
+    one datagram. Returns None for a read whose data or control messages the
+    kernel truncated (``MSG_TRUNC``, ``MSG_CTRUNC``): its cut points are
+    unknown.
     """
-    if flags & socket.MSG_TRUNC:
+    if flags & (socket.MSG_TRUNC | socket.MSG_CTRUNC):
         return None
     step = len(data) or 1
     for level, kind, cdata in ancdata:
-        if level == socket.IPPROTO_UDP and kind == _UDP_GRO and len(cdata) >= 4:
-            step = int.from_bytes(cdata[:4], sys.byteorder) or step
+        if level == socket.IPPROTO_UDP and kind == _UDP_GRO:
+            step = int.from_bytes(cdata, sys.byteorder)
     view = memoryview(data)
     return [view[start:start + step] for start in range(0, len(data) or 1, step)]
 
