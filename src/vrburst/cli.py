@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .fit import fit_vr_model, group_traces
+from .fit import EmMonotonicityError, fit_vr_model, group_traces
 from .generator import (
     NS_PER_S,
     GeneratorConfig,
@@ -209,12 +209,16 @@ def cmd_stats(args) -> int:
 
 def cmd_fit(args) -> int:
     groups = group_traces(load_trace(path) for path in args.traces)
-    report = fit_vr_model(
-        groups,
-        em_restarts=args.em_restarts,
-        seed=args.seed,
-        weighting="uniform" if args.uniform_weights else "rank",
-    )
+    try:
+        report = fit_vr_model(
+            groups,
+            em_restarts=args.em_restarts,
+            seed=args.seed,
+            weighting="uniform" if args.uniform_weights else "rank",
+        )
+    except EmMonotonicityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     if args.report:
         report.save_json(args.report)
     for group in report.groups:

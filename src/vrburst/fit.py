@@ -8,15 +8,18 @@ frame size, power-law fits of the component standard deviations, and the
 mean of (IFI std * fps) for the inverse-law coefficient. The pooled result
 is a :class:`~vrburst.model.VrModelConstants` ready for the generators.
 
-The mixture fit runs every restart at once, as rows of (rows, n) arrays on
-the standardised samples u = (x - mean) / std, so an M step needs only the
-sums of r, r*u and r*u**2 over the responsibilities r. Each row is
-accelerated by SQUAREM (Varadhan & Roland, 2008, Scand. J. Stat.): two EM
+The mixture fits of all groups run as one loop over rows, one row per
+restart, each on its group's standardised samples u = (x - mean) / std, so
+an M step needs only the sums of r, r*u and r*u**2 over the
+responsibilities r. The E step runs per group in chunks of rows and reduces
+each row on its own, so a row's bits depend neither on the rows sharing its
+call nor on BLAS: a group fitted alone gives the bits it gets among others.
+Each row runs SQUAREM (Varadhan & Roland, 2008, Scand. J. Stat.): two EM
 steps, one extrapolation with a capped step length, and a fall-back to the
 plain double EM step when the extrapolated point is invalid or scores below
-the first EM step. A restart converges when one accepted cycle raises the
-mean log-likelihood per sample by less than ``tol``. The result lists every
-restart's E steps, log-likelihood and convergence.
+the first EM step, until one accepted cycle raises the mean log-likelihood
+per sample by less than ``tol``. The result lists every restart's E steps,
+log-likelihood and convergence.
 
 Sample standard deviations use the n-1 denominator throughout.
 """
@@ -27,6 +30,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,9 +41,9 @@ from .rv import Gmm2Params, LogisticParams, RngStream
 _LOG_2PI = math.log(2.0 * math.pi)
 # relative slack when checking that EM never decreases the log-likelihood
 _MONOTONE_SLACK = 1e-8
-# restarts run in blocks of rows holding at most this many samples in all,
-# which bounds each (rows, n) temporary at 8 * _BLOCK_SAMPLES bytes
-_BLOCK_SAMPLES = 1 << 18
+# E steps run in chunks of rows of at most this many samples (at least one
+# row), in one scratch buffer of 8 * max(_CHUNK_SAMPLES, n) bytes at most
+_CHUNK_SAMPLES = 1 << 15
 # sigmas never fall below this, in units of the sample std
 _SIGMA_FLOOR = 1e-6
 # a component whose responsibilities sum below this has lost all its samples
@@ -48,6 +52,10 @@ _MIN_RESPONSIBILITY = 1e-12
 _STEP_FACTOR = 4.0
 # responsibility log-odds are clipped here so exp(-d) stays finite
 _MIN_LOG_ODDS = -700.0
+
+
+class EmMonotonicityError(RuntimeError):
+    """An EM step lowered the log-likelihood, which only rounding can do."""
 
 
 def fit_logistic(samples) -> LogisticParams:
@@ -83,48 +91,107 @@ class Gmm2Fit:
     restarts: tuple[EmRestart, ...]
 
 
-# Parameters of a block of restarts travel as a (5, rows) array with rows
+class _Mixture(NamedTuple):
+    """One group's mixture-fit input; ``name`` names it in errors."""
+
+    name: str
+    basis: np.ndarray  # (3, n) rows 1, u and u**2 of u = (x - mean) / std
+    starts: np.ndarray  # (restarts, 2) initial means, in units of u
+    mean: float
+    std: float
+
+
+def _standardise(samples, restarts, rng, name="") -> _Mixture:
+    """Standardise ``samples``; each restart's means are two distinct uniformly chosen samples."""
+    if restarts < 1:
+        raise ValueError(f"mixture fit needs at least 1 restart, got {restarts}")
+    x = np.asarray(samples, dtype=float)
+    n = x.size
+    if n < 10:
+        raise ValueError(f"mixture fit needs at least 10 samples, got {n}")
+    sample_mean = float(x.mean())
+    sample_std = float(x.std(ddof=1))
+    if sample_std == 0.0:
+        raise ValueError("mixture fit is degenerate: all samples are equal")
+    u = (x - sample_mean) / sample_std
+    starts = np.empty((restarts, 2))
+    for k in range(restarts):
+        i = int(rng.uniform() * n)
+        j = int(rng.uniform() * n)
+        while j == i:
+            j = int(rng.uniform() * n)
+        starts[k] = u[i], u[j]
+    return _Mixture(name, np.stack([np.ones(n), u, u * u]), starts, sample_mean, sample_std)
+
+
+# Parameters of a set of rows travel as a (5, rows) array with rows
 # w0, mu0, mu1, sigma0, sigma1 (component 1 has weight 1 - w0), in units of
 # the standardised samples.
 
 
-def _e_step(u, u2, theta):
-    """E step per row: log-likelihood and component-0 sufficient statistics.
+class _Rows:
+    """Every restart of every mixture as one row, in mixture order."""
 
-    Returns ``ll`` and ``stats = (sum r0, sum r0*u, sum r0*u**2)``, each of
-    shape (rows,). With a and b the log of each component's weighted density
-    at a sample and d = a - b, the responsibility is r0 = 1 / (1 + exp(-d))
-    and the sample adds b + d + log1p(exp(-d)) = logaddexp(a, b) to ``ll``.
-    """
-    w0, mu0, mu1, sigma0, sigma1 = theta
-    log_w0, log_w1 = np.log(w0), np.log1p(-w0)
-    half = math.sqrt(0.5)
-    z0 = np.subtract(u, mu0[:, None])
-    z0 *= (half / sigma0)[:, None]
-    np.square(z0, out=z0)  # (u - mu0)**2 / (2 sigma0**2)
-    z1 = np.subtract(u, mu1[:, None])
-    z1 *= (half / sigma1)[:, None]
-    np.square(z1, out=z1)
-    ll = u.size * (log_w1 - np.log(sigma1) - 0.5 * _LOG_2PI) - z1.sum(axis=1)
-    d = np.subtract(z1, z0, out=z1)
-    d += (log_w0 - np.log(sigma0) - log_w1 + np.log(sigma1))[:, None]
-    np.maximum(d, _MIN_LOG_ODDS, out=d)
-    ll += d.sum(axis=1)
-    e = np.negative(d, out=z0)
-    np.exp(e, out=e)
-    ll += np.log1p(e, out=d).sum(axis=1)
-    e += 1.0
-    r0 = np.reciprocal(e, out=e)
-    return ll, np.stack([r0.sum(axis=1), r0 @ u, r0 @ u2])
+    def __init__(self, mixtures):
+        self.mixtures = mixtures
+        counts = [len(m.starts) for m in mixtures]
+        self.bounds = np.cumsum([0, *counts])
+        sizes = [m.basis.shape[1] for m in mixtures]
+        self.n = np.repeat(np.array(sizes, dtype=float), counts)
+        self.totals = np.repeat([m.basis[1:].sum(axis=1) for m in mixtures], counts, axis=0).T
+        self.chunks = [max(1, _CHUNK_SAMPLES // size) for size in sizes]
+        self.scratch = np.empty(max(min(c, k) * s for c, k, s in zip(counts, self.chunks, sizes)))
 
+    def e_step(self, theta, rows, mask):
+        """Log-likelihood (m,) and ``(sum r0, sum r0*u, sum r0*u**2)`` (3, m) per row.
 
-def _e_step_rows(u, u2, theta, rows):
-    """``_e_step`` on the selected rows; the others get ll = -inf and zero stats."""
-    ll = np.full(rows.size, -np.inf)
-    stats = np.zeros((3, rows.size))
-    if rows.any():
-        ll[rows], stats[:, rows] = _e_step(u, u2, theta[:, rows])
-    return ll, stats
+        ``theta`` (5, m) holds the params of the sorted ``rows``; rows outside
+        ``mask`` get -inf and zeros. With a and b the log of each component's
+        weighted density at a sample, -d = b - a is quadratic in u, r0 =
+        1 / (1 + e) with e = exp(-d), and the sample adds b + d + log(e + 1);
+        the sum of b comes from the totals of u and u**2. Each sum is per row.
+        """
+        ll, stats = np.full(mask.size, -np.inf), np.zeros((3, mask.size))
+        if not mask.any():
+            return ll, stats
+        rows = rows[mask]
+        w0, mu0, mu1, sigma0, sigma1 = theta[:, mask]
+        n, (t1, t2) = self.n[rows], self.totals[:, rows]
+        log_w0, log_w1 = np.log(w0), np.log1p(-w0)
+        h0, h1 = 0.5 / (sigma0 * sigma0), 0.5 / (sigma1 * sigma1)
+        a0, a1 = mu0 * h0, mu1 * h1
+        c0 = mu0 * a0 - mu1 * a1 + (log_w1 - log_w0) + np.log(sigma0 / sigma1)
+        coeffs = np.array([c0, 2.0 * (a1 - a0), h0 - h1])  # -d = c0 + c1 u + c2 u**2
+        ll_rows = n * (log_w1 - np.log(sigma1) - 0.5 * _LOG_2PI)
+        ll_rows -= h1 * (t2 - mu1 * (2.0 * t1 - n * mu1))  # the sum of b needs no pass
+        stats_rows = np.empty((3, rows.size))
+        edges = np.searchsorted(rows, self.bounds)
+        for mixture, chunk, lo, hi in zip(self.mixtures, self.chunks, edges, edges[1:]):
+            size = mixture.basis.shape[1]
+            for i in range(lo, hi, chunk):
+                j = min(i + chunk, hi)
+                nd = self.scratch[: (j - i) * size].reshape(j - i, size)
+                np.einsum("kr,kn->rn", coeffs[:, i:j], mixture.basis, out=nd)
+                np.minimum(nd, -_MIN_LOG_ODDS, out=nd)
+                ll_rows[i:j] -= nd.sum(axis=1)
+                e = np.exp(nd, out=nd)
+                e += 1.0
+                r0 = np.reciprocal(e, out=e)
+                stats_rows[:, i:j] = np.einsum("rn,kn->kr", r0, mixture.basis)
+                ll_rows[i:j] -= np.log(r0, out=r0).sum(axis=1)  # log(e + 1) = -log(r0)
+        ll[mask], stats[:, mask] = ll_rows, stats_rows
+        return ll, stats
+
+    def check_monotone(self, rows, ll_before, ll_after):
+        # written so that a nan log-likelihood fails too
+        bad = ~(ll_after >= ll_before - _MONOTONE_SLACK * np.maximum(1.0, np.abs(ll_before)))
+        if bad.any():
+            k = int(np.argmax(bad))
+            name = self.mixtures[int(np.searchsorted(self.bounds, rows[k], side="right")) - 1].name
+            raise EmMonotonicityError(
+                f"EM log-likelihood{f' of the {name} group' if name else ''} decreased "
+                f"({ll_before[k]} -> {ll_after[k]}); this indicates a numerical defect"
+            )
 
 
 def _m_step(stats, n, totals):
@@ -171,19 +238,8 @@ def _squarem_step(theta0, theta1, theta2, step_max):
     return np.vstack([w0, q[1:3], sigmas]), further, step >= step_max
 
 
-def _check_monotone(ll_before, ll_after):
-    # written so that a nan log-likelihood fails too
-    bad = ~(ll_after >= ll_before - _MONOTONE_SLACK * np.maximum(1.0, np.abs(ll_before)))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise RuntimeError(
-            f"EM log-likelihood decreased ({ll_before[k]} -> {ll_after[k]}); "
-            "this indicates a numerical defect"
-        )
-
-
-def _fit_block(u, u2, totals, starts, max_iter, tol):
-    """SQUAREM-accelerated EM for each row of ``starts`` (initial means).
+def _fit_rows(rows, max_iter, tol):
+    """SQUAREM-accelerated EM for every row of ``rows``, from its initial means.
 
     One cycle takes two EM maps theta0 -> theta1 -> theta2 and extrapolates.
     The extrapolated point is kept when it is valid and its log-likelihood
@@ -191,30 +247,31 @@ def _fit_block(u, u2, totals, starts, max_iter, tol):
     row stops when a cycle raises the mean log-likelihood by less than
     ``tol`` (converged), when a component loses all responsibility (the row
     keeps its last params), or when another cycle could exceed ``max_iter``
-    E steps. Returns the final (5, rows) params, log-likelihoods, E-step
-    counts and convergence flags.
+    E steps. The loop runs while any row of any mixture is live. Returns the
+    final (5, rows) params, log-likelihoods, E-step counts and convergence.
     """
-    n = u.size
-    rows = len(starts)
-    theta = np.vstack([np.full(rows, 0.5), starts.T, np.ones((2, rows))])
-    ll, stats = _e_step(u, u2, theta)
-    iterations = np.ones(rows, dtype=np.int64)
-    converged = np.zeros(rows, dtype=bool)
-    step_max = np.ones(rows)
+    starts = np.concatenate([m.starts for m in rows.mixtures])
+    count = len(starts)
+    theta = np.vstack([np.full(count, 0.5), starts.T, np.ones((2, count))])
+    ll, stats = rows.e_step(theta, np.arange(count), np.ones(count, dtype=bool))
+    iterations = np.ones(count, dtype=np.int64)
+    converged = np.zeros(count, dtype=bool)
+    step_max = np.ones(count)
     live = np.flatnonzero(iterations + 2 <= max_iter)
     while live.size:
         theta0, ll0, stats0 = theta[:, live], ll[live], stats[:, live]
+        n, totals = rows.n[live], rows.totals[:, live]
 
         theta1 = _m_step(stats0, n, totals)
         ok1 = _valid(theta1)
-        ll1, stats1 = _e_step_rows(u, u2, theta1, ok1)
-        _check_monotone(ll0[ok1], ll1[ok1])
+        ll1, stats1 = rows.e_step(theta1, live, ok1)
+        rows.check_monotone(live[ok1], ll0[ok1], ll1[ok1])
 
         theta2 = _m_step(stats1, n, totals)
         ok2 = ok1 & _valid(theta2)
         theta_x, further, capped = _squarem_step(theta0, theta1, theta2, step_max[live])
         tried = ok2 & further & _valid(theta_x) & (iterations[live] + 3 <= max_iter)
-        ll_x, stats_x = _e_step_rows(u, u2, theta_x, tried)
+        ll_x, stats_x = rows.e_step(theta_x, live, tried)
         accepted = tried & (ll_x >= ll1)
         # the cap grows while capped steps succeed and shrinks when one fails
         cap = step_max[live]
@@ -222,8 +279,8 @@ def _fit_block(u, u2, totals, starts, max_iter, tol):
         step_max[live] = np.where(capped, np.where(tried & ~accepted, shrunk, cap * _STEP_FACTOR), cap)
 
         fallback = ok2 & ~accepted
-        ll2, stats2 = _e_step_rows(u, u2, theta2, fallback)
-        _check_monotone(ll1[fallback], ll2[fallback])
+        ll2, stats2 = rows.e_step(theta2, live, fallback)
+        rows.check_monotone(live[fallback], ll1[fallback], ll2[fallback])
 
         def pick(new_x, new_2, new_1, old):
             # a failed M step leaves the row at the last params it evaluated
@@ -239,6 +296,26 @@ def _fit_block(u, u2, totals, starts, max_iter, tol):
     return theta, ll, iterations, converged
 
 
+def _fit_mixtures(mixtures, max_iter, tol) -> list[Gmm2Fit]:
+    """Fit every mixture in one loop; each keeps its best restart (ties keep the earliest)."""
+    rows = _Rows(mixtures)
+    theta, ll_u, iterations, converged = _fit_rows(rows, max_iter, tol)
+    fits = []
+    for m, start, stop in zip(mixtures, rows.bounds, rows.bounds[1:]):
+        ll = ll_u[start:stop] - m.basis.shape[1] * math.log(m.std)  # back to the density of x in bytes
+        its, oks = iterations[start:stop].tolist(), converged[start:stop].tolist()
+        summary = tuple(map(EmRestart, its, ll.tolist(), oks))
+        best = int(np.argmax(ll))  # first maximum: ties keep the earliest restart
+        w0, mu0, mu1, sigma0, sigma1 = theta[:, start + best]
+        a = (w0, m.mean + m.std * mu0, m.std * sigma0)
+        b = (1.0 - w0, m.mean + m.std * mu1, m.std * sigma1)
+        (w_hi, mu_hi, sigma_hi), (_, mu_lo, sigma_lo) = (a, b) if a[1] >= b[1] else (b, a)
+        params = Gmm2Params(*map(float, (w_hi, mu_hi, sigma_hi, mu_lo, sigma_lo)))
+        top = summary[best]
+        fits.append(Gmm2Fit(params, top.log_likelihood, top.iterations, top.converged, summary))
+    return fits
+
+
 def fit_gmm2_em(
     samples,
     restarts: int = 50,
@@ -249,71 +326,17 @@ def fit_gmm2_em(
     """EM fit of a 2-component univariate Gaussian mixture.
 
     Each restart initializes the means from two distinct uniformly chosen
-    samples, both sigmas from the sample std and equal weights. All restarts
-    run together as rows of (rows, n) arrays on the standardised samples
-    ``u = (x - mean) / std``, each accelerated by SQUAREM (see
-    ``_fit_block``). A restart converges when one accepted cycle raises the
-    mean log-likelihood per sample by less than ``tol`` nats; ``max_iter``
-    caps its E steps. Sigmas are floored at 1e-6 of the sample std to
-    prevent collapse. The restart with the highest log-likelihood wins; ties
-    keep the earliest.
+    samples, both sigmas from the sample std and equal weights, and runs
+    SQUAREM-accelerated EM. This is the one-group case of the loop that
+    :func:`fit_vr_model` runs over all groups, with the same bits. A restart
+    converges when one accepted cycle raises the mean log-likelihood per
+    sample by less than ``tol`` nats; ``max_iter`` caps its E steps. Sigmas
+    are floored at 1e-6 of the sample std. The restart with the highest
+    log-likelihood wins; ties keep the earliest. Raises
+    :class:`EmMonotonicityError` when rounding lowers the log-likelihood.
     """
-    if restarts < 1:
-        raise ValueError(f"mixture fit needs at least 1 restart, got {restarts}")
-    if rng is None:
-        rng = RngStream(0)
-    x = np.asarray(samples, dtype=float)
-    n = x.size
-    if n < 10:
-        raise ValueError(f"mixture fit needs at least 10 samples, got {n}")
-    sample_mean = float(x.mean())
-    sample_std = float(x.std(ddof=1))
-    if sample_std == 0.0:
-        raise ValueError("mixture fit is degenerate: all samples are equal")
-    u = (x - sample_mean) / sample_std
-    u2 = u * u
-    totals = (float(u.sum()), float(u2.sum()))
-
-    starts = np.empty((restarts, 2))
-    for k in range(restarts):
-        i = int(rng.uniform() * n)
-        j = int(rng.uniform() * n)
-        while j == i:
-            j = int(rng.uniform() * n)
-        starts[k] = u[i], u[j]
-
-    rows = max(1, _BLOCK_SAMPLES // n)
-    blocks = [
-        _fit_block(u, u2, totals, starts[lo : lo + rows], max_iter, tol)
-        for lo in range(0, restarts, rows)
-    ]
-    theta, ll_u, iterations, converged = (np.concatenate(part, axis=-1) for part in zip(*blocks))
-    ll = ll_u - n * math.log(sample_std)  # back to the density of x in bytes
-    summary = tuple(
-        EmRestart(int(it), float(value), bool(ok))
-        for it, value, ok in zip(iterations, ll, converged)
-    )
-    best = int(np.argmax(ll))  # first maximum: ties keep the earliest restart
-
-    w0, mu0, mu1, sigma0, sigma1 = theta[:, best]
-    w = (w0, 1.0 - w0)
-    mu = (sample_mean + sample_std * mu0, sample_mean + sample_std * mu1)
-    sigma = (sample_std * sigma0, sample_std * sigma1)
-    hi, lo = (0, 1) if mu[0] >= mu[1] else (1, 0)
-    params = Gmm2Params(
-        w_hi=float(w[hi]),
-        mu_hi=float(mu[hi]),
-        sigma_hi=float(sigma[hi]),
-        mu_lo=float(mu[lo]),
-        sigma_lo=float(sigma[lo]),
-    )
-    return Gmm2Fit(
-        params=params,
-        log_likelihood=summary[best].log_likelihood,
-        n_iterations=summary[best].iterations,
-        converged=summary[best].converged,
-        restarts=summary,
-    )
+    mixture = _standardise(samples, restarts, RngStream(0) if rng is None else rng)
+    return _fit_mixtures([mixture], max_iter, tol)[0]
 
 
 def fit_linear_through_origin(points, weights=None) -> float:
@@ -474,37 +497,33 @@ def fit_vr_model(
     """Fit the full model across (rate, fps) groups.
 
     ``groups`` maps (target rate in bit/s, frame rate) to the group's trace.
-    Regressions run against each group's *empirical* mean frame size, and the
-    linear/power-law fits weigh groups by mixture-fit goodness (see
-    ``weighting``: 'rank' or 'uniform').
+    All groups' mixtures are fitted in one loop, each as :func:`fit_gmm2_em`
+    fits it alone. Regressions run against each group's *empirical* mean
+    frame size, and the linear/power-law fits weigh groups by mixture-fit
+    goodness (see ``weighting``: 'rank' or 'uniform').
     """
     if len(groups) < 2:
         raise ValueError(f"model fit needs at least 2 (rate, fps) groups, got {len(groups)}")
 
+    keys = sorted(groups)
+    mixtures = [
+        _standardise(groups[rate, fps].records[:, 0], em_restarts, RngStream(seed, index),
+                     f"{rate / 1e6:g} Mbit/s, {fps:g} FPS")
+        for index, (rate, fps) in enumerate(keys)
+    ]  # fmt: skip
     fits: list[GroupFit] = []
-    for index, key in enumerate(sorted(groups)):
-        rate_bps, fps = key
-        trace = groups[key]
-        sizes = trace.records[:, 0].astype(float)
-        ifis = trace.records[:, 1].astype(float) * 1e-9
-        gmm = fit_gmm2_em(
-            sizes,
-            restarts=em_restarts,
-            max_iter=em_max_iter,
-            tol=em_tol,
-            rng=RngStream(seed, index),
-        )
-        ifi = fit_logistic(ifis)
+    for (rate_bps, fps), m, gmm in zip(keys, mixtures, _fit_mixtures(mixtures, em_max_iter, em_tol)):
+        ifi = fit_logistic(groups[rate_bps, fps].records[:, 1].astype(float) * 1e-9)
         fits.append(
             GroupFit(
                 rate_bps=rate_bps,
                 fps=fps,
-                n_frames=len(sizes),
-                mean_frame_size=float(sizes.mean()),
+                n_frames=m.basis.shape[1],
+                mean_frame_size=m.mean,
                 gmm=gmm,
                 ifi=ifi,
                 ifi_std_coeff=ifi.std * fps,
-                mean_log_likelihood=gmm.log_likelihood / len(sizes),
+                mean_log_likelihood=gmm.log_likelihood / m.basis.shape[1],
             )
         )
 
@@ -555,6 +574,7 @@ def fit_vr_model(
 
 
 __all__ = [
+    "EmMonotonicityError",
     "EmRestart",
     "FitReport",
     "Gmm2Fit",

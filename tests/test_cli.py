@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import socket
 import subprocess
 import sys
@@ -9,7 +11,6 @@ import numpy as np
 import pytest
 
 import vrburst.cli
-import vrburst.fit
 from vrburst.cli import _open_receive_socket, build_parser, main, receive_bursts, send_bursts
 from vrburst.generator import BurstDescriptor, SimpleBurstGenerator, load_trace, save_trace
 from vrburst.model import VrModelConstants
@@ -286,12 +287,12 @@ class TestFitCommand:
                   "--duration-s", "20", "--seed", str(rate), "--out", str(path)])
             traces.append(str(path))
         capsys.readouterr()
-        fit_gmm2_em = vrburst.fit.fit_gmm2_em
+        fit_vr_model = vrburst.cli.fit_vr_model
 
-        def starved(samples, **kwargs):
-            return fit_gmm2_em(samples, **{**kwargs, "max_iter": 3})
+        def starved(groups, **kwargs):
+            return fit_vr_model(groups, **kwargs, em_max_iter=3)
 
-        monkeypatch.setattr(vrburst.fit, "fit_gmm2_em", starved)
+        monkeypatch.setattr(vrburst.cli, "fit_vr_model", starved)
         report_path = tmp_path / "report.json"
         code, _, err = run(capsys, "fit", *traces, "--report", str(report_path),
                            "--em-restarts", "2")
@@ -302,13 +303,12 @@ class TestFitCommand:
         assert len(warnings) == 2
         assert "10 Mbit/s, 60 FPS" in warnings[0] and "50 Mbit/s, 60 FPS" in warnings[1]
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeError,
-                       reason="E step loses ~1 nat to rounding once a sigma sits on its floor")
-    def test_point_mass_groups_fit_without_a_monotonicity_crash(self, tmp_path):
+    @staticmethod
+    def point_mass_traces(tmp_path):
         # A fifth of each group's frames share one size, so one component
         # collapses onto it and its sigma sits on the 1e-6 floor. The E step
-        # then adds two terms of about 5e15 whose ulp is about one nat, and
-        # the likelihood seems to fall, which _check_monotone raises on.
+        # then adds terms of about 5e15 whose ulp is about one nat, and the
+        # likelihood seems to fall, which the monotonicity check raises on.
         paths = []
         for rate, seed in [(10, 0), (30, 1000)]:
             mean = rate * 1e6 / 60 / 8
@@ -317,7 +317,26 @@ class TestFitCommand:
             paths.append(str(tmp_path / f"r{rate}.csv"))
             save_trace(paths[-1], np.column_stack((sizes, np.full(3000, 16_666_667))),
                        {"target_rate_mbps": rate, "fps": 60})
+        return paths
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="E step loses ~1 nat to rounding once a sigma sits on its floor")
+    def test_point_mass_groups_fit_without_a_monotonicity_crash(self, tmp_path):
+        paths = self.point_mass_traces(tmp_path)
         assert main(["fit", *paths, "--em-restarts", "8", "--out", str(tmp_path / "k.json")]) == 0
+
+    def test_monotonicity_failure_is_one_error_line(self, tmp_path):
+        paths = self.point_mass_traces(tmp_path)
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "vrburst.cli", "fit", *paths, "--em-restarts", "8",
+             "--out", str(tmp_path / "k.json")],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+        )  # fmt: skip
+        assert done.returncode == 3
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == [done.stderr.strip()]
+        assert re.match(r"error: EM log-likelihood of the \d+ Mbit/s, 60 FPS group decreased", done.stderr)
 
     def test_single_group_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "one.csv"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import vrburst.fit
 from vrburst.fit import (
     fit_gmm2_em,
     fit_linear_through_origin,
@@ -253,6 +254,51 @@ class TestFitVrModel:
             "pframe_std_exp",
         }
         assert len(data["groups"]) == 2
+
+
+class TestBatchInvariance:
+    """A restart's bits do not depend on which rows share its E step."""
+
+    @staticmethod
+    def rows_and_params(restarts):
+        # an odd sample count puts the rows of a chunk at every alignment
+        sizes = synthesize_group(30, 60, 2_995, 5).records[:, 0]
+        rows = vrburst.fit._Rows([vrburst.fit._standardise(sizes, restarts, RngStream(80))])
+        rng = np.random.default_rng(81)
+        theta = np.vstack([
+            rng.uniform(0.05, 0.95, restarts),
+            rng.normal(0.0, 1.0, (2, restarts)),
+            rng.uniform(0.05, 2.0, (2, restarts)),
+        ])  # fmt: skip
+        return rows, theta
+
+    def test_e_step_of_a_row_alone_equals_it_in_any_batch(self):
+        rows, theta = self.rows_and_params(50)
+        alone = [rows.e_step(theta[:, [r]], np.array([r]), np.ones(1, dtype=bool)) for r in range(50)]
+        for batch in (1, 2, 3, 8, 50):
+            for lo in range(0, 50, batch):
+                index = np.arange(lo, min(lo + batch, 50))
+                ll, stats = rows.e_step(theta[:, index], index, np.ones(index.size, dtype=bool))
+                for k, r in enumerate(index):
+                    assert ll[k] == alone[r][0][0], (batch, r)
+                    assert np.array_equal(stats[:, k], alone[r][1][:, 0]), (batch, r)
+
+    def test_group_in_fit_vr_model_equals_the_group_alone(self):
+        groups = {
+            (rate * 1e6, 60.0): synthesize_group(rate, 60, 1_500 + 7 * rate, rate + 40)
+            for rate in (10, 30, 50)
+        }
+        report = fit_vr_model(groups, em_restarts=5, seed=9)
+        for index, (key, group) in enumerate(zip(sorted(groups), report.groups)):
+            sizes = groups[key].records[:, 0].astype(float)
+            assert group.gmm == fit_gmm2_em(sizes, restarts=5, rng=RngStream(9, index))
+
+    @pytest.mark.parametrize("chunk_samples", [1, 7_000])
+    def test_chunk_size_changes_no_bits(self, monkeypatch, chunk_samples):
+        sizes = synthesize_group(20, 30, 2_995, 6).records[:, 0].astype(float)
+        default = fit_gmm2_em(sizes, restarts=12, rng=RngStream(82))
+        monkeypatch.setattr(vrburst.fit, "_CHUNK_SAMPLES", chunk_samples)
+        assert fit_gmm2_em(sizes, restarts=12, rng=RngStream(82)) == default
 
 
 class TestGroupTraces:
