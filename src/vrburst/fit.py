@@ -17,9 +17,13 @@ call nor on BLAS: a group fitted alone gives the bits it gets among others.
 Each row runs SQUAREM (Varadhan & Roland, 2008, Scand. J. Stat.): two EM
 steps, one extrapolation with a capped step length, and a fall-back to the
 plain double EM step when the extrapolated point is invalid or scores below
-the first EM step, until one accepted cycle raises the mean log-likelihood
-per sample by less than ``tol``. The result lists every restart's E steps,
-log-likelihood and convergence.
+the first EM step. SQUAREM converges linearly, so once a cycle gains less
+than ``_SWITCH`` nats per sample the row finishes with safeguarded full
+Newton steps (the hybrid of Aitkin & Aitkin, 1996, Stat. Comput.), whose
+Hessian needs the E step's sums of r0*r1*u**k for k = 0..4 as well. A row
+converges when a Newton step predicts a gain below ``tol`` per sample (or a
+SQUAREM cycle gains less than that). The result lists every restart's E
+steps, log-likelihood and convergence.
 
 Sample standard deviations use the n-1 denominator throughout.
 """
@@ -42,16 +46,20 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # relative slack when checking that EM never decreases the log-likelihood
 _MONOTONE_SLACK = 1e-8
 # E steps run in chunks of rows of at most this many samples (at least one
-# row), in one scratch buffer of 8 * max(_CHUNK_SAMPLES, n) bytes at most
+# row), in two scratch buffers of 8 * max(_CHUNK_SAMPLES, n) bytes at most
 _CHUNK_SAMPLES = 1 << 15
 # sigmas never fall below this, in units of the sample std
 _SIGMA_FLOOR = 1e-6
 # a component whose responsibilities sum below this has lost all its samples
 _MIN_RESPONSIBILITY = 1e-12
-# factor by which the SQUAREM step-length cap grows or shrinks
+# factor by which the SQUAREM step-length cap grows or shrinks, and by which
+# a Newton step that scored lower shrinks the gain the next one may predict
 _STEP_FACTOR = 4.0
 # responsibility log-odds are clipped here so exp(-d) stays finite
 _MIN_LOG_ODDS = -700.0
+# a row switches from SQUAREM to Newton steps once a cycle gains less than
+# this many nats per sample
+_SWITCH = 1e-4
 
 
 class EmMonotonicityError(RuntimeError):
@@ -140,20 +148,22 @@ class _Rows:
         self.n = np.repeat(np.array(sizes, dtype=float), counts)
         self.totals = np.repeat([m.basis[1:].sum(axis=1) for m in mixtures], counts, axis=0).T
         self.chunks = [max(1, _CHUNK_SAMPLES // size) for size in sizes]
-        self.scratch = np.empty(max(min(c, k) * s for c, k, s in zip(counts, self.chunks, sizes)))
+        self.scratch = np.empty((2, max(min(c, k) * s for c, k, s in zip(counts, self.chunks, sizes))))
 
     def e_step(self, theta, rows, mask):
-        """Log-likelihood (m,) and ``(sum r0, sum r0*u, sum r0*u**2)`` (3, m) per row.
+        """Per row: log-likelihood (m,), ``(sum r0, sum r0*u, sum r0*u**2)`` (3, m)
+        and the curvature sums ``sum r0*r1*u**k`` for k = 0..4 (5, m).
 
         ``theta`` (5, m) holds the params of the sorted ``rows``; rows outside
         ``mask`` get -inf and zeros. With a and b the log of each component's
         weighted density at a sample, -d = b - a is quadratic in u, r0 =
-        1 / (1 + e) with e = exp(-d), and the sample adds b + d + log(e + 1);
-        the sum of b comes from the totals of u and u**2. Each sum is per row.
+        1 / (1 + e) and r1 = e * r0 with e = exp(-d), and the sample adds
+        b + d + log(e + 1); the sum of b comes from the totals of u and u**2.
+        Each sum is per row.
         """
-        ll, stats = np.full(mask.size, -np.inf), np.zeros((3, mask.size))
+        ll, stats, curv = np.full(mask.size, -np.inf), np.zeros((3, mask.size)), np.zeros((5, mask.size))
         if not mask.any():
-            return ll, stats
+            return ll, stats, curv
         rows = rows[mask]
         w0, mu0, mu1, sigma0, sigma1 = theta[:, mask]
         n, (t1, t2) = self.n[rows], self.totals[:, rows]
@@ -164,23 +174,27 @@ class _Rows:
         coeffs = np.array([c0, 2.0 * (a1 - a0), h0 - h1])  # -d = c0 + c1 u + c2 u**2
         ll_rows = n * (log_w1 - np.log(sigma1) - 0.5 * _LOG_2PI)
         ll_rows -= h1 * (t2 - mu1 * (2.0 * t1 - n * mu1))  # the sum of b needs no pass
-        stats_rows = np.empty((3, rows.size))
+        stats_rows, curv_rows = np.empty((3, rows.size)), np.empty((5, rows.size))
         edges = np.searchsorted(rows, self.bounds)
         for mixture, chunk, lo, hi in zip(self.mixtures, self.chunks, edges, edges[1:]):
             size = mixture.basis.shape[1]
             for i in range(lo, hi, chunk):
                 j = min(i + chunk, hi)
-                nd = self.scratch[: (j - i) * size].reshape(j - i, size)
+                nd, r0 = (buffer[: (j - i) * size].reshape(j - i, size) for buffer in self.scratch)
                 np.einsum("kr,kn->rn", coeffs[:, i:j], mixture.basis, out=nd)
                 np.minimum(nd, -_MIN_LOG_ODDS, out=nd)
                 ll_rows[i:j] -= nd.sum(axis=1)
                 e = np.exp(nd, out=nd)
-                e += 1.0
-                r0 = np.reciprocal(e, out=e)
+                np.reciprocal(np.add(e, 1.0, out=r0), out=r0)
                 stats_rows[:, i:j] = np.einsum("rn,kn->kr", r0, mixture.basis)
+                e *= r0  # r1
+                e *= r0  # r0 * r1
+                curv_rows[:3, i:j] = np.einsum("rn,kn->kr", e, mixture.basis)
+                e *= mixture.basis[2]
+                curv_rows[3:, i:j] = np.einsum("rn,kn->kr", e, mixture.basis[1:])
                 ll_rows[i:j] -= np.log(r0, out=r0).sum(axis=1)  # log(e + 1) = -log(r0)
-        ll[mask], stats[:, mask] = ll_rows, stats_rows
-        return ll, stats
+        ll[mask], stats[:, mask], curv[:, mask] = ll_rows, stats_rows, curv_rows
+        return ll, stats, curv
 
     def check_monotone(self, rows, ll_before, ll_after):
         # written so that a nan log-likelihood fails too
@@ -214,8 +228,18 @@ def _valid(theta):
     return np.isfinite(theta).all(axis=0) & (w0 > 0.0) & (w0 < 1.0)
 
 
+def _coords(theta):
+    """Each row's (logit w0, mu0, mu1, log sigma0, log sigma1): the coordinates of SQUAREM and Newton."""
+    return np.vstack([np.log(theta[0] / (1.0 - theta[0])), theta[1:3], np.log(theta[3:])])
+
+
+def _params(q):
+    """The inverse of :func:`_coords`."""
+    return np.vstack([1.0 / (1.0 + np.exp(-q[0])), q[1:3], np.exp(q[3:])])
+
+
 def _squarem_step(theta0, theta1, theta2, step_max):
-    """SQUAREM (SqS3) extrapolation in (logit w0, mu, log sigma) coordinates.
+    """SQUAREM (SqS3) extrapolation in :func:`_coords` coordinates.
 
     The step length ||r|| / ||v|| is capped at ``step_max``. Returns the
     extrapolated parameters, the rows where the step goes past the plain
@@ -223,76 +247,143 @@ def _squarem_step(theta0, theta1, theta2, step_max):
     where the cap was hit.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q0, q1, q2 = (
-            np.vstack([np.log(t[0] / (1.0 - t[0])), t[1:3], np.log(t[3:])])
-            for t in (theta0, theta1, theta2)
-        )
+        q0, q1, q2 = map(_coords, (theta0, theta1, theta2))
         r = q1 - q0
         v = q2 - 2.0 * q1 + q0
         norm_v = np.sqrt((v * v).sum(axis=0))
         step = np.minimum(np.sqrt((r * r).sum(axis=0)) / norm_v, step_max)
-        q = q0 + 2.0 * step * r + step * step * v
-        w0 = 1.0 / (1.0 + np.exp(-q[0]))
-        sigmas = np.maximum(np.exp(q[3:]), _SIGMA_FLOOR)
+        theta = _params(q0 + 2.0 * step * r + step * step * v)
+    np.maximum(theta[3:], _SIGMA_FLOOR, out=theta[3:])
     further = (norm_v > 0.0) & (step > 1.0)
-    return np.vstack([w0, q[1:3], sigmas]), further, step >= step_max
+    return theta, further, step >= step_max
+
+
+def _gradient(theta, stats, curv, n, totals):
+    """Gradient g (5, m) and negated Hessian -H (5, 5, m) of each row's log-likelihood in :func:`_coords`.
+
+    With a and b the log weighted densities, g = sum r0 grad(a) + r1 grad(b)
+    and H = sum r0 hess(a) + r1 hess(b) + P Hankel(C0..C4) P', where the rows
+    of P hold the coefficients of 1, u and u**2 in grad(a) - grad(b).
+    """
+    w0, mu0, mu1, sigma0, sigma1 = theta
+    n0, s1, s2 = stats
+    n1, t1, t2 = n - n0, totals[0] - s1, totals[1] - s2  # the sums over r1
+    v0, v1 = 1.0 / (sigma0 * sigma0), 1.0 / (sigma1 * sigma1)
+    d0, d1 = s1 - mu0 * n0, t1 - mu1 * n1  # sums of r (u - mu)
+    q0, q1 = s2 - mu0 * (s1 + d0), t2 - mu1 * (t1 + d1)  # sums of r (u - mu)**2
+    g = np.array([n0 - n * w0, d0 * v0, d1 * v1, q0 * v0 - n0, q1 * v1 - n1])
+    zero, one = np.zeros_like(w0), np.ones_like(w0)
+    p = np.array([
+        [one, zero, zero],
+        [-mu0 * v0, v0, zero],
+        [mu1 * v1, -v1, zero],
+        [mu0 * mu0 * v0 - 1.0, -2.0 * mu0 * v0, v0],
+        [1.0 - mu1 * mu1 * v1, 2.0 * mu1 * v1, -v1],
+    ])  # fmt: skip
+    # explicit sums over the small axes keep every row's arithmetic its own
+    pc = sum(p[:, j, None] * curv[j : j + 3] for j in range(3))  # P Hankel(C)
+    a = -sum(pc[:, None, k] * p[None, :, k] for k in range(3))
+    dd0, dd1 = 2.0 * d0 * v0, 2.0 * d1 * v1
+    a[[0, 1, 2, 3, 4, 1, 3, 2, 4], [0, 1, 2, 3, 4, 3, 1, 4, 2]] += np.array(
+        [n * w0 * (1.0 - w0), n0 * v0, n1 * v1, 2.0 * q0 * v0, 2.0 * q1 * v1, dd0, dd0, dd1, dd1]
+    )
+    return g, a
+
+
+def _newton_step(theta, stats, curv, n, totals):
+    """Full Newton step of each row in :func:`_coords`, and its predicted gain g'(-H)^-1 g / 2 per sample.
+
+    The Cholesky loop runs on each row's own elements, without BLAS. The gain
+    is nan where a pivot is <= 0, or the candidate is invalid or has a sigma
+    below the floor.
+    """
+    g, a = _gradient(theta, stats, curv, n, totals)
+    positive = np.ones(n.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = g.copy()  # solves L y = g as the columns of L = chol(-H) come
+        for j in range(5):
+            positive &= a[j, j] > 0.0
+            a[j:, j] /= np.sqrt(a[j, j])
+            a[j + 1 :, j + 1 :] -= a[j + 1 :, j, None] * a[j + 1 :, j]
+            y[j] /= a[j, j]
+            y[j + 1 :] -= a[j + 1 :, j] * y[j]
+        step = y.copy()  # then L' step = y
+        for j in range(4, -1, -1):
+            step[j] /= a[j, j]
+            step[:j] -= a[j, :j] * step[j]
+        theta_n = _params(_coords(theta) + step)
+    ok = positive & _valid(theta_n) & (theta_n[3:] >= _SIGMA_FLOOR).all(axis=0)
+    return theta_n, np.where(ok, sum(y * y) / (2.0 * n), np.nan)
 
 
 def _fit_rows(rows, max_iter, tol):
-    """SQUAREM-accelerated EM for every row of ``rows``, from its initial means.
+    """SQUAREM-accelerated EM, finished by Newton steps, for every row of ``rows``.
 
-    One cycle takes two EM maps theta0 -> theta1 -> theta2 and extrapolates.
-    The extrapolated point is kept when it is valid and its log-likelihood
-    is no lower than theta1's; otherwise the cycle falls back to theta2. A
-    row stops when a cycle raises the mean log-likelihood by less than
-    ``tol`` (converged), when a component loses all responsibility (the row
-    keeps its last params), or when another cycle could exceed ``max_iter``
-    E steps. The loop runs while any row of any mixture is live. Returns the
-    final (5, rows) params, log-likelihoods, E-step counts and convergence.
+    A SQUAREM cycle keeps its extrapolated point when that is valid and
+    scores no lower than theta1, else theta2. A row in Newton mode (see the
+    module docstring) evaluates its candidate in the call of the other rows'
+    theta1; where -H is not positive definite or the candidate is invalid it
+    runs a SQUAREM cycle instead, and after a candidate that scores lower
+    its next one must predict under a quarter of that one's gain. A row
+    stops unconverged when a component loses all responsibility (keeping
+    its last params) or when another pass could exceed ``max_iter`` E steps.
+    Returns the final (5, rows) params, log-likelihoods, E-step counts and
+    convergence.
     """
     starts = np.concatenate([m.starts for m in rows.mixtures])
     count = len(starts)
     theta = np.vstack([np.full(count, 0.5), starts.T, np.ones((2, count))])
-    ll, stats = rows.e_step(theta, np.arange(count), np.ones(count, dtype=bool))
+    ll, stats, curv = rows.e_step(theta, np.arange(count), np.ones(count, dtype=bool))
     iterations = np.ones(count, dtype=np.int64)
     converged = np.zeros(count, dtype=bool)
+    trust = np.full(count, np.inf)
+    newton = np.zeros(count, dtype=bool)
     step_max = np.ones(count)
+
+    def em_map(mask):
+        """The EM map of each live row's current params, and ``mask`` where it is valid."""
+        theta_m = _m_step(stats[:, live], n, rows.totals[:, live])
+        return theta_m, mask & _valid(theta_m)
+
+    def evaluate(points, mask, em):
+        """E step of ``points`` on ``mask``; EM maps are kept, other points when they score no lower."""
+        ll_p, stats_p, curv_p = rows.e_step(points, live, mask)
+        ll_c = ll[live]
+        rows.check_monotone(live[mask & em], ll_c[mask & em], ll_p[mask & em])
+        keep = mask & (em | (ll_p >= ll_c))
+        theta[:, live] = np.where(keep, points, theta[:, live])
+        ll[live] = np.where(keep, ll_p, ll_c)
+        stats[:, live] = np.where(keep, stats_p, stats[:, live])
+        curv[:, live] = np.where(keep, curv_p, curv[:, live])
+        iterations[live] += mask
+        return keep
+
     live = np.flatnonzero(iterations + 2 <= max_iter)
     while live.size:
-        theta0, ll0, stats0 = theta[:, live], ll[live], stats[:, live]
-        n, totals = rows.n[live], rows.totals[:, live]
+        theta0, ll0, n = theta[:, live], ll[live], rows.n[live]
+        theta_n, gain = _newton_step(theta0, stats[:, live], curv[:, live], n, rows.totals[:, live])
+        newton_now = newton[live] & (gain < trust[live])  # gain is nan where no step is valid
+        last = newton_now & (gain < tol)
+        theta1, ok1 = em_map(~newton_now)
+        stepped = evaluate(np.where(newton_now, theta_n, theta1), newton_now | ok1, ~newton_now)
+        # after a Newton step that lowered the log-likelihood, the next one must predict less
+        trust[live] = np.where(newton_now & ~stepped, gain / _STEP_FACTOR, trust[live])
 
-        theta1 = _m_step(stats0, n, totals)
-        ok1 = _valid(theta1)
-        ll1, stats1 = rows.e_step(theta1, live, ok1)
-        rows.check_monotone(live[ok1], ll0[ok1], ll1[ok1])
-
-        theta2 = _m_step(stats1, n, totals)
-        ok2 = ok1 & _valid(theta2)
+        theta2, ok2 = em_map(ok1)
         theta_x, further, capped = _squarem_step(theta0, theta1, theta2, step_max[live])
-        tried = ok2 & further & _valid(theta_x) & (iterations[live] + 3 <= max_iter)
-        ll_x, stats_x = rows.e_step(theta_x, live, tried)
-        accepted = tried & (ll_x >= ll1)
+        tried = ok2 & further & _valid(theta_x) & (iterations[live] + 2 <= max_iter)
+        accepted = evaluate(theta_x, tried, False)
         # the cap grows while capped steps succeed and shrinks when one fails
         cap = step_max[live]
         shrunk = np.maximum(cap / _STEP_FACTOR, 1.0)
-        step_max[live] = np.where(capped, np.where(tried & ~accepted, shrunk, cap * _STEP_FACTOR), cap)
+        step_max[live] = np.where(capped & ok1, np.where(tried & ~accepted, shrunk, cap * _STEP_FACTOR), cap)
+        evaluate(theta2, ok2 & ~accepted, True)  # the fallback to theta2
 
-        fallback = ok2 & ~accepted
-        ll2, stats2 = rows.e_step(theta2, live, fallback)
-        rows.check_monotone(live[fallback], ll1[fallback], ll2[fallback])
-
-        def pick(new_x, new_2, new_1, old):
-            # a failed M step leaves the row at the last params it evaluated
-            return np.where(accepted, new_x, np.where(fallback, new_2, np.where(ok1, new_1, old)))
-
-        theta[:, live] = pick(theta_x, theta2, theta1, theta0)
-        ll[live] = pick(ll_x, ll2, ll1, ll0)
-        stats[:, live] = pick(stats_x, stats2, stats1, stats0)
-        iterations[live] += ok1.astype(np.int64) + tried + fallback
-        done = ok2 & ((ll[live] - ll0) / n < tol)
+        gain_cycle = (ll[live] - ll0) / n
+        done = last | ok2 & (gain_cycle < tol)
         converged[live] = done
-        live = live[ok2 & ~done & (iterations[live] + 2 <= max_iter)]
+        newton[live] = newton_now | (gain_cycle < _SWITCH)
+        live = live[(newton_now | ok2) & ~done & (iterations[live] + 2 <= max_iter)]
     return theta, ll, iterations, converged
 
 
@@ -327,12 +418,14 @@ def fit_gmm2_em(
 
     Each restart initializes the means from two distinct uniformly chosen
     samples, both sigmas from the sample std and equal weights, and runs
-    SQUAREM-accelerated EM. This is the one-group case of the loop that
+    SQUAREM-accelerated EM, finished by Newton steps once a cycle gains less
+    than 1e-4 nats per sample. This is the one-group case of the loop that
     :func:`fit_vr_model` runs over all groups, with the same bits. A restart
-    converges when one accepted cycle raises the mean log-likelihood per
-    sample by less than ``tol`` nats; ``max_iter`` caps its E steps. Sigmas
-    are floored at 1e-6 of the sample std. The restart with the highest
-    log-likelihood wins; ties keep the earliest. Raises
+    converges when a Newton step predicts a gain below ``tol`` nats per
+    sample (it still takes that step, unless it lowers the log-likelihood),
+    or when a SQUAREM cycle gains less than ``tol``; ``max_iter`` caps its E
+    steps. Sigmas are floored at 1e-6 of the sample std. The restart with
+    the highest log-likelihood wins; ties keep the earliest. Raises
     :class:`EmMonotonicityError` when rounding lowers the log-likelihood.
     """
     mixture = _standardise(samples, restarts, RngStream(0) if rng is None else rng)

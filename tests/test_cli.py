@@ -2,6 +2,7 @@ import json
 import os
 import re
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vrburst.cli
 from vrburst.cli import _open_receive_socket, build_parser, main, receive_bursts, send_bursts
@@ -245,6 +248,20 @@ class TestStats:
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "stats", str(tmp_path / "absent.csv"))
         assert code == 4
+
+    # the summary keeps the bytes of Python 3.11's correctly rounded stdev
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="stdev rounds correctly from Python 3.11")
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+    @example([7])
+    @example([1, 2])
+    @example([2**63 - 1, 2**63 - 1, 2**63 - 2])  # sums beyond int64
+    @example([-(2**63), 2**63 - 1])
+    @example([10**18, 3 * 10**18, 9 * 10**18, 2])
+    def test_summary_equals_statistics(self, values):
+        summary = vrburst.cli._summary(np.array(values, dtype=np.int64))
+        assert summary["mean"] == statistics.fmean(values)
+        assert summary["std"] == (statistics.stdev(values) if len(values) > 1 else 0.0)
 
 
 class TestFitCommand:

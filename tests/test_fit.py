@@ -256,6 +256,27 @@ class TestFitVrModel:
         assert len(data["groups"]) == 2
 
 
+class TestNewtonStep:
+    def test_gradient_and_hessian_match_central_differences(self):
+        sizes = synthesize_group(30, 60, 3_000, 7).records[:, 0]
+        rows = vrburst.fit._Rows([vrburst.fit._standardise(sizes, 1, RngStream(83))])
+        one, mask = np.array([0]), np.ones(1, dtype=bool)
+
+        def at(q):
+            theta = vrburst.fit._params(q[:, None])
+            ll, stats, curv = rows.e_step(theta, one, mask)
+            g, minus_h = vrburst.fit._gradient(theta, stats, curv, rows.n, rows.totals)
+            return ll[0], g[:, 0], -minus_h[:, :, 0]
+
+        q = vrburst.fit._coords(np.array([[0.3], [0.8], [-0.4], [0.7], [0.9]]))[:, 0]
+        _, g, h = at(q)
+        steps = 1e-5 * np.eye(5)
+        g_fd = np.array([at(q + d)[0] - at(q - d)[0] for d in steps]) / 2e-5
+        h_fd = np.array([at(q + d)[1] - at(q - d)[1] for d in steps]) / 2e-5
+        np.testing.assert_allclose(g, g_fd, rtol=1e-5, atol=1e-5 * np.abs(g).max())
+        np.testing.assert_allclose(h, h_fd, rtol=1e-5, atol=1e-5 * np.abs(h).max())
+
+
 class TestBatchInvariance:
     """A restart's bits do not depend on which rows share its E step."""
 
@@ -274,14 +295,23 @@ class TestBatchInvariance:
 
     def test_e_step_of_a_row_alone_equals_it_in_any_batch(self):
         rows, theta = self.rows_and_params(50)
-        alone = [rows.e_step(theta[:, [r]], np.array([r]), np.ones(1, dtype=bool)) for r in range(50)]
+        # every other row near a fitted optimum, where -H is positive definite
+        fitted = vrburst.fit._fit_rows(rows, 500, 1e-10)[0]
+        theta[:, 1::2] = fitted[:, 1::2] * np.random.default_rng(82).uniform(0.9, 1.1, (5, 25))
+
+        def run(index):
+            ll, stats, curv = rows.e_step(theta[:, index], index, np.ones(index.size, dtype=bool))
+            step = vrburst.fit._newton_step(theta[:, index], stats, curv, rows.n[index], rows.totals[:, index])
+            return ll, stats, curv, *step
+
+        alone = [run(np.array([r])) for r in range(50)]
+        assert any(np.isfinite(row[4][0]) for row in alone)  # some rows take a Newton step
         for batch in (1, 2, 3, 8, 50):
             for lo in range(0, 50, batch):
                 index = np.arange(lo, min(lo + batch, 50))
-                ll, stats = rows.e_step(theta[:, index], index, np.ones(index.size, dtype=bool))
-                for k, r in enumerate(index):
-                    assert ll[k] == alone[r][0][0], (batch, r)
-                    assert np.array_equal(stats[:, k], alone[r][1][:, 0]), (batch, r)
+                for got, want in zip(run(index), zip(*(alone[r] for r in index))):
+                    # bit for bit: equal bytes, nan included
+                    assert got.tobytes() == np.concatenate(want, axis=-1).tobytes(), (batch, lo)
 
     def test_group_in_fit_vr_model_equals_the_group_alone(self):
         groups = {
