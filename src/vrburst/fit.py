@@ -190,7 +190,7 @@ class _Rows:
                 e *= r0  # r1
                 e *= r0  # r0 * r1
                 curv_rows[:3, i:j] = np.einsum("rn,kn->kr", e, mixture.basis)
-                e *= mixture.basis[2]
+                e *= mixture.basis[2]  # so u**3 and u**4 need no rows of their own
                 curv_rows[3:, i:j] = np.einsum("rn,kn->kr", e, mixture.basis[1:])
                 ll_rows[i:j] -= np.log(r0, out=r0).sum(axis=1)  # log(e + 1) = -log(r0)
         ll[mask], stats[:, mask], curv[:, mask] = ll_rows, stats_rows, curv_rows
