@@ -505,6 +505,17 @@ def cmd_recv(args) -> int:
     return EXIT_OK
 
 
+def _seconds(text: str) -> float:
+    """The argparse type of ``--duration-s`` and ``--start-time``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value * NS_PER_S < math.inf:
+        raise argparse.ArgumentTypeError(f"expected seconds >= 0, finite in nanoseconds, got {text!r}")
+    return value
+
+
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", choices=("vr", "simple", "trace"), default="vr",
                         help="burst source (default: vr)")
@@ -515,7 +526,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--size-dist", help="simple model: burst size spec, e.g. constant:10000")
     parser.add_argument("--period-dist", help="simple model: period spec in seconds, e.g. constant:0.01")
     parser.add_argument("--trace", help="trace CSV path (model=trace)")
-    parser.add_argument("--start-time", type=float, default=0.0,
+    parser.add_argument("--start-time", type=_seconds, default=0.0,
                         help="trace replay start offset in seconds (default: 0)")
     parser.add_argument("--params", help="model constants JSON overriding the built-in fit")
     parser.add_argument("--seed", type=int, default=1, help="RNG seed (default: 1)")
@@ -531,14 +542,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic trace CSV")
     _add_model_flags(p)
-    p.add_argument("--duration-s", type=float, required=True, help="trace duration in seconds")
+    p.add_argument("--duration-s", type=_seconds, required=True, help="trace duration in seconds")
     p.add_argument("--out", required=True, help="output trace CSV path")
 
     p = sub.add_parser("replay", help="re-window an existing trace into a new trace CSV")
     p.add_argument("--trace", required=True, help="input trace CSV")
-    p.add_argument("--start-time", type=float, default=0.0,
+    p.add_argument("--start-time", type=_seconds, default=0.0,
                    help="skip bursts before this offset in seconds (default: 0)")
-    p.add_argument("--duration-s", type=float, default=None,
+    p.add_argument("--duration-s", type=_seconds, default=None,
                    help="cap the replay window in seconds (default: rest of the trace)")
     p.add_argument("--out", required=True, help="output trace CSV path")
 
@@ -555,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="independent per-fragment loss probability (default: 0)")
     p.add_argument("--queue-limit", type=int, default=0,
                    help="link queue limit in fragments, 0 = unbounded (default: 0)")
-    p.add_argument("--duration-s", type=float, default=10.0,
+    p.add_argument("--duration-s", type=_seconds, default=10.0,
                    help="traffic generation horizon in seconds (default: 10)")
     p.add_argument("--fragment-size", type=int, default=DEFAULT_FRAGMENT_SIZE,
                    help=f"fragment size in bytes incl. header (default: {DEFAULT_FRAGMENT_SIZE})")
@@ -580,14 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fragment-size", type=int, default=DEFAULT_FRAGMENT_SIZE,
                    help=f"fragment size in bytes incl. header (default: {DEFAULT_FRAGMENT_SIZE})")
     p.add_argument("--max-bursts", type=int, default=None, help="stop after this many bursts")
-    p.add_argument("--duration-s", type=float, default=None, help="stop after this many seconds")
+    p.add_argument("--duration-s", type=_seconds, default=None, help="stop after this many seconds")
     p.add_argument("--no-pacing", action="store_true",
                    help="ignore generator periods and send as fast as possible")
 
     p = sub.add_parser("recv", help="receive bursts over UDP, log outcomes to CSV")
     p.add_argument("--listen", required=True, help="bind address HOST:PORT")
     p.add_argument("--out", required=True, help="per-burst event CSV path")
-    p.add_argument("--duration-s", type=float, default=10.0,
+    p.add_argument("--duration-s", type=_seconds, default=10.0,
                    help="how long to listen in seconds (default: 10)")
 
     return parser

@@ -6,10 +6,13 @@ following burst. Three generators are provided: arbitrary random variates
 (:class:`SimpleBurstGenerator`), the fitted VR model
 (:class:`VrBurstGenerator`), and CSV trace replay
 (:class:`TraceFileBurstGenerator`). :func:`build_generators` builds one per
-station from a :class:`GeneratorConfig`, and :meth:`BurstGenerator.schedule`
-is the generation horizon every caller applies; it returns the bursts'
-times, sizes and periods as int64 arrays. :func:`schedule_stations` schedules
-every station of a scenario, drawing the VR stations' blocks together.
+station from a :class:`GeneratorConfig`. :func:`schedule_stations` is the
+generation horizon every caller applies and the one loop that computes bursts
+up to it: it returns each station's burst times, sizes and periods as int64
+arrays, drawing the blocks of the VR stations of one model together, and
+:meth:`BurstGenerator.schedule` is its one-station case. After an error, a
+single generator keeps the bursts computed before it next in line; generators
+scheduled together are not to be used.
 
 The two random generators compute up to ``BLOCK_BURSTS`` bursts at a time
 from one flat array of uniforms, read burst after burst in this word layout:
@@ -141,52 +144,11 @@ class BurstGenerator(ABC):
         self._next = i + 1
         return tuple.__new__(BurstDescriptor, (int(self._sizes[i]), int(self._periods[i])))
 
-    def _reach(self, offset_ns: int) -> int:
-        """Generation time of the first burst not computed yet, when the next
-        burst is generated at ``offset_ns``."""
-        if self._next == len(self._periods):
-            return offset_ns
-        return offset_ns + int(np.maximum(self._periods[self._next:], 1).sum())
-
-    def _keep(self, blocks) -> None:
-        """Queue computed ``(sizes, periods)`` blocks after the bursts not handed out yet."""
-        if not blocks:
-            return
-        if self._next == len(self._sizes) and len(blocks) == 1:
-            (self._sizes, self._periods), self._next = blocks[0], 0
-            return
-        self._sizes = np.concatenate([self._sizes[self._next:], *(sizes for sizes, _ in blocks)])
-        self._periods = np.concatenate([self._periods[self._next:], *(periods for _, periods in blocks)])
-        self._next = 0
-
     def schedule(self, duration_ns, offset_ns: int = 0):
-        """Generation times, sizes and periods, as int64 arrays, of every burst
-        generated before ``duration_ns``; the generator advances past them.
-
-        The first burst is generated at ``offset_ns`` and each later one a
-        period after the previous; periods are clamped to at least 1 ns so
-        time always advances. A random generator computes bursts until the
-        horizon is passed and keeps the ones after it for the next call, so
-        ``duration_ns`` must be finite for it.
-        """
-        blocks = []
-        reach = self._reach(offset_ns)
-        try:
-            while reach < duration_ns and (block := self._next_bursts()) is not None:
-                blocks.append(block)
-                reach += int(np.maximum(block[1], 1).sum())
-        finally:  # on an error, the bursts computed before it stay next in line
-            self._keep(blocks)
-        return self._cut(duration_ns, offset_ns)
-
-    def _cut(self, duration_ns, offset_ns: int):
-        """:meth:`schedule` of the bursts computed so far."""
-        sizes, periods = self._sizes[self._next:], self._periods[self._next:]
-        steps = np.maximum(periods, 1)
-        times = np.cumsum(steps) - steps + offset_ns
-        n = int(np.searchsorted(times, duration_ns))
-        self._next += n
-        return times[:n], sizes[:n], periods[:n]
+        """Generation times, sizes and periods of every burst generated before
+        ``duration_ns``, the first at ``offset_ns``: the one-station case of
+        :func:`schedule_stations`."""
+        return schedule_stations([self], duration_ns, [offset_ns])[0]
 
 
 class SimpleBurstGenerator(BurstGenerator):
@@ -325,29 +287,51 @@ def _whole(sizes, periods_s):
     )
 
 
-def schedule_stations(generators: list[BurstGenerator], duration_ns: int, offsets_ns: list[int]) -> list:
-    """``generator.schedule(duration_ns, offset)`` of every station.
+def schedule_stations(generators: list[BurstGenerator], duration_ns, offsets_ns: list[int]) -> list:
+    """Generation times, sizes and periods, as int64 arrays, of every burst each
+    generator generates before ``duration_ns``; the generators advance past them.
 
-    VR stations of one model compute their blocks in rounds: each round
-    evaluates the frame-size mixture for every station still short of the
-    horizon together (:meth:`VrBurstGenerator._draw_blocks`). The mixture is elementwise and a station's bursts do not
-    depend on its block boundaries, so the bursts are those each station
-    draws alone. After an error the generators are not to be used.
+    A generator's first burst is generated at its offset and each later one a
+    period after the previous; periods are clamped to at least 1 ns so time
+    always advances. The generators compute bursts in rounds until each has
+    passed the horizon or is exhausted, and keep the ones after it for the next
+    call, so ``duration_ns`` must be finite for a random generator. Each round
+    evaluates the frame-size mixture for the VR stations of one model together
+    (:meth:`VrBurstGenerator._draw_blocks`); every other generator computes its
+    bursts alone. A generator's bursts do not depend on its block boundaries,
+    so each schedule is the one its generator gives alone.
+
+    On an error, each generator keeps the bursts it computed in the rounds
+    before it next in line, so a single generator goes on from where it
+    raised. Several generators scheduled together are not to be used after an
+    error: the round that raised may have drawn some of them further.
     """
     vr = [g for g in generators if isinstance(g, VrBurstGenerator)]
-    banked = {g for g in vr if (g._gmm, g._ifi) == (vr[0]._gmm, vr[0]._ifi)}
-    reach = {g: g._reach(offset) for g, offset in zip(generators, offsets_ns) if g in banked}
-    blocks = {g: [] for g in reach}
-    short = [g for g in reach if reach[g] < duration_ns]
-    while short:
-        for g, block in zip(short, VrBurstGenerator._draw_blocks(short)):
-            blocks[g].append(block)
-            reach[g] += int(np.maximum(block[1], 1).sum())
-        short = [g for g in short if reach[g] < duration_ns]
-    for g, queued in blocks.items():
-        g._keep(queued)
-    return [g._cut(duration_ns, offset) if g in banked else g.schedule(duration_ns, offset)
-            for g, offset in zip(generators, offsets_ns)]
+    bank = {g for g in vr if (g._gmm, g._ifi) == (vr[0]._gmm, vr[0]._ifi)}
+    blocks = {g: [(g._sizes[g._next:], g._periods[g._next:])] for g in generators}
+    reach = {g: offset + int(np.maximum(blocks[g][0][1], 1).sum()) for g, offset in zip(generators, offsets_ns)}
+    short = [g for g in generators if reach[g] < duration_ns]
+    try:
+        while short:
+            banked = [g for g in short if g in bank]
+            drawn = dict(zip(banked, VrBurstGenerator._draw_blocks(banked) if banked else ()))
+            more = {g: drawn[g] if g in drawn else g._next_bursts() for g in short}
+            for g, block in more.items():
+                if block is not None:
+                    blocks[g].append(block)
+                    reach[g] += int(np.maximum(block[1], 1).sum())
+            short = [g for g in short if more[g] is not None and reach[g] < duration_ns]
+    finally:
+        for g, queued in blocks.items():
+            g._sizes, g._periods = map(np.concatenate, zip(*queued)) if len(queued) > 1 else queued[0]
+            g._next = 0
+    schedules = []
+    for g, offset in zip(generators, offsets_ns):
+        steps = np.maximum(g._periods, 1)
+        times = np.cumsum(steps) - steps + offset
+        g._next = n = int(np.searchsorted(times, duration_ns))
+        schedules.append((times[:n], g._sizes[:n], g._periods[:n]))
+    return schedules
 
 
 @dataclass

@@ -181,27 +181,6 @@ class LogisticParams:
         return self.s * math.pi / math.sqrt(3.0)
 
 
-def logistic_pdf(x, p: LogisticParams):
-    """Logistic density at ``x`` (scalar or array)."""
-    if p.s <= 0:
-        raise ParameterError(f"scale must be positive for density evaluation, got {p.s}")
-    # sech form keeps the tails finite; cosh may overflow to inf, which
-    # correctly maps the density to 0
-    z = (np.asarray(x, dtype=float) - p.mu) / p.s
-    with np.errstate(over="ignore"):
-        out = 0.25 / (p.s * np.cosh(z / 2.0) ** 2)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def logistic_cdf(x, p: LogisticParams):
-    """Logistic CDF at ``x`` (scalar or array)."""
-    if p.s <= 0:
-        raise ParameterError(f"scale must be positive for CDF evaluation, got {p.s}")
-    z = (np.asarray(x, dtype=float) - p.mu) / p.s
-    out = 0.5 * (1.0 + np.tanh(z / 2.0))
-    return float(out) if np.ndim(x) == 0 else out
-
-
 def logistic_quantile(u, p: LogisticParams):
     """Inverse logistic CDF: mu + s * ln(u / (1 - u)) for u in (0, 1)."""
     uu = np.asarray(u, dtype=float)
@@ -357,8 +336,6 @@ __all__ = [
     "dist_from_spec",
     "gmm2_quantile",
     "gmm2_sample",
-    "logistic_cdf",
-    "logistic_pdf",
     "logistic_quantile",
     "logistic_sample",
 ]

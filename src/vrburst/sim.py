@@ -92,8 +92,8 @@ class ScenarioConfig:
             raise ParameterError(f"loss probability must lie in [0, 1], got {self.loss_prob}")
         if self.queue_limit < 0:
             raise ParameterError(f"queue limit must be non-negative, got {self.queue_limit}")
-        if self.duration_s <= 0:
-            raise ParameterError(f"duration must be positive, got {self.duration_s}")
+        if not 0 < self.duration_s * NS_PER_S < math.inf:
+            raise ParameterError(f"duration must be positive and finite in nanoseconds, got {self.duration_s}")
         if self.propagation_delay_ns < 0 or self.overhead_bytes < 0:
             raise ParameterError("propagation delay and overhead must be non-negative")
         if self.station_start_offsets_ns is not None and len(self.station_start_offsets_ns) != self.n_stations:

@@ -531,6 +531,29 @@ class TestCliPlumbing:
         assert (code, stdout) == (2, "")
         assert "port in 0-65535" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--out", "x.csv", "--duration-s", "inf"],
+        ["generate", "--out", "x.csv", "--duration-s", "nan"],
+        ["simulate", "--duration-s", "inf"],
+        ["simulate", "--duration-s", "nan"],
+        ["replay", "--trace", "t.csv", "--out", "x.csv", "--start-time", "inf"],
+        ["replay", "--trace", "t.csv", "--out", "x.csv", "--start-time", "-1"],
+        ["send", "--dest", "127.0.0.1:9", "--max-bursts", "1", "--duration-s", "nan"],
+        ["recv", "--listen", "127.0.0.1:0", "--out", "x.csv", "--duration-s", "nan"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+    def test_non_finite_or_negative_seconds_are_usage_errors(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        save_trace("t.csv", [(1000, 16_667_000)] * 3)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"vrburst {argv[0]}: error: argument {argv[-2]}: expected seconds >= 0, finite in nanoseconds, "
+            f"got {argv[-1]!r}"
+        ]
+
     def test_recv_port_out_of_range_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "events.csv"
         code, stdout, err = run(capsys, "recv", "--listen", "127.0.0.1:65536", "--out", str(out),

@@ -8,7 +8,8 @@ taken one by one through ``generate_burst()`` or as the arrays of
 :class:`DegenerateModelError` at the same burst. ``schedule()`` must keep the
 same bursts as the oracle's generation horizon, and ``schedule_stations``,
 which draws the blocks of several VR stations together, the same schedules
-as each station alone.
+as each station alone, also when the stations mix VR models, simple sources
+and a trace that runs out.
 """
 
 import generator_oracle as oracle
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vrburst.generator import BLOCK_BURSTS, SimpleBurstGenerator, VrBurstGenerator, schedule_stations
+from vrburst.generator import TraceFile, TraceFileBurstGenerator
 from vrburst.model import DegenerateModelError, VrModelConstants, VrStreamParams
 from vrburst.rv import RngStream, dist_from_spec
 
@@ -143,3 +145,34 @@ def test_stations_scheduled_together_match_each_alone(rate_mbps, seed, duration_
     want = [g.schedule(horizon, offset) for g, offset in zip(alone, offsets)]
     assert [[a.tolist() for a in s] for s in got] == [[a.tolist() for a in s] for s in want]
     assert [g.generate_burst() for g in together] == [g.generate_burst() for g in alone]
+
+
+def station(kind, seed, i):
+    """Station i of a mixed scenario: VR at 20 or 1 Mbit/s, a simple source,
+    or a 2.1-s trace replayed from 0.5 s."""
+    if kind == "trace":
+        rows = [(1000 + 7 * k, 7_000_000) for k in range(300)]
+        return TraceFileBurstGenerator(TraceFile(rows), start_time_s=0.5)
+    rng = RngStream(seed, i + 1)
+    if kind == "simple":
+        return SimpleBurstGenerator(dist_from_spec("uniform:1:20000"), dist_from_spec("normal:0.002:0.003"), rng)
+    return VrBurstGenerator(VrStreamParams({"vr20": 20e6, "vr1": 1e6}[kind], 60), rng)
+
+
+def next_burst(generator):
+    return generator.generate_burst() if generator.has_next_burst() else None
+
+
+@settings(max_examples=20, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["vr20", "vr1", "simple", "trace"]), min_size=2, max_size=6),
+       seed=seeds, duration_s=st.floats(0.01, 6.0), offsets=st.lists(st.integers(0, 3_000_000_000), min_size=6))
+@example(kinds=["vr1", "simple", "vr20", "trace", "vr1", "vr20"], seed=5, duration_s=4.0, offsets=[0, 7, 0, 0, 1, 0])
+def test_mixed_stations_scheduled_together_match_each_alone(kinds, seed, duration_s, offsets):
+    horizon = round(duration_s * 1e9)
+    offsets = offsets[:len(kinds)]
+    together = [station(kind, seed, i) for i, kind in enumerate(kinds)]
+    alone = [station(kind, seed, i) for i, kind in enumerate(kinds)]
+    got = schedule_stations(together, horizon, offsets)
+    want = [g.schedule(horizon, offset) for g, offset in zip(alone, offsets)]
+    assert [[a.tolist() for a in s] for s in got] == [[a.tolist() for a in s] for s in want]
+    assert [next_burst(g) for g in together] == [next_burst(g) for g in alone]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from scipy.integrate import trapezoid
 
 from vrburst.rv import (
     Gmm2Params,
@@ -16,45 +15,12 @@ from vrburst.rv import (
     UniformDist,
     dist_from_spec,
     gmm2_sample,
-    logistic_cdf,
-    logistic_pdf,
     logistic_quantile,
     logistic_sample,
     ndtri,
 )
 
 LOGISTIC_STD_UNIT = math.pi / math.sqrt(3.0)  # std of Logistic(0, 1)
-
-
-class TestLogisticPdf:
-    def test_value_at_location_is_quarter_scale(self):
-        for mu, s in [(0.0, 1.0), (1 / 30, 0.0015), (-2.5, 0.3)]:
-            assert logistic_pdf(mu, LogisticParams(mu, s)) == pytest.approx(1 / (4 * s), rel=1e-12)
-
-    def test_hand_computed_point(self):
-        # e^-1 / (1 + e^-1)^2, evaluated by hand
-        expected = 0.19661193324148185
-        assert logistic_pdf(1.0, LogisticParams(0.0, 1.0)) == pytest.approx(expected, rel=1e-12)
-
-    def test_matches_scipy(self):
-        p = LogisticParams(0.033, 0.002)
-        xs = np.linspace(0.02, 0.05, 101)
-        ours = logistic_pdf(xs, p)
-        ref = scipy.stats.logistic.pdf(xs, loc=p.mu, scale=p.s)
-        np.testing.assert_allclose(ours, ref, rtol=1e-12)
-
-    def test_integrates_to_one(self):
-        p = LogisticParams(1 / 30, 0.0015)
-        xs = np.linspace(p.mu - 40 * p.s, p.mu + 40 * p.s, 400_001)
-        total = trapezoid(logistic_pdf(xs, p), xs)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_rejects_non_positive_scale(self):
-        with pytest.raises(ParameterError):
-            logistic_pdf(0.0, LogisticParams(0.0, 0.0))
-
-    def test_far_tail_is_zero_not_nan(self):
-        assert logistic_pdf(1e6, LogisticParams(0.0, 1.0)) == 0.0
 
 
 class TestLogisticQuantile:
@@ -74,7 +40,7 @@ class TestLogisticQuantile:
     def test_inverts_cdf(self):
         p = LogisticParams(1 / 30, 0.0015)
         xs = np.linspace(p.mu - 10 * p.s, p.mu + 10 * p.s, 2001)
-        back = logistic_quantile(logistic_cdf(xs, p), p)
+        back = logistic_quantile(scipy.stats.logistic.cdf(xs, loc=p.mu, scale=p.s), p)
         np.testing.assert_allclose(back, xs, rtol=1e-12)
 
     def test_degenerate_scale_returns_location(self):

@@ -1,3 +1,4 @@
+import math
 import json
 
 import numpy as np
@@ -261,6 +262,11 @@ class TestConfigValidation:
             constant_cfg(link_rate_bps=0)
         with pytest.raises(ParameterError):
             constant_cfg(station_start_offsets_ns=[0, 0])
+
+    @pytest.mark.parametrize("duration_s", [math.inf, math.nan, 1e300])
+    def test_non_finite_duration_rejected(self, duration_s):
+        with pytest.raises(ParameterError, match="finite"):
+            constant_cfg(duration_s=duration_s)
 
     def test_generator_config_validation(self):
         with pytest.raises(ParameterError):
