@@ -8,8 +8,9 @@ using the 24-byte fragment header).
 `main` builds its argument parser once per process, on first use, and reuses
 it for every later call; `build_parser` still returns a fresh parser.
 
-Exit codes: 0 success, 2 usage/parameter error, 3 data or parse error,
-4 I/O error.
+Exit codes, all set in `main`: 0 success; 2 usage error or ParameterError (a
+flag value out of range); 3 any other ValueError (a bad trace, degenerate model
+constants, a failed fit, a fragment size with no room for payload); 4 OSError.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .fit import EmMonotonicityError, fit_vr_model, group_traces
+from .fit import fit_vr_model, group_traces
 from .generator import (
     NS_PER_S,
     GeneratorConfig,
     TraceFileBurstGenerator,
-    TraceParseError,
     build_generators,
     load_trace,
     save_trace,
@@ -49,6 +49,7 @@ from .wire import (
     decode_header,
     encode_header,  # noqa: F401  (perfbench/tracer.py patches it here)
     fragment_burst,  # noqa: F401  (perfbench/tracer.py patches it here)
+    fragment_layout,
     pack_burst,
 )
 
@@ -220,16 +221,12 @@ def cmd_stats(args) -> int:
 
 def cmd_fit(args) -> int:
     groups = group_traces(load_trace(path) for path in args.traces)
-    try:
-        report = fit_vr_model(
-            groups,
-            em_restarts=args.em_restarts,
-            seed=args.seed,
-            weighting="uniform" if args.uniform_weights else "rank",
-        )
-    except EmMonotonicityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    report = fit_vr_model(
+        groups,
+        em_restarts=args.em_restarts,
+        seed=args.seed,
+        weighting="uniform" if args.uniform_weights else "rank",
+    )
     if args.report:
         report.save_json(args.report)
     for group in report.groups:
@@ -307,6 +304,7 @@ def send_bursts(
     ``send_calls`` counts the ``sendto`` calls that succeeded. A passed-in
     ``sock`` keeps the segment size it was left with.
     """
+    fragment_layout(1, fragment_size)  # raises for a fragment size with no room for payload
     own_sock = sock is None
     if own_sock:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -614,9 +612,6 @@ def main(argv=None) -> int:
     try:
         # looked up per call, so a cmd_* patched after the first call is the one run
         return globals()[f"cmd_{args.command}"](args)
-    except TraceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

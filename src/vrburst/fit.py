@@ -62,7 +62,7 @@ _MIN_LOG_ODDS = -700.0
 _SWITCH = 1e-4
 
 
-class EmMonotonicityError(RuntimeError):
+class EmMonotonicityError(ValueError):
     """An EM step lowered the log-likelihood, which only rounding can do."""
 
 

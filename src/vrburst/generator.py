@@ -60,6 +60,8 @@ _INT64_MAX = 2**63 - 1
 
 # Bursts computed per block by the random generators.
 BLOCK_BURSTS = 256
+# A drawn period is below this, so a block's periods sum within int64.
+_MAX_PERIOD_NS = 2**63 // BLOCK_BURSTS
 
 
 class GeneratorExhaustedError(RuntimeError):
@@ -280,11 +282,15 @@ class TraceFileBurstGenerator(BurstGenerator):
 
 
 def _whole(sizes, periods_s):
-    """Sizes rounded to whole bytes (at least 1) and periods (s) to whole ns (at least 0)."""
-    return (
-        np.maximum(np.rint(sizes), 1.0).astype(np.int64),
-        np.rint(np.maximum(0.0, periods_s) * NS_PER_S).astype(np.int64),
-    )
+    """Sizes rounded to whole bytes (at least 1) and periods (s) to whole ns (at least 0), as
+    int64; a NaN, a size of 2**63 or more or a period of ``_MAX_PERIOD_NS`` or more raises."""
+    sizes = np.maximum(np.rint(sizes), 1.0)
+    if not sizes.max() < 2**63:  # NaN-safe: a NaN max compares False
+        raise ParameterError(f"burst size draws must be finite and below 2**63 bytes, got {sizes.max()}")
+    periods = np.rint(np.maximum(0.0, periods_s) * NS_PER_S)
+    if not periods.max() < _MAX_PERIOD_NS:
+        raise ParameterError(f"period draws must be finite and below {_MAX_PERIOD_NS} ns, got {periods.max()} ns")
+    return sizes.astype(np.int64), periods.astype(np.int64)
 
 
 def schedule_stations(generators: list[BurstGenerator], duration_ns, offsets_ns: list[int]) -> list:
@@ -295,7 +301,9 @@ def schedule_stations(generators: list[BurstGenerator], duration_ns, offsets_ns:
     period after the previous; periods are clamped to at least 1 ns so time
     always advances. The generators compute bursts in rounds until each has
     passed the horizon or is exhausted, and keep the ones after it for the next
-    call, so ``duration_ns`` must be finite for a random generator. Each round
+    call, so ``duration_ns`` must be finite for a random generator, and the
+    bursts computed, those past it included, must end before 2**63 ns (else
+    :class:`ParameterError`). Each round
     evaluates the frame-size mixture for the VR stations of one model together
     (:meth:`VrBurstGenerator._draw_blocks`); every other generator computes its
     bursts alone. A generator's bursts do not depend on its block boundaries,
@@ -327,6 +335,8 @@ def schedule_stations(generators: list[BurstGenerator], duration_ns, offsets_ns:
             g._next = 0
     schedules = []
     for g, offset in zip(generators, offsets_ns):
+        if reach[g] >= 2**63:  # the cumulative sum below would wrap
+            raise ParameterError(f"burst times reach {reach[g]} ns, beyond int64")
         steps = np.maximum(g._periods, 1)
         times = np.cumsum(steps) - steps + offset
         g._next = n = int(np.searchsorted(times, duration_ns))

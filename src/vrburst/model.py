@@ -30,7 +30,7 @@ from .rv import Gmm2Params, LogisticParams, ParameterError, RngStream, gmm2_quan
 _MAX_FRAME_DRAW_ATTEMPTS = 100
 
 
-class DegenerateModelError(RuntimeError):
+class DegenerateModelError(ValueError):
     """The frame-size mixture keeps producing non-positive sizes."""
 
 
@@ -69,6 +69,8 @@ class VrModelConstants:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VrModelConstants":
+        if not isinstance(data, dict) or not all(isinstance(v, (int, float, str)) for v in data.values()):
+            raise ParameterError(f"model constants must be an object of numbers, got {data!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(data) - known
         if extra:
@@ -129,13 +131,13 @@ def derive_frame_size_model(params: VrStreamParams, constants: VrModelConstants 
     if hi_slope == lo_slope:
         raise ParameterError("mean slopes are equal; mixture weights are undefined")
     w_hi = (1.0 - lo_slope) / (hi_slope - lo_slope)
-    return Gmm2Params(
-        w_hi=w_hi,
-        mu_hi=hi_slope * s_bytes,
-        sigma_hi=constants.iframe_std_coeff * s_bytes**constants.iframe_std_exp,
-        mu_lo=lo_slope * s_bytes,
-        sigma_lo=constants.pframe_std_coeff * s_bytes**constants.pframe_std_exp,
-    )
+    try:
+        sigma_hi = constants.iframe_std_coeff * s_bytes**constants.iframe_std_exp
+        sigma_lo = constants.pframe_std_coeff * s_bytes**constants.pframe_std_exp
+    except OverflowError:
+        raise ParameterError(f"a frame-size sigma power law overflows at S = {s_bytes} bytes") from None
+    return Gmm2Params(w_hi=w_hi, mu_hi=hi_slope * s_bytes, sigma_hi=sigma_hi,
+                      mu_lo=lo_slope * s_bytes, sigma_lo=sigma_lo)
 
 
 def sample_vr_frame(params: VrStreamParams, constants: VrModelConstants, rng: RngStream, size: int):

@@ -301,7 +301,7 @@ def dist_from_spec(spec: str):
     """Parse a ``name:arg[:arg]`` distribution spec used by CLI flags.
 
     Supported: ``constant:V``, ``uniform:LO:HI``, ``normal:MU:SIGMA``,
-    ``logistic:MU:S``.
+    ``logistic:MU:S``, with finite parameters.
     """
     parts = spec.split(":")
     name, args = parts[0].strip().lower(), parts[1:]
@@ -309,6 +309,8 @@ def dist_from_spec(spec: str):
         values = [float(a) for a in args]
     except ValueError as exc:
         raise ParameterError(f"bad distribution spec {spec!r}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"distribution parameters must be finite, got {spec!r}")
     makers = {
         "constant": (1, ConstantDist),
         "uniform": (2, UniformDist),

@@ -29,8 +29,10 @@ The :class:`SimulationLog` keeps per-burst columns; :func:`summarize`
 expands them into per-fragment delays only to aggregate them.
 
 Time is integer nanoseconds end to end, so a (config, seed) pair always
-produces the same report. Stations stop generating at the configured duration
-and the link then drains; delivered stragglers still count toward the metrics.
+produces the same report; a config or run whose link times could pass int64
+raises :class:`~vrburst.rv.ParameterError` instead. Stations stop generating
+at the configured duration and the link then drains; delivered stragglers
+still count toward the metrics.
 """
 
 from __future__ import annotations
@@ -86,16 +88,21 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_stations < 1:
             raise ParameterError(f"need at least one station, got {self.n_stations}")
-        if self.link_rate_bps <= 0:
-            raise ParameterError(f"link rate must be positive, got {self.link_rate_bps}")
+        if not 0 < self.link_rate_bps < math.inf:
+            raise ParameterError(f"link rate must be positive and finite, got {self.link_rate_bps}")
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ParameterError(f"loss probability must lie in [0, 1], got {self.loss_prob}")
         if self.queue_limit < 0:
             raise ParameterError(f"queue limit must be non-negative, got {self.queue_limit}")
         if not 0 < self.duration_s * NS_PER_S < math.inf:
             raise ParameterError(f"duration must be positive and finite in nanoseconds, got {self.duration_s}")
-        if self.propagation_delay_ns < 0 or self.overhead_bytes < 0:
-            raise ParameterError("propagation delay and overhead must be non-negative")
+        if not 0 <= self.propagation_delay_ns < 2**63 or self.overhead_bytes < 0:
+            raise ParameterError("propagation delay must lie in [0, 2**63) ns and overhead be non-negative")
+        # link times are int64 ns, computed from a fragment's bits times NS_PER_S
+        bits_ns = (self.fragment_size + self.overhead_bytes) * 8 * NS_PER_S
+        if bits_ns >= 2**63 or bits_ns / self.link_rate_bps >= 2**63:
+            raise ParameterError(f"a fragment of {self.fragment_size} + {self.overhead_bytes} overhead bytes "
+                                 f"at {self.link_rate_bps} bit/s overflows int64 ns")
         if self.station_start_offsets_ns is not None and len(self.station_start_offsets_ns) != self.n_stations:
             raise ParameterError("station_start_offsets_ns must list one offset per station")
 
@@ -223,6 +230,10 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
     frags = -(-sizes // capacity)
     last_wire = HEADER_LEN + sizes - (frags - 1) * capacity
     full_ser = _serialization_ns(fsize, overhead, cfg.link_rate_bps)
+    fragments_sent = int(frags.sum())
+    # no link time passes the last burst's time plus every fragment's service and the delay
+    if n_bursts and int(times[-1]) + (fragments_sent + 1) * full_ser + cfg.propagation_delay_ns >= 2**63:
+        raise ParameterError(f"the run's link times pass 2**63 ns at {cfg.link_rate_bps} bit/s")
     last_ser = _serialization_ns(last_wire, overhead, cfg.link_rate_bps)
 
     if cfg.queue_limit:
@@ -238,7 +249,6 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
         departure = done + np.maximum(np.maximum.accumulate(times - done + service), 0)
         start = departure - service
 
-    fragments_sent = int(frags.sum())
     delivered = admitted
     lost = None
     if cfg.loss_prob > 0:

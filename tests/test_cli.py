@@ -554,6 +554,53 @@ class TestCliPlumbing:
             f"got {argv[-1]!r}"
         ]
 
+    PARAMS = {
+        "deg.json": {"pframe_mean_slope": -1, "iframe_mean_slope": 1000, "pframe_std_coeff": 0, "iframe_std_coeff": 0},
+        "huge.json": {"iframe_std_exp": 1e308},
+        "null.json": {"ifi_std_coeff": None},
+    }
+    SIMPLE = ["generate", "--model", "simple", "--duration-s", "1", "--out", "out.csv"]
+
+    @pytest.mark.parametrize("code, argv", [
+        # draws that do not fit in int64 used to be cast to garbage, or to leave 1-ns steps
+        (2, SIMPLE + ["--size-dist", "constant:nan", "--period-dist", "constant:0.01"]),
+        (2, SIMPLE + ["--size-dist", "constant:1e30", "--period-dist", "constant:0.01"]),
+        (2, SIMPLE + ["--size-dist", "constant:100", "--period-dist", "constant:1e30"]),
+        (2, SIMPLE + ["--size-dist", "constant:100", "--period-dist", "constant:nan"]),
+        (2, SIMPLE + ["--size-dist", "constant:100", "--period-dist", "constant:5e9"]),
+        # burst times past 2**63 ns used to wrap (the later --duration-s wins)
+        (2, SIMPLE + ["--size-dist", "constant:100", "--period-dist", "constant:1e7", "--duration-s", "9e9"]),
+        (2, ["simulate", "--fps", "1e-300", "--duration-s", "1"]),
+        # link parameters whose int64 ns arithmetic divides by zero or overflows
+        (2, ["simulate", "--link-mbps", "inf", "--duration-s", "1"]),
+        (2, ["simulate", "--link-mbps", "1e-300", "--duration-s", "1"]),
+        (2, ["simulate", "--link-mbps", "nan", "--duration-s", "1"]),
+        (2, ["simulate", "--link-mbps", "1e-9", "--duration-s", "1"]),
+        (2, ["simulate", "--prop-delay-us", "99999999999999999", "--duration-s", "1"]),
+        (2, ["simulate", "--overhead-bytes", "99999999999999999999", "--duration-s", "1"]),
+        (3, ["send", "--dest", "127.0.0.1:9", "--max-bursts", "1", "--fragment-size", "0"]),
+        # constants whose frame-size mixture draws no positive size
+        (3, ["generate", "--params", "deg.json", "--duration-s", "1", "--out", "out.csv"]),
+        (3, ["simulate", "--params", "deg.json", "--duration-s", "1"]),
+        (3, ["send", "--params", "deg.json", "--dest", "127.0.0.1:9", "--max-bursts", "1"]),
+        # a sigma power law past the float range used to raise OverflowError
+        (2, ["simulate", "--params", "huge.json", "--duration-s", "1"]),
+        # a constant that is no number used to raise TypeError
+        (2, ["simulate", "--params", "null.json", "--duration-s", "1"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_bad_input_is_one_error_line(self, tmp_path, code, argv):
+        for name, params in self.PARAMS.items():
+            (tmp_path / name).write_text(json.dumps(params))
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "vrburst.cli", *argv], cwd=tmp_path, capture_output=True, text=True,
+            timeout=30, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        assert len([line for line in done.stderr.splitlines() if line.startswith("error:")]) == 1
+        assert not (tmp_path / "out.csv").exists()
+
     def test_recv_port_out_of_range_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "events.csv"
         code, stdout, err = run(capsys, "recv", "--listen", "127.0.0.1:65536", "--out", str(out),

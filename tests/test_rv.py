@@ -199,7 +199,8 @@ class TestDistSpecs:
         assert dist.words == 1
         assert dist.quantile(np.array([[0.5], [0.975]])) == pytest.approx([0.0, 1.959964])
 
-    @pytest.mark.parametrize("spec", ["triangular:1:2", "constant", "uniform:1", "normal:a:b"])
+    @pytest.mark.parametrize("spec", ["triangular:1:2", "constant", "uniform:1", "normal:a:b",
+                                      "constant:nan", "uniform:0:inf", "logistic:-inf:1"])
     def test_rejects_bad_specs(self, spec):
         with pytest.raises(ParameterError):
             dist_from_spec(spec)

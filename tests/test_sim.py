@@ -263,6 +263,29 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             constant_cfg(station_start_offsets_ns=[0, 0])
 
+    @pytest.mark.parametrize("overrides", [
+        {"link_rate_bps": math.inf},
+        {"link_rate_bps": math.nan},
+        {"link_rate_bps": 1e-300},  # a fragment takes past 2**63 ns
+        {"overhead_bytes": 10**20},
+        {"propagation_delay_ns": 2**63},
+    ], ids=str)
+    def test_link_times_beyond_int64_rejected(self, overrides):
+        with pytest.raises(ParameterError):
+            constant_cfg(**overrides)
+
+    def test_run_at_the_link_time_bound(self):
+        # 100 one-fragment bursts at 10 ms, each served in exactly 1 s; the
+        # bound is the last burst's time plus 101 services and the delay
+        cfg = dict(link_rate_bps=1278 * 8, propagation_delay_ns=2**63 - 1 - 990_000_000 - 101 * 10**9)
+        report = run_scenario(constant_cfg(**cfg))
+        assert report.burst["received"] == 100
+        # the p95 burst, the 95th, is generated at 0.94 s and leaves the link at 95 s
+        assert report.burst["p95_delay_ns"] == cfg["propagation_delay_ns"] + 95 * 10**9 - 940_000_000
+        cfg["propagation_delay_ns"] += 1
+        with pytest.raises(ParameterError, match="2\\*\\*63"):
+            simulate(constant_cfg(**cfg))
+
     @pytest.mark.parametrize("duration_s", [math.inf, math.nan, 1e300])
     def test_non_finite_duration_rejected(self, duration_s):
         with pytest.raises(ParameterError, match="finite"):
