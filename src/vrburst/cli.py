@@ -28,14 +28,7 @@ import numpy as np
 
 from . import __version__
 from .fit import fit_vr_model, group_traces
-from .generator import (
-    NS_PER_S,
-    GeneratorConfig,
-    TraceFileBurstGenerator,
-    build_generators,
-    load_trace,
-    save_trace,
-)
+from .generator import NS_PER_S, GeneratorConfig, build_generators, load_trace, save_trace
 from .model import DEFAULT_CONSTANTS, VrModelConstants
 from .rv import ParameterError
 from .sim import ScenarioConfig, percentile, run_scenario
@@ -123,13 +116,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    trace = load_trace(args.trace)
-    generator = TraceFileBurstGenerator(trace, start_time_s=args.start_time)
+    config = GeneratorConfig(model="trace", trace_path=args.trace, start_time_s=args.start_time)
+    (generator,), metadata = build_generators(config, 1, seed=0, duration_s=0.0)
     duration_ns = math.inf if args.duration_s is None else round(args.duration_s * NS_PER_S)
     _, sizes, periods = generator.schedule(duration_ns)
     if not len(sizes):
         raise ValueError("replay window contains no bursts")
-    metadata = dict(trace.metadata)
     metadata.update(
         {
             "source": "vrburst replay",
@@ -484,6 +476,8 @@ def receive_bursts(
 
 
 def cmd_send(args) -> int:
+    if args.max_bursts is not None and args.max_bursts < 0:
+        raise ParameterError(f"--max-bursts must be >= 0, got {args.max_bursts}")
     (generator,), _ = build_generators(_generator_config(args), 1, args.seed, 0.0, _load_constants(args))
     counters = send_bursts(
         _parse_addr(args.dest),
@@ -504,7 +498,7 @@ def cmd_recv(args) -> int:
 
 
 def _seconds(text: str) -> float:
-    """The argparse type of ``--duration-s`` and ``--start-time``."""
+    """The argparse type of ``--start-time``."""
     try:
         value = float(text)
     except ValueError:
@@ -512,6 +506,21 @@ def _seconds(text: str) -> float:
     if not 0 <= value * NS_PER_S < math.inf:
         raise argparse.ArgumentTypeError(f"expected seconds >= 0, finite in nanoseconds, got {text!r}")
     return value
+
+
+def _duration(text: str) -> float:
+    """The argparse type of ``--duration-s``: seconds as for ``_seconds``, but not 0."""
+    value = _seconds(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"expected seconds > 0, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line, without the usage text."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -531,7 +540,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vrburst",
         description="Bursty VR traffic toolkit: generate, replay, simulate, fit, measure.",
     )
@@ -540,14 +549,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic trace CSV")
     _add_model_flags(p)
-    p.add_argument("--duration-s", type=_seconds, required=True, help="trace duration in seconds")
+    p.add_argument("--duration-s", type=_duration, required=True, help="trace duration in seconds")
     p.add_argument("--out", required=True, help="output trace CSV path")
 
     p = sub.add_parser("replay", help="re-window an existing trace into a new trace CSV")
     p.add_argument("--trace", required=True, help="input trace CSV")
     p.add_argument("--start-time", type=_seconds, default=0.0,
                    help="skip bursts before this offset in seconds (default: 0)")
-    p.add_argument("--duration-s", type=_seconds, default=None,
+    p.add_argument("--duration-s", type=_duration, default=None,
                    help="cap the replay window in seconds (default: rest of the trace)")
     p.add_argument("--out", required=True, help="output trace CSV path")
 
@@ -564,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="independent per-fragment loss probability (default: 0)")
     p.add_argument("--queue-limit", type=int, default=0,
                    help="link queue limit in fragments, 0 = unbounded (default: 0)")
-    p.add_argument("--duration-s", type=_seconds, default=10.0,
+    p.add_argument("--duration-s", type=_duration, default=10.0,
                    help="traffic generation horizon in seconds (default: 10)")
     p.add_argument("--fragment-size", type=int, default=DEFAULT_FRAGMENT_SIZE,
                    help=f"fragment size in bytes incl. header (default: {DEFAULT_FRAGMENT_SIZE})")
@@ -589,14 +598,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fragment-size", type=int, default=DEFAULT_FRAGMENT_SIZE,
                    help=f"fragment size in bytes incl. header (default: {DEFAULT_FRAGMENT_SIZE})")
     p.add_argument("--max-bursts", type=int, default=None, help="stop after this many bursts")
-    p.add_argument("--duration-s", type=_seconds, default=None, help="stop after this many seconds")
+    p.add_argument("--duration-s", type=_duration, default=None, help="stop after this many seconds")
     p.add_argument("--no-pacing", action="store_true",
                    help="ignore generator periods and send as fast as possible")
 
     p = sub.add_parser("recv", help="receive bursts over UDP, log outcomes to CSV")
     p.add_argument("--listen", required=True, help="bind address HOST:PORT")
     p.add_argument("--out", required=True, help="per-burst event CSV path")
-    p.add_argument("--duration-s", type=_seconds, default=10.0,
+    p.add_argument("--duration-s", type=_duration, default=10.0,
                    help="how long to listen in seconds (default: 10)")
 
     return parser

@@ -665,17 +665,3 @@ def fit_vr_model(
         constants=constants,
     )
 
-
-__all__ = [
-    "EmMonotonicityError",
-    "EmRestart",
-    "FitReport",
-    "Gmm2Fit",
-    "GroupFit",
-    "fit_gmm2_em",
-    "fit_linear_through_origin",
-    "fit_logistic",
-    "fit_power_law",
-    "fit_vr_model",
-    "group_traces",
-]

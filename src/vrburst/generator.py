@@ -18,8 +18,8 @@ The two random generators compute up to ``BLOCK_BURSTS`` bursts at a time
 from one flat array of uniforms, read burst after burst in this word layout:
 
 * VR: 2 words (component pick, normal) for the frame-size mixture; while the
-  draw is non-positive, 2 more for a redraw, at most 100 draws in all
-  (:func:`vrburst.model.draw_positive_frame`); then 1 word for the logistic
+  draw is non-positive, 2 more for a redraw, at most 100 draws in all (else
+  :class:`vrburst.model.DegenerateModelError`); then 1 word for the logistic
   inter-frame interval;
 * simple: ``size_dist.words`` words for the size, then ``period_dist.words``
   for the period (1 each, 0 for a constant).
@@ -49,9 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import _MAX_FRAME_DRAW_ATTEMPTS, DEFAULT_CONSTANTS, DegenerateModelError, VrModelConstants, VrStreamParams
-from .model import derive_frame_size_model, derive_ifi_model, draw_positive_frame
-from .model import sample_vr_frame, sample_vr_ifi  # noqa: F401  (perfbench/tracer.py patches them under these names)
+from .model import DEFAULT_CONSTANTS, DegenerateModelError, VrModelConstants, VrStreamParams
+from .model import derive_frame_size_model, derive_ifi_model
 from .rv import ParameterError, RngStream, dist_from_spec, gmm2_quantile, logistic_quantile
 
 NS_PER_US = 1_000
@@ -62,6 +61,8 @@ _INT64_MAX = 2**63 - 1
 BLOCK_BURSTS = 256
 # A drawn period is below this, so a block's periods sum within int64.
 _MAX_PERIOD_NS = 2**63 // BLOCK_BURSTS
+# A VR frame gives up after this many consecutive non-positive size draws.
+_MAX_FRAME_DRAW_ATTEMPTS = 100
 
 
 class GeneratorExhaustedError(RuntimeError):
@@ -171,7 +172,9 @@ class SimpleBurstGenerator(BurstGenerator):
     def _next_bursts(self):
         split, width = self.size_dist.words, self.size_dist.words + self.period_dist.words
         u = self.rng.uniform(BLOCK_BURSTS * width).reshape(BLOCK_BURSTS, width)
-        return _whole(self.size_dist.quantile(u[:, :split]), self.period_dist.quantile(u[:, split:]))
+        with np.errstate(over="ignore", invalid="ignore"):  # _whole rejects the draws that overflow
+            sizes, periods = self.size_dist.quantile(u[:, :split]), self.period_dist.quantile(u[:, split:])
+        return _whole(sizes, periods)
 
 
 class VrBurstGenerator(BurstGenerator):
@@ -247,18 +250,42 @@ class VrBurstGenerator(BurstGenerator):
             pos += 3 * ok
             if ok == m or len(words) - pos <= 2 * _MAX_FRAME_DRAW_ATTEMPTS:
                 break  # block full, or the words left may not hold the rejected burst
-            try:
-                value, used = draw_positive_frame(draws[pos:pos + 2 * _MAX_FRAME_DRAW_ATTEMPTS:2])
-            except DegenerateModelError:
+            tries = draws[pos:pos + 2 * _MAX_FRAME_DRAW_ATTEMPTS:2]
+            used = next((i for i, value in enumerate(tries, 1) if value > 0.0), 0)  # stops at the first positive
+            if not used:
                 if n:
                     break  # hand out the bursts before it; the next block raises
-                raise
-            sizes.append([value])
+                raise DegenerateModelError(
+                    f"frame-size mixture produced {_MAX_FRAME_DRAW_ATTEMPTS} consecutive "
+                    "non-positive draws; model parameters are degenerate"
+                )
+            sizes.append(tries[used - 1:used])
             ifi_words.append(words[pos + 2 * used:pos + 2 * used + 1])
             n += 1
             pos += 2 * used + 1
         self._carry = words[pos:]
         return np.concatenate(sizes), np.concatenate(ifi_words)
+
+
+def sample_vr_frame(params: VrStreamParams, constants: VrModelConstants, rng: RngStream, size: int):
+    """Sizes in bytes, as int64, of the first ``size`` bursts a
+    :class:`VrBurstGenerator` on ``rng`` draws."""
+    return _first_vr_bursts(params, constants, rng, size)[0]
+
+
+def sample_vr_ifi(params: VrStreamParams, constants: VrModelConstants, rng: RngStream, size: int):
+    """Periods in seconds (whole ns) of the first ``size`` bursts a
+    :class:`VrBurstGenerator` on ``rng`` draws."""
+    return _first_vr_bursts(params, constants, rng, size)[1] / NS_PER_S
+
+
+def _first_vr_bursts(params, constants, rng, size):
+    generator = VrBurstGenerator(params, rng, constants)
+    blocks, n = [np.empty((2, 0), np.int64)], 0
+    while n < size:
+        blocks.append(np.stack(generator._next_bursts()))
+        n += blocks[-1].shape[1]
+    return np.concatenate(blocks, axis=1)[:, :size]
 
 
 class TraceFileBurstGenerator(BurstGenerator):
@@ -284,10 +311,11 @@ class TraceFileBurstGenerator(BurstGenerator):
 def _whole(sizes, periods_s):
     """Sizes rounded to whole bytes (at least 1) and periods (s) to whole ns (at least 0), as
     int64; a NaN, a size of 2**63 or more or a period of ``_MAX_PERIOD_NS`` or more raises."""
-    sizes = np.maximum(np.rint(sizes), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below reject what overflows
+        sizes = np.maximum(np.rint(sizes), 1.0)
+        periods = np.rint(np.maximum(0.0, periods_s) * NS_PER_S)
     if not sizes.max() < 2**63:  # NaN-safe: a NaN max compares False
         raise ParameterError(f"burst size draws must be finite and below 2**63 bytes, got {sizes.max()}")
-    periods = np.rint(np.maximum(0.0, periods_s) * NS_PER_S)
     if not periods.max() < _MAX_PERIOD_NS:
         raise ParameterError(f"period draws must be finite and below {_MAX_PERIOD_NS} ns, got {periods.max()} ns")
     return sizes.astype(np.int64), periods.astype(np.int64)
@@ -500,20 +528,3 @@ def save_trace(path, records, metadata: dict | None = None) -> None:
     rows = ("%d,%d\n" * len(sizes)) % tuple(np.column_stack((sizes, periods_us)).ravel().tolist())
     Path(path).write_text(header + rows, encoding="utf-8")
 
-
-__all__ = [
-    "BurstDescriptor",
-    "BLOCK_BURSTS",
-    "BurstGenerator",
-    "GeneratorConfig",
-    "GeneratorExhaustedError",
-    "SimpleBurstGenerator",
-    "TraceFile",
-    "TraceFileBurstGenerator",
-    "TraceParseError",
-    "VrBurstGenerator",
-    "build_generators",
-    "load_trace",
-    "save_trace",
-    "schedule_stations",
-]

@@ -9,6 +9,8 @@ drive a VR video source:
   size ``S = rate / (8 * fps)``, the large component modeling intra-coded
   frames and the small one predicted frames.
 
+:class:`vrburst.generator.VrBurstGenerator` draws bursts from them.
+
 UNITS: every frame-size expression here works in BYTES. In particular the
 power laws ``sigma = coeff * S**exp`` expect ``S`` in bytes and produce
 sigmas in bytes; feeding kilobytes silently produces garbage sigmas.
@@ -19,15 +21,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import islice, repeat
 from pathlib import Path
 
-import numpy as np
-
-from .rv import Gmm2Params, LogisticParams, ParameterError, RngStream, gmm2_quantile, gmm2_sample, logistic_sample
-
-# Give up after this many consecutive non-positive frame-size draws.
-_MAX_FRAME_DRAW_ATTEMPTS = 100
+from .rv import Gmm2Params, LogisticParams, ParameterError
 
 
 class DegenerateModelError(ValueError):
@@ -138,54 +134,3 @@ def derive_frame_size_model(params: VrStreamParams, constants: VrModelConstants 
         raise ParameterError(f"a frame-size sigma power law overflows at S = {s_bytes} bytes") from None
     return Gmm2Params(w_hi=w_hi, mu_hi=hi_slope * s_bytes, sigma_hi=sigma_hi,
                       mu_lo=lo_slope * s_bytes, sigma_lo=sigma_lo)
-
-
-def sample_vr_frame(params: VrStreamParams, constants: VrModelConstants, rng: RngStream, size: int):
-    """``size`` frame-size draws in whole bytes (>= 1).
-
-    The first attempts of all frames come first, as ``size`` mixture draws;
-    then each non-positive one, in order, is redrawn from the stream until
-    positive (:func:`draw_positive_frame`). Sizes are rounded to the nearest
-    byte.
-    """
-    gmm = derive_frame_size_model(params, constants)
-    raw = gmm2_sample(gmm, rng, size=size)
-    redraws = (gmm2_quantile(gmm, *rng.uniform(2)) for _ in repeat(None))
-    for idx in np.flatnonzero(raw <= 0.0):
-        raw[idx], _ = draw_positive_frame(redraws, attempts_used=1)
-    return np.maximum(np.rint(raw), 1).astype(np.int64)
-
-
-def draw_positive_frame(draws, attempts_used: int = 0) -> tuple[float, int]:
-    """The first positive of an iterable of frame-size mixture draws, and how
-    many draws it took.
-
-    Raises :class:`DegenerateModelError` when the draws that remain of the
-    frame's 100 attempts (``attempts_used`` are spent already) are all
-    non-positive.
-    """
-    for used, value in enumerate(islice(draws, _MAX_FRAME_DRAW_ATTEMPTS - attempts_used), 1):
-        if value > 0.0:
-            return float(value), used
-    raise DegenerateModelError(
-        f"frame-size mixture produced {_MAX_FRAME_DRAW_ATTEMPTS} consecutive "
-        "non-positive draws; model parameters are degenerate"
-    )
-
-
-def sample_vr_ifi(params: VrStreamParams, constants: VrModelConstants, rng: RngStream, size: int):
-    """``size`` inter-frame-interval draws in seconds, clamped below at zero."""
-    return np.maximum(0.0, logistic_sample(derive_ifi_model(params, constants), rng, size=size))
-
-
-__all__ = [
-    "DEFAULT_CONSTANTS",
-    "DegenerateModelError",
-    "VrModelConstants",
-    "VrStreamParams",
-    "derive_frame_size_model",
-    "derive_ifi_model",
-    "draw_positive_frame",
-    "sample_vr_frame",
-    "sample_vr_ifi",
-]

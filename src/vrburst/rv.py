@@ -2,13 +2,13 @@
 
 All randomness flows through :class:`RngStream`, a thin wrapper over a keyed
 Philox4x64 counter PRNG. Uniform draws are 53-bit doubles, one per underlying
-64-bit word, and every variate here consumes a fixed number of uniforms (one
-for a logistic or a normal, two for a mixture draw), so a given
-``(seed, stream_id)`` reproduces the same uniforms on any platform. The
-transforms that take a logarithm follow the platform's ``log`` to its last
-ulp: the logistic, and the tails (u <= exp(-2) or u > 1 - exp(-2)) of
-:func:`ndtri`, the numpy port of Cephes' inverse normal CDF. Its central
-region uses only +, -, * and / and is the same everywhere.
+64-bit word, so a given ``(seed, stream_id)`` reproduces the same uniforms on
+any platform. Variates are quantiles of uniforms: one uniform for a logistic
+or a normal, two for a mixture draw. The transforms that take a logarithm
+follow the platform's ``log`` to its last ulp: the logistic, and the tails
+(u <= exp(-2) or u > 1 - exp(-2)) of :func:`ndtri`, the numpy port of Cephes'
+inverse normal CDF. Its central region uses only +, -, * and / and is the
+same everywhere.
 """
 
 from __future__ import annotations
@@ -151,13 +151,6 @@ class RngStream:
         u = self._gen.random(size)
         return np.clip(u, _MIN_UNIFORM, None)
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0, size: int | None = None):
-        """Gaussian draw(s) via the inverse CDF; exactly one uniform each."""
-        if sigma < 0:
-            raise ParameterError(f"sigma must be non-negative, got {sigma}")
-        u = self.uniform(size)
-        return mu + sigma * ndtri(u)
-
 
 @dataclass(frozen=True)
 class LogisticParams:
@@ -188,11 +181,6 @@ def logistic_quantile(u, p: LogisticParams):
         raise ParameterError("quantile argument must lie strictly inside (0, 1)")
     out = p.mu + p.s * np.log(uu / (1.0 - uu))
     return float(out) if np.ndim(u) == 0 else out
-
-
-def logistic_sample(p: LogisticParams, rng: RngStream, size: int | None = None):
-    """Logistic draw(s) by inverse-transform sampling; one uniform per draw."""
-    return logistic_quantile(rng.uniform(size), p)
 
 
 @dataclass(frozen=True)
@@ -231,16 +219,6 @@ def gmm2_quantile(p: Gmm2Params, pick, u):
     component and ``u`` feeds that component's inverse normal CDF."""
     z = ndtri(u)
     return np.where(pick < p.w_hi, p.mu_hi + p.sigma_hi * z, p.mu_lo + p.sigma_lo * z)
-
-
-def gmm2_sample(p: Gmm2Params, rng: RngStream, size: int, with_components: bool = False):
-    """``size`` mixture draws from ``size`` (component, normal) uniform pairs.
-
-    With ``with_components=True`` also returns the high-component indicators.
-    """
-    u = rng.uniform(2 * size).reshape(size, 2)
-    values = gmm2_quantile(p, u[:, 0], u[:, 1])
-    return (values, u[:, 0] < p.w_hi) if with_components else values
 
 
 # --- spec distributions used by SimpleBurstGenerator -------------------------
@@ -324,20 +302,3 @@ def dist_from_spec(spec: str):
         raise ParameterError(f"{name} takes {arity} parameter(s), got {len(values)} in {spec!r}")
     return maker(*values)
 
-
-__all__ = [
-    "ConstantDist",
-    "Gmm2Params",
-    "LogisticDist",
-    "LogisticParams",
-    "NormalDist",
-    "ParameterError",
-    "RNG_ALGORITHM",
-    "RngStream",
-    "UniformDist",
-    "dist_from_spec",
-    "gmm2_quantile",
-    "gmm2_sample",
-    "logistic_quantile",
-    "logistic_sample",
-]

@@ -474,15 +474,3 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
     """Simulate one scenario and return its metrics report."""
     return summarize(simulate(cfg), cfg)
 
-
-__all__ = [
-    "GeneratorConfig",
-    "MetricsReport",
-    "ScenarioConfig",
-    "SimulationLog",
-    "fragment_delays",
-    "percentile",
-    "run_scenario",
-    "simulate",
-    "summarize",
-]

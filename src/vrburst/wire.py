@@ -300,22 +300,3 @@ class BurstReassembler:
             )
         return events
 
-
-__all__ = [
-    "BurstDiscarded",
-    "BurstReassembler",
-    "BurstReceived",
-    "DEFAULT_FRAGMENT_SIZE",
-    "Fragment",
-    "FragmentHeader",
-    "FragmentationError",
-    "HEADER_LEN",
-    "HeaderError",
-    "LateFragmentIgnored",
-    "ReassemblyCounters",
-    "decode_header",
-    "encode_header",
-    "fragment_burst",
-    "fragment_layout",
-    "pack_burst",
-]

@@ -72,7 +72,7 @@ class NormalDist:
         self.sigma = float(sigma)
 
     def sample(self, rng) -> float:
-        return rng.normal(self.mu, self.sigma)
+        return self.mu + self.sigma * ndtri(rng.uniform())
 
 
 class LogisticDist:

@@ -52,9 +52,9 @@ class TestGenerate:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_zero_duration_is_data_error(self, tmp_path, capsys):
+    def test_duration_too_short_for_a_burst_is_data_error(self, tmp_path, capsys):
         code, _, err = run(
-            capsys, "generate", "--duration-s", "0", "--out", str(tmp_path / "x.csv")
+            capsys, "generate", "--duration-s", "1e-10", "--out", str(tmp_path / "x.csv")
         )
         assert code == 3
         assert "empty" in err
@@ -568,6 +568,9 @@ class TestCliPlumbing:
         (2, SIMPLE + ["--size-dist", "constant:100", "--period-dist", "constant:1e30"]),
         (2, SIMPLE + ["--size-dist", "constant:100", "--period-dist", "constant:nan"]),
         (2, SIMPLE + ["--size-dist", "constant:100", "--period-dist", "constant:5e9"]),
+        # finite specs whose draws overflow used to print numpy warnings first
+        (2, SIMPLE + ["--size-dist", "normal:0:1e308", "--period-dist", "constant:0.01"]),
+        (2, SIMPLE + ["--size-dist", "constant:100", "--period-dist", "uniform:0:1e308"]),
         # burst times past 2**63 ns used to wrap (the later --duration-s wins)
         (2, SIMPLE + ["--size-dist", "constant:100", "--period-dist", "constant:1e7", "--duration-s", "9e9"]),
         (2, ["simulate", "--fps", "1e-300", "--duration-s", "1"]),
@@ -579,6 +582,8 @@ class TestCliPlumbing:
         (2, ["simulate", "--prop-delay-us", "99999999999999999", "--duration-s", "1"]),
         (2, ["simulate", "--overhead-bytes", "99999999999999999999", "--duration-s", "1"]),
         (3, ["send", "--dest", "127.0.0.1:9", "--max-bursts", "1", "--fragment-size", "0"]),
+        # a negative count used to send nothing and exit 0
+        (2, ["send", "--dest", "127.0.0.1:9", "--max-bursts", "-1"]),
         # constants whose frame-size mixture draws no positive size
         (3, ["generate", "--params", "deg.json", "--duration-s", "1", "--out", "out.csv"]),
         (3, ["simulate", "--params", "deg.json", "--duration-s", "1"]),
@@ -598,8 +603,36 @@ class TestCliPlumbing:
         )
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
-        assert len([line for line in done.stderr.splitlines() if line.startswith("error:")]) == 1
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert done.stderr.startswith("error:")
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--out", "x.csv", "--duration-s", "0"],
+        ["replay", "--trace", "t.csv", "--out", "x.csv", "--duration-s", "0"],
+        ["simulate", "--duration-s", "0"],
+        ["send", "--dest", "127.0.0.1:9", "--duration-s", "0"],
+        ["recv", "--listen", "127.0.0.1:0", "--out", "x.csv", "--duration-s", "-0"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+    def test_zero_duration_is_one_usage_error_line(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        save_trace("t.csv", [(1000, 16_667_000)] * 3)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"vrburst {argv[0]}: error: argument --duration-s: expected seconds > 0, got {argv[-1]!r}"
+        ]
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_zero_start_time_is_valid(self, tmp_path, capsys):
+        save_trace(tmp_path / "t.csv", [(1000, 16_667_000)] * 3)
+        code, _, _ = run(capsys, "replay", "--trace", str(tmp_path / "t.csv"), "--start-time", "0",
+                         "--out", str(tmp_path / "x.csv"))
+        assert code == 0
+        assert len(load_trace(tmp_path / "x.csv").records) == 3
 
     def test_recv_port_out_of_range_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "events.csv"

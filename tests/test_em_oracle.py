@@ -12,8 +12,9 @@ import pytest
 from em_oracle import _em_step_loglik
 from em_oracle import fit_gmm2_em as fit_reference
 from vrburst.fit import fit_gmm2_em
-from vrburst.model import DEFAULT_CONSTANTS, VrStreamParams, sample_vr_frame
-from vrburst.rv import Gmm2Params, RngStream, gmm2_sample
+from vrburst.generator import sample_vr_frame
+from vrburst.model import DEFAULT_CONSTANTS, VrStreamParams
+from vrburst.rv import Gmm2Params, RngStream, gmm2_quantile
 
 
 def vr_like(n):
@@ -23,12 +24,12 @@ def vr_like(n):
 
 def separated(n):
     truth = Gmm2Params(w_hi=0.3, mu_hi=40.0, sigma_hi=2.0, mu_lo=20.0, sigma_lo=2.0)
-    return gmm2_sample(truth, RngStream(402), size=n)
+    return gmm2_quantile(truth, *RngStream(402).uniform(2 * n).reshape(n, 2).T)
 
 
 def one_component(n):
     truth = Gmm2Params(w_hi=1.0, mu_hi=500.0, sigma_hi=20.0, mu_lo=0.0, sigma_lo=1.0)
-    return gmm2_sample(truth, RngStream(403), size=n)
+    return gmm2_quantile(truth, *RngStream(403).uniform(2 * n).reshape(n, 2).T)
 
 
 def plain_em_step(x, p: Gmm2Params) -> np.ndarray:

@@ -12,9 +12,14 @@ from vrburst.fit import (
     fit_vr_model,
     group_traces,
 )
-from vrburst.generator import BurstDescriptor, TraceFile
-from vrburst.model import DEFAULT_CONSTANTS, VrStreamParams, sample_vr_frame, sample_vr_ifi
-from vrburst.rv import Gmm2Params, LogisticParams, RngStream, gmm2_sample, logistic_sample
+from vrburst.generator import BurstDescriptor, TraceFile, sample_vr_frame, sample_vr_ifi
+from vrburst.model import DEFAULT_CONSTANTS, VrStreamParams
+from vrburst.rv import Gmm2Params, LogisticParams, RngStream, gmm2_quantile, logistic_quantile, ndtri
+
+
+def mixture_draws(p, rng, size):
+    """``size`` draws of mixture ``p``, each from a (pick, normal) uniform pair."""
+    return gmm2_quantile(p, *rng.uniform(2 * size).reshape(size, 2).T)
 
 
 class TestFitLogistic:
@@ -31,7 +36,7 @@ class TestFitLogistic:
 
     def test_round_trip_with_sampler(self):
         truth = LogisticParams(1 / 30, 0.0015)
-        xs = logistic_sample(truth, RngStream(60), size=1_000_000)
+        xs = logistic_quantile(RngStream(60).uniform(1_000_000), truth)
         p = fit_logistic(xs)
         assert p.mu == pytest.approx(truth.mu, rel=0.005)
         assert p.s == pytest.approx(truth.s, rel=0.02)
@@ -44,7 +49,7 @@ class TestFitLogistic:
 class TestFitGmm2Em:
     def test_recovers_separable_mixture(self):
         truth = Gmm2Params(w_hi=0.36, mu_hi=100_000, sigma_hi=8_000, mu_lo=50_000, sigma_lo=5_000)
-        xs = gmm2_sample(truth, RngStream(61), size=20_000)
+        xs = mixture_draws(truth, RngStream(61), 20_000)
         fit = fit_gmm2_em(xs, restarts=10, rng=RngStream(62))
         assert fit.params.mu_hi == pytest.approx(truth.mu_hi, rel=0.03)
         assert fit.params.mu_lo == pytest.approx(truth.mu_lo, rel=0.03)
@@ -53,23 +58,23 @@ class TestFitGmm2Em:
 
     def test_labels_follow_means(self):
         truth = Gmm2Params(w_hi=0.7, mu_hi=10.0, sigma_hi=1.0, mu_lo=-10.0, sigma_lo=1.0)
-        xs = gmm2_sample(truth, RngStream(63), size=5_000)
+        xs = mixture_draws(truth, RngStream(63), 5_000)
         fit = fit_gmm2_em(xs, restarts=5, rng=RngStream(64))
         assert fit.params.mu_hi >= fit.params.mu_lo
 
     def test_single_normal_preserves_mean(self):
-        xs = RngStream(65).normal(100.0, 15.0, size=20_000)
+        xs = 100.0 + 15.0 * ndtri(RngStream(65).uniform(20_000))
         fit = fit_gmm2_em(xs, restarts=10, rng=RngStream(66))
         assert fit.params.mean == pytest.approx(xs.mean(), rel=0.01)
 
     def test_one_component_limit(self):
         truth = Gmm2Params(w_hi=1.0, mu_hi=500.0, sigma_hi=20.0, mu_lo=0.0, sigma_lo=1.0)
-        xs = gmm2_sample(truth, RngStream(67), size=20_000)
+        xs = mixture_draws(truth, RngStream(67), 20_000)
         fit = fit_gmm2_em(xs, restarts=10, rng=RngStream(68))
         assert fit.params.mean == pytest.approx(500.0, rel=0.01)
 
     def test_log_likelihood_is_finite_and_reported(self):
-        xs = RngStream(69).normal(0.0, 1.0, size=1_000)
+        xs = ndtri(RngStream(69).uniform(1_000))
         fit = fit_gmm2_em(xs, restarts=3, rng=RngStream(70))
         assert math.isfinite(fit.log_likelihood)
         assert fit.n_iterations >= 1
@@ -83,7 +88,7 @@ class TestFitGmm2Em:
             fit_gmm2_em(list(range(100)), restarts=0, rng=RngStream(73))
 
     def test_deterministic_given_stream(self):
-        xs = RngStream(73).normal(10.0, 2.0, size=2_000)
+        xs = 10.0 + 2.0 * ndtri(RngStream(73).uniform(2_000))
         a = fit_gmm2_em(xs, restarts=5, rng=RngStream(74))
         b = fit_gmm2_em(xs, restarts=5, rng=RngStream(74))
         assert a == b

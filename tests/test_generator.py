@@ -4,6 +4,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vrburst.generator import (
+    BLOCK_BURSTS,
+    NS_PER_S,
     BurstDescriptor,
     GeneratorExhaustedError,
     SimpleBurstGenerator,
@@ -12,9 +14,11 @@ from vrburst.generator import (
     TraceParseError,
     VrBurstGenerator,
     load_trace,
+    sample_vr_frame,
+    sample_vr_ifi,
     save_trace,
 )
-from vrburst.model import VrStreamParams
+from vrburst.model import DEFAULT_CONSTANTS, VrStreamParams
 from vrburst.rv import RngStream, dist_from_spec
 
 
@@ -89,6 +93,18 @@ class TestVrBurstGenerator:
         a = VrBurstGenerator(params, RngStream(9, 4))
         b = VrBurstGenerator(params, RngStream(9, 4))
         assert [a.generate_burst() for _ in range(50)] == [b.generate_burst() for _ in range(50)]
+
+    # at 1 Mbit/s about one frame-size draw in 15 is non-positive and redrawn
+    @pytest.mark.parametrize("rate_mbps", [50, 1])
+    def test_samplers_read_the_bursts_a_schedule_draws(self, rate_mbps):
+        params = VrStreamParams(rate_mbps * 1e6, 60)
+        _, sizes, periods = VrBurstGenerator(params, RngStream(11, 2)).schedule(60 * NS_PER_S)
+        n = len(sizes)
+        assert n > 10 * BLOCK_BURSTS
+        np.testing.assert_array_equal(sample_vr_frame(params, DEFAULT_CONSTANTS, RngStream(11, 2), n), sizes)
+        np.testing.assert_array_equal(sample_vr_ifi(params, DEFAULT_CONSTANTS, RngStream(11, 2), n),
+                                      periods / NS_PER_S)
+        assert len(sample_vr_frame(params, DEFAULT_CONSTANTS, RngStream(11, 2), 0)) == 0
 
 
 class TestLoadTrace:

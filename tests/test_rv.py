@@ -14,9 +14,8 @@ from vrburst.rv import (
     RngStream,
     UniformDist,
     dist_from_spec,
-    gmm2_sample,
+    gmm2_quantile,
     logistic_quantile,
-    logistic_sample,
     ndtri,
 )
 
@@ -51,15 +50,15 @@ class TestLogisticQuantile:
 class TestLogisticSample:
     def test_mean_matches_location(self):
         p = LogisticParams(1 / 30, 0.0015)
-        xs = logistic_sample(p, RngStream(1), size=1_000_000)
+        xs = logistic_quantile(RngStream(1).uniform(1_000_000), p)
         assert xs.mean() == pytest.approx(1 / 30, rel=0.005)
 
     def test_std_matches_closed_form(self):
-        xs = logistic_sample(LogisticParams(0.0, 1.0), RngStream(2), size=1_000_000)
+        xs = logistic_quantile(RngStream(2).uniform(1_000_000), LogisticParams(0.0, 1.0))
         assert xs.std(ddof=1) == pytest.approx(LOGISTIC_STD_UNIT, rel=0.02)
 
     def test_zero_scale_collapses_to_location(self):
-        xs = logistic_sample(LogisticParams(0.25, 0.0), RngStream(3), size=10_000)
+        xs = logistic_quantile(RngStream(3).uniform(10_000), LogisticParams(0.25, 0.0))
         assert np.all(xs == 0.25)
 
 
@@ -144,35 +143,32 @@ class TestRngStream:
             RngStream(0, 2**64)
 
 
+def pairs(rng, size):
+    """``size`` (pick, normal) uniform pairs, as the two columns of a mixture draw."""
+    return rng.uniform(2 * size).reshape(size, 2).T
+
+
 class TestGmm2Sample:
     def test_degenerate_weight_is_plain_normal(self):
         p = Gmm2Params(w_hi=1.0, mu_hi=10.0, sigma_hi=2.0, mu_lo=0.0, sigma_lo=1.0)
-        xs = gmm2_sample(p, RngStream(11), size=100_000)
+        xs = gmm2_quantile(p, *pairs(RngStream(11), 100_000))
         assert abs(xs.mean() - 10.0) < 3 * 2.0 / math.sqrt(100_000)
 
     def test_point_mass_components(self):
         p = Gmm2Params(w_hi=0.36, mu_hi=2.0, sigma_hi=0.0, mu_lo=1.0, sigma_lo=0.0)
-        xs = gmm2_sample(p, RngStream(12), size=100_000)
+        xs = gmm2_quantile(p, *pairs(RngStream(12), 100_000))
         assert set(np.unique(xs)) == {1.0, 2.0}
         assert xs.mean() == pytest.approx(1.36, abs=0.01)
 
     def test_mean_follows_total_expectation(self):
         p = Gmm2Params(w_hi=0.36, mu_hi=120_000.0, sigma_hi=20_000.0, mu_lo=90_000.0, sigma_lo=10_000.0)
-        xs = gmm2_sample(p, RngStream(13), size=1_000_000)
+        xs = gmm2_quantile(p, *pairs(RngStream(13), 1_000_000))
         assert xs.mean() == pytest.approx(p.mean, rel=0.005)
 
     def test_component_frequency_converges_to_weight(self):
         p = Gmm2Params(w_hi=0.36, mu_hi=2.0, sigma_hi=1.0, mu_lo=0.0, sigma_lo=1.0)
-        _, hi = gmm2_sample(p, RngStream(14), size=1_000_000, with_components=True)
-        assert hi.mean() == pytest.approx(0.36, abs=0.01)
-
-    def test_each_draw_consumes_exactly_two_uniforms(self):
-        p = Gmm2Params(w_hi=0.5, mu_hi=1.0, sigma_hi=1.0, mu_lo=0.0, sigma_lo=1.0)
-        a = RngStream(15, 2)
-        b = RngStream(15, 2)
-        gmm2_sample(p, a, size=7)
-        b.uniform(14)
-        assert a.uniform() == b.uniform()
+        picks, _ = pairs(RngStream(14), 1_000_000)
+        assert (picks < p.w_hi).mean() == pytest.approx(0.36, abs=0.01)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
