@@ -9,7 +9,7 @@ following burst. Three generators are provided: arbitrary random variates
 station from a :class:`GeneratorConfig`. :func:`schedule_stations` is the
 generation horizon every caller applies and the one loop that computes bursts
 up to it: it returns each station's burst times, sizes and periods as int64
-arrays, drawing the blocks of the VR stations of one model together, and
+arrays, drawing the blocks of the generators of one bank together, and
 :meth:`BurstGenerator.schedule` is its one-station case. After an error, a
 single generator keeps the bursts computed before it next in line; generators
 scheduled together are not to be used.
@@ -63,6 +63,7 @@ BLOCK_BURSTS = 256
 _MAX_PERIOD_NS = 2**63 // BLOCK_BURSTS
 # A VR frame gives up after this many consecutive non-positive size draws.
 _MAX_FRAME_DRAW_ATTEMPTS = 100
+_NO_WORDS = np.empty(0)
 
 
 class GeneratorExhaustedError(RuntimeError):
@@ -118,25 +119,29 @@ class BurstGenerator(ABC):
     """Hands out burst descriptors until exhausted (stochastic ones never are).
 
     A generator keeps the bursts it has computed but not handed out yet;
-    :meth:`_next_bursts` computes more when they run out.
+    :meth:`_draw_blocks` computes more, together for the generators of a bank.
     """
 
     def __init__(self):
         self._sizes = self._periods = np.empty(0, dtype=np.int64)
         self._next = 0  # index of the next burst to hand out
+        self._bank = self
 
+    @staticmethod
     @abstractmethod
-    def _next_bursts(self):
-        """Sizes (bytes) and periods (ns) of the next bursts, as int64 arrays,
-        or None when the generator is exhausted."""
+    def _draw_blocks(generators):
+        """The next block of each of ``generators`` (one ``_bank``) as a row of two int64 arrays,
+        sizes (bytes) and periods (ns), and the bursts in each row, past which it is padding;
+        None when the generators are exhausted."""
 
     def has_next_burst(self) -> bool:
         """True iff generate_burst() may be called."""
         if self._next == len(self._sizes):
-            more = self._next_bursts()
-            if more is None:
+            rows = self._draw_blocks([self])
+            if rows is None:
                 return False
-            (self._sizes, self._periods), self._next = more, 0
+            (sizes,), (periods,), (n,) = rows
+            self._sizes, self._periods, self._next = sizes[:n], periods[:n], 0
         return True
 
     def generate_burst(self) -> BurstDescriptor:
@@ -168,13 +173,16 @@ class SimpleBurstGenerator(BurstGenerator):
         self.rng = rng
         self.size_dist = size_dist
         self.period_dist = period_dist
+        self._bank = (size_dist, period_dist)
 
-    def _next_bursts(self):
-        split, width = self.size_dist.words, self.size_dist.words + self.period_dist.words
-        u = self.rng.uniform(BLOCK_BURSTS * width).reshape(BLOCK_BURSTS, width)
+    @staticmethod
+    def _draw_blocks(generators):
+        g, n = generators[0], len(generators)
+        split, width = g.size_dist.words, g.size_dist.words + g.period_dist.words
+        u = np.concatenate([g.rng.uniform(BLOCK_BURSTS * width) for g in generators]).reshape(n * BLOCK_BURSTS, width)
         with np.errstate(over="ignore", invalid="ignore"):  # _whole rejects the draws that overflow
-            sizes, periods = self.size_dist.quantile(u[:, :split]), self.period_dist.quantile(u[:, split:])
-        return _whole(sizes, periods)
+            sizes, periods = g.size_dist.quantile(u[:, :split]), g.period_dist.quantile(u[:, split:])
+        return *(a.reshape(n, BLOCK_BURSTS) for a in _whole(sizes, periods)), np.full(n, BLOCK_BURSTS)
 
 
 class VrBurstGenerator(BurstGenerator):
@@ -192,45 +200,42 @@ class VrBurstGenerator(BurstGenerator):
         self.constants = constants
         self._gmm = derive_frame_size_model(params, constants)
         self._ifi = derive_ifi_model(params, constants)
-        self._carry = np.empty(0)  # words the last block left unread
+        self._carry = _NO_WORDS  # words the last block left unread
+        self._bank = (self._gmm, self._ifi)
 
     # defined on this class, not inherited: perfbench/tracer.py patches it here
     generate_burst = BurstGenerator.generate_burst
-
-    def _next_bursts(self):
-        return self._draw_blocks([self])[0]
 
     @staticmethod
     def _draw_blocks(generators):
         """The next block of each of several generators of one model, as each
         computes it alone, from at most two mixture evaluations for all.
 
-        A block with no rejected draw is ``BLOCK_BURSTS`` 3-word rows, which
-        needs the mixture at the row starts only. The blocks whose rows hold a
-        rejected draw are read from the draws at every word offset, which one
-        more evaluation gives for all of them.
+        Row i is generator i's carry and then fresh words, ``3 * BLOCK_BURSTS``
+        in all. A row with no rejected draw is ``BLOCK_BURSTS`` 3-word bursts,
+        which needs the mixture at the burst starts only. The rows that hold one
+        are read from the draws at every word offset, one more evaluation for all.
         """
-        gmm, rows = generators[0]._gmm, 3 * BLOCK_BURSTS
-        words = [np.concatenate((g._carry, g.rng.uniform(rows))) for g in generators]
-        starts = gmm2_quantile(gmm, np.concatenate([w[0:rows:3] for w in words]),
-                               np.concatenate([w[1:rows:3] for w in words]))
-        starts = np.split(starts, len(words))
-        rejected = [bool((d <= 0.0).any()) for d in starts]
-        redo = [w for w, r in zip(words, rejected) if r]
-        if redo:
-            every = gmm2_quantile(gmm, np.concatenate([w[:-1] for w in redo]), np.concatenate([w[1:] for w in redo]))
-            every = iter(np.split(every, np.cumsum([len(w) - 1 for w in redo[:-1]])))
-        blocks = []
-        for g, w, d, r in zip(generators, words, starts, rejected):
-            if r:
-                blocks.append(g._read_block(w, next(every)))
-            else:
-                g._carry = w[rows:]
-                blocks.append((d, w[2:rows:3]))
-        sizes, periods = _whole(np.concatenate([raw for raw, _ in blocks]),
-                                logistic_quantile(np.concatenate([ifi for _, ifi in blocks]), generators[0]._ifi))
-        bounds = np.cumsum([0, *(len(raw) for raw, _ in blocks)]).tolist()
-        return [(sizes[a:b], periods[a:b]) for a, b in zip(bounds, bounds[1:])]
+        gmm, width = generators[0]._gmm, 3 * BLOCK_BURSTS
+        words = np.empty((len(generators), width))
+        for row, g in zip(words, generators):
+            row[:len(g._carry)] = g._carry
+            row[len(g._carry):] = g.rng.uniform(width - len(g._carry))
+        raw, ifi = gmm2_quantile(gmm, words[:, 0::3], words[:, 1::3]), words[:, 2::3]
+        lengths = np.full(len(generators), BLOCK_BURSTS)
+        rejected = (raw <= 0.0).any(axis=1)
+        for full in itertools.compress(generators, (~rejected).tolist()):
+            full._carry = _NO_WORDS
+        if rejected.any():
+            rows, ifi = np.flatnonzero(rejected), ifi.copy()  # a carry is a view of words
+            every = gmm2_quantile(gmm, words[rows, :-1], words[rows, 1:])
+            for r, draws in zip(rows.tolist(), every):
+                sizes, ifi_words = generators[r]._read_block(words[r], draws)
+                n = lengths[r] = len(sizes)
+                # pad the row with its first burst, which the schedule drops
+                raw[r, :n], raw[r, n:], ifi[r, :n], ifi[r, n:] = sizes, sizes[0], ifi_words, ifi_words[0]
+        sizes, periods = _whole(raw, logistic_quantile(ifi, generators[0]._ifi))
+        return sizes, periods, lengths
 
     def _read_block(self, words, draws):
         """The block's raw sizes and inter-frame-interval words, from its words
@@ -248,13 +253,14 @@ class VrBurstGenerator(BurstGenerator):
             ifi_words.append(words[pos + 2:pos + 3 * ok:3])
             n += ok
             pos += 3 * ok
-            if ok == m or len(words) - pos <= 2 * _MAX_FRAME_DRAW_ATTEMPTS:
-                break  # block full, or the words left may not hold the rejected burst
-            tries = draws[pos:pos + 2 * _MAX_FRAME_DRAW_ATTEMPTS:2]
+            if ok == m:
+                break  # block full, or out of words
+            # the draws the words left hold for the rejected burst, each followed by its interval word
+            tries = draws[pos:pos + min(2 * _MAX_FRAME_DRAW_ATTEMPTS, len(words) - pos - 2):2]
             used = next((i for i, value in enumerate(tries, 1) if value > 0.0), 0)  # stops at the first positive
             if not used:
-                if n:
-                    break  # hand out the bursts before it; the next block raises
+                if n or len(tries) < _MAX_FRAME_DRAW_ATTEMPTS:
+                    break  # hand out the bursts before it; the next block reads it or raises
                 raise DegenerateModelError(
                     f"frame-size mixture produced {_MAX_FRAME_DRAW_ATTEMPTS} consecutive "
                     "non-positive draws; model parameters are degenerate"
@@ -283,8 +289,9 @@ def _first_vr_bursts(params, constants, rng, size):
     generator = VrBurstGenerator(params, rng, constants)
     blocks, n = [np.empty((2, 0), np.int64)], 0
     while n < size:
-        blocks.append(np.stack(generator._next_bursts()))
-        n += blocks[-1].shape[1]
+        sizes, periods, (k,) = generator._draw_blocks([generator])
+        blocks.append(np.stack((sizes[0, :k], periods[0, :k])))
+        n += k
     return np.concatenate(blocks, axis=1)[:, :size]
 
 
@@ -304,7 +311,8 @@ class TraceFileBurstGenerator(BurstGenerator):
         self._sizes, self._periods = trace.records.T
         self.schedule(round(start_time_s * NS_PER_S))  # skip the bursts before t0
 
-    def _next_bursts(self):
+    @staticmethod
+    def _draw_blocks(generators):
         return None
 
 
@@ -331,44 +339,59 @@ def schedule_stations(generators: list[BurstGenerator], duration_ns, offsets_ns:
     passed the horizon or is exhausted, and keep the ones after it for the next
     call, so ``duration_ns`` must be finite for a random generator, and the
     bursts computed, those past it included, must end before 2**63 ns (else
-    :class:`ParameterError`). Each round
-    evaluates the frame-size mixture for the VR stations of one model together
-    (:meth:`VrBurstGenerator._draw_blocks`); every other generator computes its
-    bursts alone. A generator's bursts do not depend on its block boundaries,
-    so each schedule is the one its generator gives alone.
+    :class:`ParameterError`). The first round is the bursts the generators
+    kept; each later one is a block per generator, drawn as the rows of one
+    array per bank (:meth:`BurstGenerator._draw_blocks`), and the burst times
+    and the horizon cut run along the rows. A generator's bursts do not depend
+    on its block boundaries, so each schedule is the one its generator gives
+    alone.
 
     On an error, each generator keeps the bursts it computed in the rounds
     before it next in line, so a single generator goes on from where it
     raised. Several generators scheduled together are not to be used after an
     error: the round that raised may have drawn some of them further.
     """
-    vr = [g for g in generators if isinstance(g, VrBurstGenerator)]
-    bank = {g for g in vr if (g._gmm, g._ifi) == (vr[0]._gmm, vr[0]._ifi)}
-    blocks = {g: [(g._sizes[g._next:], g._periods[g._next:])] for g in generators}
-    reach = {g: offset + int(np.maximum(blocks[g][0][1], 1).sum()) for g, offset in zip(generators, offsets_ns)}
-    short = [g for g in generators if reach[g] < duration_ns]
+    horizon = min(duration_ns, _INT64_MAX)  # so every burst time compares in int64
+    if max(offsets_ns, default=0) > _INT64_MAX:
+        raise ParameterError(f"burst times reach {max(offsets_ns)} ns, beyond int64")
+    reach = np.array(offsets_ns, dtype=np.int64)  # each station's next burst time
+    todo = [([i], g._sizes[None, g._next:], g._periods[None, g._next:], np.array([len(g._sizes) - g._next]))
+            for i, g in enumerate(generators) if g._next < len(g._sizes)]
+    blocks, live, done = [], range(len(generators)), False
     try:
-        while short:
-            banked = [g for g in short if g in bank]
-            drawn = dict(zip(banked, VrBurstGenerator._draw_blocks(banked) if banked else ()))
-            more = {g: drawn[g] if g in drawn else g._next_bursts() for g in short}
-            for g, block in more.items():
-                if block is not None:
-                    blocks[g].append(block)
-                    reach[g] += int(np.maximum(block[1], 1).sum())
-            short = [g for g in short if more[g] is not None and reach[g] < duration_ns]
-    finally:
-        for g, queued in blocks.items():
-            g._sizes, g._periods = map(np.concatenate, zip(*queued)) if len(queued) > 1 else queued[0]
+        while True:
+            for members, sizes, periods, lengths in todo:
+                blocks.append([members, sizes, periods, lengths.tolist()])
+                steps = np.maximum(periods, 1)
+                if lengths.min() < steps.shape[1]:  # padding takes no time
+                    steps[np.arange(steps.shape[1]) >= lengths[:, None]] = 0
+                times = np.cumsum(steps, axis=1)
+                start, end = reach[members], reach[members] + times[:, -1]
+                if (end < start).any():  # the sum wrapped
+                    raise ParameterError("burst times reach 2**63 ns, beyond int64")
+                times += start[:, None] - steps
+                reach[members] = end
+                blocks[-1] += [times, np.minimum((times < horizon).sum(axis=1), lengths).tolist()]
+            short, banks = (reach < horizon).tolist(), {}
+            for i in filter(short.__getitem__, live):
+                banks.setdefault(generators[i]._bank, []).append(i)
+            todo = [(members, *rows) for members in banks.values()
+                    if (rows := generators[members[0]]._draw_blocks([generators[i] for i in members])) is not None]
+            if not todo:
+                break
+            live = [i for members, *_ in todo for i in members]
+        done = True
+    finally:  # each generator keeps the bursts past its schedule, or after an error every one computed
+        parts = [[(np.empty(0, np.int64),) * 5] for _ in generators]
+        for members, sizes, periods, lengths, *timed in blocks:
+            times, cut = timed if done else (sizes, [0] * len(members))
+            for r, (i, c, n) in enumerate(zip(members, cut, lengths)):
+                parts[i].append((times[r, :c], sizes[r, :c], periods[r, :c], sizes[r, c:n], periods[r, c:n]))
+        schedules = []
+        for g, mine in zip(generators, parts):
+            *schedule, g._sizes, g._periods = mine[-1] if len(mine) < 3 else map(np.concatenate, zip(*mine))
             g._next = 0
-    schedules = []
-    for g, offset in zip(generators, offsets_ns):
-        if reach[g] >= 2**63:  # the cumulative sum below would wrap
-            raise ParameterError(f"burst times reach {reach[g]} ns, beyond int64")
-        steps = np.maximum(g._periods, 1)
-        times = np.cumsum(steps) - steps + offset
-        g._next = n = int(np.searchsorted(times, duration_ns))
-        schedules.append((times[:n], g._sizes[:n], g._periods[:n]))
+            schedules.append(tuple(schedule))
     return schedules
 
 

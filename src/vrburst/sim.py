@@ -23,10 +23,11 @@ closed form ``D = C + max(0, max_{i<=j} A_i - C_{i-1})``, C being the
 cumulative service time, exact in int64. With a queue limit the recursion
 runs burst by burst; a departure at instant t precedes an arrival at t and
 frees its queue slot for it. Losses are one uniform draw per fragment sent,
-made in one call in link order, tail-dropped fragments included.
+made in one call in link order, tail-dropped fragments included; the draws
+that hit are mapped to their bursts, and those of tail-dropped fragments dropped.
 
-The :class:`SimulationLog` keeps per-burst columns; :func:`summarize`
-expands them into per-fragment delays only to aggregate them.
+The :class:`SimulationLog` keeps per-burst columns and the lost fragments; :func:`summarize`
+expands the columns into per-fragment delays only to aggregate them.
 
 Time is integer nanoseconds end to end, so a (config, seed) pair always
 produces the same report; a config or run whose link times could pass int64
@@ -94,8 +95,8 @@ class ScenarioConfig:
             raise ParameterError(f"loss probability must lie in [0, 1], got {self.loss_prob}")
         if self.queue_limit < 0:
             raise ParameterError(f"queue limit must be non-negative, got {self.queue_limit}")
-        if not 0 < self.duration_s * NS_PER_S < math.inf:
-            raise ParameterError(f"duration must be positive and finite in nanoseconds, got {self.duration_s}")
+        if not (0 < self.duration_s * NS_PER_S < math.inf and round(self.duration_s * NS_PER_S) >= 1):
+            raise ParameterError(f"duration must be finite and at least 1 ns, got {self.duration_s} s")
         if not 0 <= self.propagation_delay_ns < 2**63 or self.overhead_bytes < 0:
             raise ParameterError("propagation delay must lie in [0, 2**63) ns and overhead be non-negative")
         # link times are int64 ns, computed from a fragment's bits times NS_PER_S
@@ -139,8 +140,8 @@ class SimulationLog:
     generation time, size, fragment count, fragments admitted by the queue
     and delivered to the station, the link's service start and departure of
     its last admitted fragment (both equal to ``time_ns`` when none was
-    admitted), and its outcome. ``fragment_lost`` holds the loss draw of
-    each admitted fragment in the same order, or None without losses.
+    admitted), and its outcome. ``fragment_lost`` holds the sorted positions of the lost
+    fragments among all admitted ones in link order, or None without losses.
     """
 
     n_stations: int = 0
@@ -249,17 +250,19 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
         departure = done + np.maximum(np.maximum.accumulate(times - done + service), 0)
         start = departure - service
 
-    delivered = admitted
-    lost = None
+    delivered, lost = admitted, None
     if cfg.loss_prob > 0:
         # one draw per fragment sent, in link order, tail-dropped ones included
-        lost = RngStream(cfg.seed, _LOSS_STREAM_ID).uniform(fragments_sent) < cfg.loss_prob
+        hit = np.flatnonzero(RngStream(cfg.seed, _LOSS_STREAM_ID).uniform(fragments_sent) < cfg.loss_prob)
+        sent_end = np.cumsum(frags)
+        burst = np.searchsorted(sent_end, hit, side="right")
+        index = hit - (sent_end - frags)[burst]  # within the burst
         if cfg.queue_limit:  # keep the draws of the admitted fragments, the first of each burst
-            index = np.arange(fragments_sent) - np.repeat(np.cumsum(frags) - frags, frags)
-            lost = lost[index < np.repeat(admitted, frags)]
-        lost_before = np.r_[0, np.cumsum(lost)]
-        bounds = np.r_[0, np.cumsum(admitted)]
-        delivered = admitted - (lost_before[bounds[1:]] - lost_before[bounds[:-1]])
+            kept = index < admitted[burst]
+            burst, index = burst[kept], index[kept]
+        first = np.cumsum(admitted) - admitted  # each burst's first admitted fragment
+        lost = first[burst] + index
+        delivered = admitted - np.bincount(burst, minlength=n_bursts)
 
     live = delivered > 0
     outcome = np.where(live, np.where(delivered == frags, RECEIVED, DISCARDED), LOST)
@@ -277,8 +280,10 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
     if live.any():
         j = int(np.flatnonzero(live)[-1])
         i = int(admitted[j]) - 1
-        if lost is not None:
-            i = int(np.flatnonzero(~lost[bounds[j]:bounds[j + 1]])[-1])
+        if lost is not None:  # step back over the burst's last fragments that were lost
+            k = int(np.searchsorted(lost, first[j] + i, side="right"))
+            while k and lost[k - 1] == first[j] + i:
+                k, i = k - 1, i - 1
         arrival = departure[j] if i == admitted[j] - 1 else start[j] + (i + 1) * full_ser
         end_time_ns = max(end_time_ns, int(arrival) + cfg.propagation_delay_ns)
 
@@ -295,7 +300,7 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
         outcome=outcome,
         fragment_lost=lost,
         fragments_sent=fragments_sent,
-        fragments_lost=0 if lost is None else int(lost.sum()),
+        fragments_lost=0 if lost is None else len(lost),
         fragments_queue_dropped=int((frags - admitted).sum()),
         # a burst with no fragment admitted adds 0 to both
         served_bytes=int(((admitted - 1) * (fsize + overhead) + last_wire + overhead).sum()),
@@ -364,17 +369,18 @@ def fragment_delays(log: SimulationLog, cfg: ScenarioConfig) -> np.ndarray:
     delays += np.arange(full_ser, (total + 1) * full_ser, full_ser, dtype=dtype)
     served = admitted > 0
     delays[ends[served] - 1] = (log.departure_ns + prop - log.time_ns)[served]
-    return delays if log.fragment_lost is None else delays[~log.fragment_lost]
+    return delays if log.fragment_lost is None else np.delete(delays, log.fragment_lost)
 
 
 def _delay_summary(delays: np.ndarray) -> dict:
-    """Count, mean, std and nearest-rank p95 of whole-ns delays."""
+    """Count, mean, std and nearest-rank p95 of whole-ns delays, which it partitions in place."""
     if not len(delays):
         return {"count": 0, "mean_delay_ns": None, "std_delay_ns": None, "p95_delay_ns": None}
     arr = delays.astype(float, copy=False)
     mean, std = float(arr.mean()), float(arr.std())
-    return {"count": len(delays), "mean_delay_ns": mean, "std_delay_ns": std,
-            "p95_delay_ns": int(percentile(delays, 95))}
+    rank = math.ceil(95 * len(delays) / 100.0) - 1  # as percentile() takes it
+    delays.partition(rank)
+    return {"count": len(delays), "mean_delay_ns": mean, "std_delay_ns": std, "p95_delay_ns": int(delays[rank])}
 
 
 @dataclass
@@ -415,11 +421,12 @@ def summarize(log: SimulationLog, cfg: ScenarioConfig) -> MetricsReport:
     frags_delivered = np.bincount(log.station, log.delivered, minlength=n).tolist()
     received = log.outcome == RECEIVED
     delays = (log.departure_ns + cfg.propagation_delay_ns - log.time_ns)[received]
-    delay_station = log.station[received]
+    by_station, end = delays[np.argsort(log.station[received], kind="stable")], 0
     per_station = []
     for idx, counts in enumerate(outcomes):
         mean = p95 = None
-        station_delays = delays[delay_station == idx]
+        station_delays = by_station[end:end + counts[RECEIVED]]
+        end += counts[RECEIVED]
         if len(station_delays):
             # np.mean's float64 sum and division, without its wrapper
             mean = float(np.add.reduce(station_delays, dtype=np.float64) / len(station_delays))

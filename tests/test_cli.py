@@ -574,6 +574,8 @@ class TestCliPlumbing:
         # burst times past 2**63 ns used to wrap (the later --duration-s wins)
         (2, SIMPLE + ["--size-dist", "constant:100", "--period-dist", "constant:1e7", "--duration-s", "9e9"]),
         (2, ["simulate", "--fps", "1e-300", "--duration-s", "1"]),
+        # a run that rounds to 0 ns used to report 0 bursts and exit 0
+        (2, ["simulate", "--duration-s", "1e-10"]),
         # link parameters whose int64 ns arithmetic divides by zero or overflows
         (2, ["simulate", "--link-mbps", "inf", "--duration-s", "1"]),
         (2, ["simulate", "--link-mbps", "1e-300", "--duration-s", "1"]),
@@ -587,6 +589,7 @@ class TestCliPlumbing:
         # constants whose frame-size mixture draws no positive size
         (3, ["generate", "--params", "deg.json", "--duration-s", "1", "--out", "out.csv"]),
         (3, ["simulate", "--params", "deg.json", "--duration-s", "1"]),
+        (3, ["simulate", "--stations", "4", "--params", "deg.json"]),
         (3, ["send", "--params", "deg.json", "--dest", "127.0.0.1:9", "--max-bursts", "1"]),
         # a sigma power law past the float range used to raise OverflowError
         (2, ["simulate", "--params", "huge.json", "--duration-s", "1"]),

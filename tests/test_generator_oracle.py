@@ -118,6 +118,7 @@ def test_simple_bursts_match_the_scalar_walk(size, period, seed, chunks):
 
 @settings(max_examples=20, deadline=None)
 @given(rate_mbps=st.floats(0.2, 200.0), seed=seeds, duration_s=st.floats(0.001, 12.0))
+@example(rate_mbps=1.0, seed=7, duration_s=12.0)  # 720 bursts: three rounds of one short row
 def test_schedule_keeps_the_bursts_of_the_generation_horizon(rate_mbps, seed, duration_s):
     params = VrStreamParams(rate_mbps * 1e6, 60)
     times, sizes, periods = VrBurstGenerator(params, RngStream(seed, 1)).schedule(round(duration_s * 1e9))
@@ -136,6 +137,8 @@ def test_schedule_of_zero_periods_still_advances():
 @given(rate_mbps=st.floats(0.2, 200.0), seed=seeds, duration_s=st.floats(0.01, 12.0),
        offsets=st.lists(st.integers(0, 3_000_000_000), min_size=2, max_size=5))
 @example(rate_mbps=0.3, seed=1, duration_s=10.0, offsets=[0, 0, 7, 2_000_000_000])
+# the first round's rows hold 255, 254, 256, 256 and 256 bursts: redraws shorten two
+@example(rate_mbps=5.0, seed=1, duration_s=10.0, offsets=[0, 0, 0, 0, 0])
 def test_stations_scheduled_together_match_each_alone(rate_mbps, seed, duration_s, offsets):
     params = VrStreamParams(rate_mbps * 1e6, 60)
     horizon = round(duration_s * 1e9)

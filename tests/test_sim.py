@@ -291,6 +291,12 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="finite"):
             constant_cfg(duration_s=duration_s)
 
+    def test_duration_below_half_a_nanosecond_rejected(self):
+        # it rounds to a run of 0 ns
+        with pytest.raises(ParameterError, match="at least 1 ns"):
+            constant_cfg(duration_s=1e-10)
+        assert constant_cfg(duration_s=6e-10).duration_s == 6e-10
+
     def test_generator_config_validation(self):
         with pytest.raises(ParameterError):
             GeneratorConfig(model="bogus")

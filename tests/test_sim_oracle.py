@@ -128,9 +128,20 @@ SLOW = ScenarioConfig(
 )
 
 
+# The last burst that delivers anything, the 59th of 60, loses the last two
+# of its four fragments, and the 60th delivers nothing. With a 1-ms delay the
+# run ends when the 59th burst's second fragment reaches its station.
+LAST_LOST = ScenarioConfig(
+    generator=GeneratorConfig(model="simple", size_dist="constant:5000", period_dist="constant:0.001"),
+    n_stations=3, link_rate_bps=100e6, propagation_delay_ns=1_000_000, queue_limit=7, loss_prob=0.3,
+    duration_s=0.02, seed=11,
+)
+
+
 @settings(max_examples=60, deadline=None)
 @example(cfg=TIED)
 @example(cfg=SLOW)
+@example(cfg=LAST_LOST)
 @given(cfg=scenarios())
 def test_simulate_matches_event_heap_oracle(cfg):
     assert_matches_oracle(cfg)
