@@ -125,7 +125,7 @@ class BurstGenerator(ABC):
     def __init__(self):
         self._sizes = self._periods = np.empty(0, dtype=np.int64)
         self._next = 0  # index of the next burst to hand out
-        self._bank = self
+        self._bank = self  # generators with equal banks draw their blocks together
 
     @staticmethod
     @abstractmethod
