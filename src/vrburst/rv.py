@@ -149,7 +149,7 @@ class RngStream:
             u = self._gen.random()
             return u if u > 0.0 else _MIN_UNIFORM
         u = self._gen.random(size)
-        return np.clip(u, _MIN_UNIFORM, None)
+        return np.maximum(u, _MIN_UNIFORM, out=u)  # a fresh array, clamped in place
 
 
 @dataclass(frozen=True)

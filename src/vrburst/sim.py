@@ -22,7 +22,9 @@ previous burst's last admitted fragment. With an unbounded queue it has the
 closed form ``D = C + max(0, max_{i<=j} A_i - C_{i-1})``, C being the
 cumulative service time, exact in int64. With a queue limit the recursion
 runs burst by burst; a departure at instant t precedes an arrival at t and
-frees its queue slot for it. Losses are one uniform draw per fragment sent,
+frees its queue slot for it. A burst whose fragments fit beside every
+admitted fragment of the bursts not yet seen to depart is admitted whole
+without looking at the queue. Losses are one uniform draw per fragment sent,
 made in one call in link order, tail-dropped fragments included; the draws
 that hit are mapped to their bursts, and those of tail-dropped fragments dropped.
 
@@ -235,17 +237,16 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
     # no link time passes the last burst's time plus every fragment's service and the delay
     if n_bursts and int(times[-1]) + (fragments_sent + 1) * full_ser + cfg.propagation_delay_ns >= 2**63:
         raise ParameterError(f"the run's link times pass 2**63 ns at {cfg.link_rate_bps} bit/s")
-    last_ser = _serialization_ns(last_wire, overhead, cfg.link_rate_bps)
+    service = (frags - 1) * full_ser + _serialization_ns(last_wire, overhead, cfg.link_rate_bps)
 
     if cfg.queue_limit:
-        admitted, start, departure = _tail_drop_link(times, frags, last_ser, full_ser, cfg.queue_limit)
+        admitted, start, departure = _tail_drop_link(times, frags, service, full_ser, cfg.queue_limit)
         last_wire = np.where(admitted == frags, last_wire, fsize)
         service = departure - start
     else:
         # Lindley's recursion D_j = max(A_j, D_{j-1}) + S_j in closed form:
         # with C the cumulative service, D = C + max(0, max_{i<=j} A_i - C_{i-1})
         admitted = frags
-        service = (frags - 1) * full_ser + last_ser
         done = np.cumsum(service)
         departure = done + np.maximum(np.maximum.accumulate(times - done + service), 0)
         start = departure - service
@@ -311,42 +312,44 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
     )
 
 
-def _tail_drop_link(times, frags, last_ser, full_ser: int, limit: int):
+def _tail_drop_link(times, frags, service, full_ser: int, limit: int):
     """Fragments admitted, service start and last departure of each burst
     through a queue of ``limit`` waiting fragments (start and departure are
-    the arrival for a burst with none admitted).
+    the arrival for a burst with none admitted). ``service`` is each burst's
+    service time with every fragment admitted.
 
     A departure at instant t precedes an arrival at t and frees its slot.
+    ``backlog`` counts the fragments of the bursts from ``head`` on, some of
+    which may have left, so it bounds what waits or is in service; only an
+    arrival that might not fit pops the departed bursts and counts the head
+    burst's fragments that have left. The head has not departed, and no
+    fragment serializes for longer than a full one, so that count,
+    ``(now - start) // full_ser``, stays below the head's admitted count.
     """
-    admitted, start, departure = [], [], []
-    busy_start, busy_end, busy_admitted = [], [], []  # admitted bursts, in order
-    head = 0  # first admitted burst not fully departed
-    backlog = 0  # fragments of the bursts from head on
+    arrivals = times.tolist()
+    counts, start, departure = frags.tolist(), arrivals.copy(), arrivals.copy()
+    head = 0  # first burst not popped
+    backlog = 0  # fragments admitted to the bursts from head on
     link_free = 0
-    for now, n, ser in zip(times.tolist(), frags.tolist(), last_ser.tolist()):
-        while head < len(busy_end) and busy_end[head] <= now:
-            backlog -= busy_admitted[head]
-            head += 1
-        if head < len(busy_end):  # busy: every fragment not yet departed waits but the one in service
-            sent = min(busy_admitted[head] - 1, (now - busy_start[head]) // full_ser)
-            a = min(n, limit - (backlog - sent - 1))
-        else:
-            a = min(n, limit + 1)
-        admitted.append(a)
-        if not a:
-            start.append(now)
-            departure.append(now)
-            continue
+    room = limit + 1  # waiting places plus the one in service
+    for j, now, n, ser in zip(range(len(arrivals)), arrivals, counts, service.tolist()):
+        if backlog + n > room:
+            while head < j and departure[head] <= now:
+                backlog -= counts[head]
+                head += 1
+            a = room - backlog
+            if head < j:  # busy: the head burst's fragments that have left wait no more
+                a += (now - start[head]) // full_ser
+            if a < n:
+                counts[j] = n = a
+                if not a:
+                    continue
+                ser = a * full_ser
         begin = now if now > link_free else link_free
-        link_free = begin + (a - 1) * full_ser + (ser if a == n else full_ser)
-        start.append(begin)
-        departure.append(link_free)
-        busy_start.append(begin)
-        busy_end.append(link_free)
-        busy_admitted.append(a)
-        backlog += a
-    return (np.array(admitted, dtype=np.int64), np.array(start, dtype=np.int64),
-            np.array(departure, dtype=np.int64))
+        start[j] = begin
+        departure[j] = link_free = begin + ser
+        backlog += n
+    return np.array(counts, dtype=np.int64), np.array(start, dtype=np.int64), np.array(departure, dtype=np.int64)
 
 
 def fragment_delays(log: SimulationLog, cfg: ScenarioConfig) -> np.ndarray:
@@ -416,21 +419,27 @@ def summarize(log: SimulationLog, cfg: ScenarioConfig) -> MetricsReport:
     """
     n = log.n_stations
     # outcomes[s, o]: bursts of station s with outcome o
-    outcomes = np.bincount(log.station * 4 + log.outcome, minlength=4 * n).reshape(n, 4).tolist()
+    outcomes = np.bincount(log.station * 4 + log.outcome, minlength=4 * n).reshape(n, 4)
+    count, outcomes = outcomes[:, RECEIVED], outcomes.tolist()
     frags_sent = np.bincount(log.station, log.fragments, minlength=n).tolist()
     frags_delivered = np.bincount(log.station, log.delivered, minlength=n).tolist()
     received = log.outcome == RECEIVED
     delays = (log.departure_ns + cfg.propagation_delay_ns - log.time_ns)[received]
-    by_station, end = delays[np.argsort(log.station[received], kind="stable")], 0
+    station = log.station[received]
+    # per station: the delay sum, and the nearest-rank p95 from the delays sorted within each station
+    sums = np.bincount(station, delays, minlength=n).tolist()
+    rank = np.cumsum(count) - count + (95 * count + 99) // 100 - 1  # as percentile() takes it
+    p95s = iter(delays[np.lexsort((delays, station))][rank[count > 0]].tolist())
     per_station = []
     for idx, counts in enumerate(outcomes):
         mean = p95 = None
-        station_delays = by_station[end:end + counts[RECEIVED]]
-        end += counts[RECEIVED]
-        if len(station_delays):
-            # np.mean's float64 sum and division, without its wrapper
-            mean = float(np.add.reduce(station_delays, dtype=np.float64) / len(station_delays))
-            p95 = percentile(station_delays, 95)
+        if counts[RECEIVED]:
+            # bincount adds in order, which rounds as np.mean's pairwise sum only while exact, below 2**53
+            total = sums[idx]
+            if total >= 2**53:
+                total = float(np.add.reduce(delays[station == idx], dtype=np.float64))
+            mean = total / counts[RECEIVED]
+            p95 = next(p95s)
         per_station.append(
             {
                 "station": idx,

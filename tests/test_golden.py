@@ -13,6 +13,12 @@ Two more ``generate`` traces (1 Mbit/s 60 FPS, 0.5 Mbit/s 30 FPS) and one
 scalar generator that preceded block draws. At these rates many frame-size
 draws are non-positive and redrawn, which the 50 Mbit/s entries never hit.
 
+The ``congested-n16`` report is the benchmark's ``sim-congested`` command
+(16 stations at 50 Mbit/s 60 FPS on an 866 Mbit/s link, loss 0.001, queue
+limit 400, 1 s, seed 7), captured from the tail-drop loop that popped every
+departed burst on each arrival, before the loop admitted by its backlog
+bound: 92% load, so the queue fills and bursts are dropped and discarded.
+
 Regenerate only for an intentional output change recorded in CHANGES.md:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -61,6 +67,9 @@ SIMULATE = {
 }
 SIMULATE["vr1mbps-n4"] = ["--model", "vr", "--rate-mbps", "1", "--fps", "60", "--stations", "4",
                            "--link-mbps", "300", "--duration-s", "5", "--seed", "7"]
+SIMULATE["congested-n16"] = ["--model", "vr", "--rate-mbps", "50.0", "--fps", "60.0", "--stations", "16",
+                              "--link-mbps", "866.0", "--loss", "0.001", "--queue-limit", "400",
+                              "--duration-s", "1.0", "--seed", "7"]
 
 
 def _sha256(text: str) -> str:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -135,6 +136,22 @@ class TestRngStream:
     def test_uniform_stays_in_open_interval(self):
         u = RngStream(4).uniform(100_000)
         assert np.all(u > 0.0) and np.all(u < 1.0)
+
+    def test_block_draws_are_philox_doubles_clamped_at_two_to_minus_53(self):
+        expected = np.maximum(np.random.Generator(np.random.Philox(key=[31, 5])).random(10_000), 2.0**-53)
+        assert RngStream(31, 5).uniform(10_000).tobytes() == expected.tobytes()
+
+    def test_zero_word_maps_to_two_to_minus_53(self, monkeypatch):
+        rng = RngStream(3)
+        zeros = SimpleNamespace(random=lambda size=None: 0.0 if size is None else np.zeros(size))
+        monkeypatch.setattr(rng, "_gen", zeros)
+        assert rng.uniform(4).tolist() == [2.0**-53] * 4
+        assert rng.uniform() == 2.0**-53
+
+    def test_block_draws_share_no_memory(self):
+        rng = RngStream(8)
+        a, b = rng.uniform(16), rng.uniform(16)
+        assert not np.shares_memory(a, b)
 
     def test_key_range_validation(self):
         with pytest.raises(ParameterError):

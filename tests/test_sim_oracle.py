@@ -12,6 +12,8 @@ engine's ``summarize`` against the oracle's list-based
 stations that tie on every burst instant.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -126,6 +128,9 @@ SLOW = ScenarioConfig(
                               period_dist="constant:0.02"),
     link_rate_bps=97.0, duration_s=60.0, fragment_size=65001, seed=1,
 )
+# The same at seed 2: its 3000 received bursts' delays sum past 2**53 ns,
+# where adding them in order gives another mean than np.mean's pairwise sum.
+SLOW_SUM = replace(SLOW, seed=2)
 
 
 # The last burst that delivers anything, the 59th of 60, loses the last two
@@ -138,10 +143,45 @@ LAST_LOST = ScenarioConfig(
 )
 
 
+# Paths of the tail-drop loop. At 8 Gbit/s a byte takes 1 ns, so a
+# 4904-byte burst (three full 1278-byte fragments and a 1166-byte one) takes
+# 5000 ns, its period: each burst arrives as the previous one's last fragment
+# departs, and with 3 waiting places it fits only once that burst is popped.
+EXACT_DEPARTURE = ScenarioConfig(
+    generator=GeneratorConfig(model="simple", size_dist="constant:4904", period_dist="constant:0.000005"),
+    link_rate_bps=8e9, queue_limit=3, duration_s=0.0001, seed=1,
+)
+# At 10 Mbit/s a full fragment takes 1.02 ms and a 5000-byte burst has 4,
+# one per ms, so later bursts meet a full queue while the head is mid-service:
+# the second admits nothing.
+ZERO_ADMITTED = ScenarioConfig(
+    generator=GeneratorConfig(model="simple", size_dist="constant:5000", period_dist="constant:0.001"),
+    link_rate_bps=10e6, queue_limit=2, duration_s=0.01, seed=3,
+)
+# Bursts of 4 fragments 10 ms apart, served in 0.8 ms: when the third
+# arrives, ``backlog`` still counts the 8 fragments of two departed bursts,
+# as many as the 7 waiting places and the link hold, so it fits only once
+# they are popped.
+IDLE_GAP = ScenarioConfig(
+    generator=GeneratorConfig(model="simple", size_dist="constant:5000", period_dist="constant:0.01"),
+    link_rate_bps=50e6, queue_limit=7, duration_s=0.1, seed=3,
+)
+# One waiting place, two stations bursting at the same instants.
+ONE_PLACE = ScenarioConfig(
+    generator=GeneratorConfig(model="simple", size_dist="constant:5000", period_dist="constant:0.001"),
+    n_stations=2, link_rate_bps=10e6, queue_limit=1, duration_s=0.01, seed=3, station_start_offsets_ns=[0, 0],
+)
+
+
 @settings(max_examples=60, deadline=None)
 @example(cfg=TIED)
 @example(cfg=SLOW)
+@example(cfg=SLOW_SUM)
 @example(cfg=LAST_LOST)
+@example(cfg=EXACT_DEPARTURE)
+@example(cfg=ZERO_ADMITTED)
+@example(cfg=IDLE_GAP)
+@example(cfg=ONE_PLACE)
 @given(cfg=scenarios())
 def test_simulate_matches_event_heap_oracle(cfg):
     assert_matches_oracle(cfg)
