@@ -31,7 +31,7 @@ from .fit import fit_vr_model, group_traces
 from .generator import NS_PER_S, GeneratorConfig, build_generators, load_trace, save_trace
 from .model import DEFAULT_CONSTANTS, VrModelConstants
 from .rv import ParameterError
-from .sim import ScenarioConfig, percentile, run_scenario
+from .sim import ScenarioConfig, mean_std, percentile, run_scenario
 from .wire import (
     DEFAULT_FRAGMENT_SIZE,
     HEADER_LEN,
@@ -180,18 +180,13 @@ def _summary(column) -> dict:
     """Mean, sample std and nearest-rank p95 of an int64 column, with the
     bytes of Python 3.11's ``statistics.fmean`` and ``statistics.stdev``.
 
-    The std is the correctly rounded square root of the exact fraction
-    (n sum(x**2) - sum(x)**2) / (n (n - 1)): an integer root with at least
-    54 bits, rounded to odd, then one rounding to a float.
+    The std is :func:`~vrburst.sim.mean_std`'s. ``fmean`` rounds each value
+    to a float before it sums them, which differs from rounding the exact sum
+    only for values past 2**53, so the mean is ``fsum``'s.
     """
     values = column.tolist()
-    n, total, std = len(values), sum(values), 0.0
-    if n > 1:
-        num, den = n * sum(map(operator.mul, values, values)) - total * total, n * (n - 1)
-        q = (num.bit_length() - den.bit_length() - 109) // 2
-        num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
-        root = math.isqrt(num // den)
-        std = math.ldexp(root | (root * root * den != num), q)
+    n = len(values)
+    _, std = mean_std(n, sum(values), sum(map(operator.mul, values, values)))
     return {"mean": math.fsum(values) / n, "std": std, "p95": percentile(column, 95)}
 
 

@@ -24,12 +24,14 @@ cumulative service time, exact in int64. With a queue limit the recursion
 runs burst by burst; a departure at instant t precedes an arrival at t and
 frees its queue slot for it. A burst whose fragments fit beside every
 admitted fragment of the bursts not yet seen to depart is admitted whole
-without looking at the queue. Losses are one uniform draw per fragment sent,
-made in one call in link order, tail-dropped fragments included; the draws
-that hit are mapped to their bursts, and those of tail-dropped fragments dropped.
+without looking at the queue. Losses are geometric gaps between lost
+fragments, drawn by inversion, one uniform per loss, over the fragments sent
+in link order, tail-dropped fragments included; the hits are mapped to their
+bursts, and those of tail-dropped fragments dropped.
 
-The :class:`SimulationLog` keeps per-burst columns and the lost fragments; :func:`summarize`
-expands the columns into per-fragment delays only to aggregate them.
+The :class:`SimulationLog` keeps per-burst columns and the lost fragments;
+:func:`summarize` takes the fragment delays' sums and p95 from per-burst
+closed forms, and every mean and std from exact sums by :func:`mean_std`.
 
 Time is integer nanoseconds end to end, so a (config, seed) pair always
 produces the same report; a config or run whose link times could pass int64
@@ -71,6 +73,33 @@ def percentile(samples, p: float):
     rank = math.ceil(p * n / 100.0)
     value = np.partition(np.asarray(samples), rank - 1)[rank - 1]
     return value.item() if isinstance(value, np.generic) else value  # ints beyond int64 stay objects
+
+
+def mean_std(n: int, total: int, total_sq: int) -> tuple[float, float]:
+    """Mean and sample std of ``n`` whole numbers from their exact sum and
+    sum of squares: ``float(total) / n``, which is ``statistics.fmean``'s
+    below 2**53, and the bytes of Python 3.11's ``statistics.stdev`` (0.0 for
+    one number), the correctly rounded root of (n total_sq - total**2) /
+    (n (n - 1)), from an integer root of 54 bits or more rounded to odd."""
+    std = 0.0
+    if n > 1:
+        num, den = n * total_sq - total * total, n * (n - 1)
+        q = (num.bit_length() - den.bit_length() - 109) // 2
+        num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
+        root = math.isqrt(num // den)
+        std = math.ldexp(root | (root * root * den != num), q)
+    return float(total) / n, std
+
+
+def _exact(values: np.ndarray, top: float) -> np.ndarray:
+    """``values`` as int64 when ``top``, a bound on every sum formed within
+    one row, is below 2**62; else as Python ints."""
+    return values if top < 2**62 else values.astype(object)
+
+
+def _total(values: np.ndarray, top: float) -> int:
+    """The exact sum of ``values`` from :func:`_exact`, none past ``top``."""
+    return int(values.sum()) if values.dtype == object or len(values) * top < 2**62 else sum(values.tolist())
 
 
 @dataclass
@@ -253,8 +282,10 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
 
     delivered, lost = admitted, None
     if cfg.loss_prob > 0:
-        # one draw per fragment sent, in link order, tail-dropped ones included
-        hit = np.flatnonzero(RngStream(cfg.seed, _LOSS_STREAM_ID).uniform(fragments_sent) < cfg.loss_prob)
+        # over the fragments sent, in link order, tail-dropped ones included
+        mean = cfg.loss_prob * fragments_sent
+        hit = _loss_hits(RngStream(cfg.seed, _LOSS_STREAM_ID), cfg.loss_prob, fragments_sent,
+                         int(mean + 4 * math.sqrt(mean)) + 16)
         sent_end = np.cumsum(frags)
         burst = np.searchsorted(sent_end, hit, side="right")
         index = hit - (sent_end - frags)[burst]  # within the burst
@@ -312,6 +343,24 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
     )
 
 
+def _loss_hits(rng: RngStream, p: float, n: int, chunk: int) -> np.ndarray:
+    """Sorted positions of the lost ones among ``n`` fragments, each lost
+    with probability ``p``: geometric gaps ``floor(log U / log1p(-p)) + 1``
+    by inversion (Devroye, *Non-Uniform Random Variate Generation*, 1986),
+    the uniforms drawn ``chunk`` at a time, which does not change the gaps.
+    A quotient past ``n + 2``, which ends the run either way, is capped
+    there, so it stays finite for the tiniest ``p``.
+    """
+    scale = np.log1p(-p) if p < 1 else -np.inf  # at p = 1 every gap is 1
+    hits, end = [], -1
+    while end < n:
+        gaps = np.floor(np.maximum(np.log(rng.uniform(chunk)), (n + 2) * scale) / scale).astype(np.int64) + 1
+        hits.append(end + np.cumsum(gaps))
+        end = int(hits[-1][-1])
+    hits = np.concatenate(hits)
+    return hits[: np.searchsorted(hits, n)]
+
+
 def _tail_drop_link(times, frags, service, full_ser: int, limit: int):
     """Fragments admitted, service start and last departure of each burst
     through a queue of ``limit`` waiting fragments (start and departure are
@@ -352,38 +401,57 @@ def _tail_drop_link(times, frags, service, full_ser: int, limit: int):
     return np.array(counts, dtype=np.int64), np.array(start, dtype=np.int64), np.array(departure, dtype=np.int64)
 
 
-def fragment_delays(log: SimulationLog, cfg: ScenarioConfig) -> np.ndarray:
-    """Delay of every delivered fragment, in the order the link delivered them.
-
-    The delays are whole float64 numbers while every value the expansion
-    adds up stays below 2**52 ns, where float64 holds it exactly: the run's
-    end plus the propagation delay, and ``(fragments + 1) * full_ser``.
-    Otherwise they are int64.
-    """
-    admitted = log.admitted
+def _fragment_summary(log: SimulationLog, cfg: ScenarioConfig) -> dict:
+    """Count, mean, std and nearest-rank p95 of the delivered fragments'
+    delays in O(bursts + losses). A burst's admitted fragment k <= m (from
+    1) has delay ``base + k * full_ser``, on level ``base // full_ser + k`` of
+    ``delay // full_ser``, and its last, the largest, ``last``. The sums are
+    the progressions' and the lasts' less the lost delays; the p95's level is
+    found by counting the values below many levels at once."""
     full_ser = _serialization_ns(cfg.fragment_size, cfg.overhead_bytes, cfg.link_rate_bps)
     prop = cfg.propagation_delay_ns
-    ends = np.cumsum(admitted)
-    total = int(ends[-1]) if len(ends) else 0
-    dtype = np.float64 if max(log.end_time_ns + prop, (total + 1) * full_ser) < 2**52 else np.int64
-    # fragment k overall, the i-th of its burst, has delay
-    # start + (i+1)*full_ser + prop - time, and i + 1 = k + 1 - (end - admitted)
-    delays = np.repeat((log.start_ns + prop - log.time_ns - (ends - admitted) * full_ser).astype(dtype), admitted)
-    delays += np.arange(full_ser, (total + 1) * full_ser, full_ser, dtype=dtype)
-    served = admitted > 0
-    delays[ends[served] - 1] = (log.departure_ns + prop - log.time_ns)[served]
-    return delays if log.fragment_lost is None else np.delete(delays, log.fragment_lost)
-
-
-def _delay_summary(delays: np.ndarray) -> dict:
-    """Count, mean, std and nearest-rank p95 of whole-ns delays, which it partitions in place."""
-    if not len(delays):
+    served = log.admitted > 0
+    m = log.admitted[served] - 1
+    base = (log.start_ns + prop - log.time_ns)[served]
+    last = (log.departure_ns + prop - log.time_ns)[served]
+    lost = _ints()
+    if log.fragment_lost is not None:
+        ends = np.cumsum(m + 1)
+        burst = np.searchsorted(ends, log.fragment_lost, side="right")
+        k = log.fragment_lost - (ends - m - 1)[burst] + 1
+        lost = np.sort(np.where(k > m[burst], last[burst], base[burst] + k * full_ser))
+    n = int(m.sum()) + len(m) - len(lost)
+    if not n:
         return {"count": 0, "mean_delay_ns": None, "std_delay_ns": None, "p95_delay_ns": None}
-    arr = delays.astype(float, copy=False)
-    mean, std = float(arr.mean()), float(arr.std())
-    rank = math.ceil(95 * len(delays) / 100.0) - 1  # as percentile() takes it
-    delays.partition(rank)
-    return {"count": len(delays), "mean_delay_ns": mean, "std_delay_ns": std, "p95_delay_ns": int(delays[rank])}
+
+    top = float(((m + 1) * last.astype(float) ** 2).max())  # no burst's sum of squares passes it
+    b, j, z, x = (_exact(v, top) for v in (base, m, last, lost))
+    t1, t2 = j * (j + 1) // 2, j * (j + 1) * (2 * j + 1) // 6  # the sums of k and of k**2
+    total = _total(j * b + t1 * full_ser + z, top) - _total(x, top)
+    total_sq = _total(j * b * b + b * t1 * full_ser * 2 + t2 * full_ser * full_ser + z * z, top) - _total(x * x, top)
+    mean, std = mean_std(n, total, total_sq)
+
+    first = base // full_ser + 1  # the level of k = 1
+    starts, stops, last = np.sort(first), np.sort(first + m), np.sort(last)
+    start_sums, stop_sums = (np.concatenate(([0], np.cumsum(v))) for v in (starts, stops))
+    rank = math.ceil(95 * n / 100.0)  # as percentile() takes it
+    lo, hi, under = 0, int(last[-1]) // full_ser + 1, 0
+    while hi - lo > 1:  # under, the values below level lo, < rank <= the values below level hi
+        # the values under level * full_ser: clip(level - first, 0, m) a burst, summed over sorted
+        # starts and stops, plus the lasts, less the lost; terms may wrap in int64, the count fits
+        levels = np.arange(lo, hi, -(-(hi - lo) // 64))
+        i, e, at = np.searchsorted(starts, levels), np.searchsorted(stops, levels), levels * full_ser
+        counts = (i - e) * levels - start_sums[i] + stop_sums[e] + np.searchsorted(last, at) - np.searchsorted(lost, at)
+        i = int(np.searchsorted(counts, rank))  # at least 1, as counts[0] = under
+        lo, under, hi = int(levels[i - 1]), int(counts[i - 1]), int(levels[i]) if i < len(levels) else hi
+    # rank the values on level lo, dropping one per lost delay, equal ones at successive places
+    k = lo - first + 1
+    on = (k >= 1) & (k <= m)
+    (a, c), (d, e) = (np.searchsorted(v, (lo * full_ser, hi * full_ser)) for v in (last, lost))
+    values = np.sort(np.concatenate((base[on] + k[on] * full_ser, last[a:c])))
+    gone = lost[d:e]
+    values = np.delete(values, np.searchsorted(values, gone) + np.arange(len(gone)) - np.searchsorted(gone, gone))
+    return {"count": n, "mean_delay_ns": mean, "std_delay_ns": std, "p95_delay_ns": int(values[rank - under - 1])}
 
 
 @dataclass
@@ -427,19 +495,22 @@ def summarize(log: SimulationLog, cfg: ScenarioConfig) -> MetricsReport:
     delays = (log.departure_ns + cfg.propagation_delay_ns - log.time_ns)[received]
     station = log.station[received]
     # per station: the delay sum, and the nearest-rank p95 from the delays sorted within each station
-    sums = np.bincount(station, delays, minlength=n).tolist()
-    rank = np.cumsum(count) - count + (95 * count + 99) // 100 - 1  # as percentile() takes it
-    p95s = iter(delays[np.lexsort((delays, station))][rank[count > 0]].tolist())
+    delays = delays[np.lexsort((delays, station))]
+    busy = count > 0
+    heads = (np.cumsum(count) - count)[busy]
+    n_received = len(delays)
+    mean = std = p95 = None
+    means = p95s = iter(())
+    if n_received:
+        top = float(delays.max()) ** 2
+        exact = _exact(delays, top)
+        sums = np.add.reduceat(exact, heads).tolist()  # below 2**63 with under 2**31 bursts a station
+        mean, std = mean_std(n_received, sum(sums), _total(exact * exact, top))
+        p95 = percentile(delays, 95)
+        means = (float(total) / c for total, c in zip(sums, count[busy].tolist()))  # as mean_std takes it
+        p95s = iter(delays[heads + (95 * count[busy] + 99) // 100 - 1].tolist())  # as percentile() takes it
     per_station = []
     for idx, counts in enumerate(outcomes):
-        mean = p95 = None
-        if counts[RECEIVED]:
-            # bincount adds in order, which rounds as np.mean's pairwise sum only while exact, below 2**53
-            total = sums[idx]
-            if total >= 2**53:
-                total = float(np.add.reduce(delays[station == idx], dtype=np.float64))
-            mean = total / counts[RECEIVED]
-            p95 = next(p95s)
         per_station.append(
             {
                 "station": idx,
@@ -450,28 +521,26 @@ def summarize(log: SimulationLog, cfg: ScenarioConfig) -> MetricsReport:
                 "bursts_in_flight": counts[IN_FLIGHT],
                 "fragments_sent": int(frags_sent[idx]),
                 "fragments_delivered": int(frags_delivered[idx]),
-                "mean_burst_delay_ns": mean,
-                "p95_burst_delay_ns": p95,
+                "mean_burst_delay_ns": next(means) if counts[RECEIVED] else None,
+                "p95_burst_delay_ns": next(p95s) if counts[RECEIVED] else None,
             }
         )
     sent = len(log.outcome)
-    n_received = len(delays)
-    summary = _delay_summary(delays)
     burst = {
         "count": sent,
         "received": n_received,
         "failed": sum(o[DISCARDED] for o in outcomes),
         "lost": sum(o[LOST] for o in outcomes),
         "in_flight": sum(o[IN_FLIGHT] for o in outcomes),
-        "mean_delay_ns": summary["mean_delay_ns"],
-        "std_delay_ns": summary["std_delay_ns"],
-        "p95_delay_ns": summary["p95_delay_ns"],
+        "mean_delay_ns": mean,
+        "std_delay_ns": std,
+        "p95_delay_ns": p95,
         "success_ratio": (n_received / sent) if sent else None,
     }
     return MetricsReport(
         config=cfg.to_dict(),
         rng_algorithm=RNG_ALGORITHM,
-        fragment=_delay_summary(fragment_delays(log, cfg)),
+        fragment=_fragment_summary(log, cfg),
         burst=burst,
         link={
             "fragments_sent": log.fragments_sent,

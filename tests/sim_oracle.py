@@ -9,13 +9,20 @@ faithful to the model, which is what an oracle should be.
 
 It logs per-fragment lists (:class:`SimulationLog`, the log the package kept
 before it moved to per-burst columns), and ``summarize_reference`` is the
-list-based aggregation the package ran on that log.
+list-based aggregation the package ran on that log, with the means and stds
+of ``statistics``. A fragment's loss is a countdown of the geometric gaps
+the package draws, one uniform at a time from the same stream and through
+the same numpy ufuncs, so an ulp of ``log`` cannot move a floor.
+
+``fragment_delays`` expands the package's per-burst columns into every
+delivered fragment's delay, the list its closed-form summary stands for.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import statistics
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -23,7 +30,7 @@ import numpy as np
 
 from vrburst.generator import NS_PER_S, build_generators
 from vrburst.rv import RNG_ALGORITHM, RngStream
-from vrburst.sim import _LOSS_STREAM_ID, MetricsReport, ScenarioConfig, _serialization_ns
+from vrburst.sim import _LOSS_STREAM_ID, MetricsReport, ScenarioConfig, SimulationLog as BurstLog, _serialization_ns
 from vrburst.wire import HEADER_LEN, BurstDiscarded, BurstReassembler, BurstReceived, fragment_burst
 
 @dataclass
@@ -57,6 +64,28 @@ class SimulationLog:
     trace_metadata: dict | None = None
 
 
+class GeometricLoss:
+    """Per-fragment losses with probability ``p``: a countdown of geometric
+    gaps ``floor(log U / log1p(-p)) + 1``. A quotient past 2**62 is capped
+    there, past any run, which keeps it finite for the tiniest ``p``."""
+
+    def __init__(self, rng: RngStream, p: float):
+        self.rng = rng
+        self.scale = np.log1p(-p) if p < 1 else -np.inf
+        self.left = self._gap()
+
+    def _gap(self) -> int:
+        return int(np.floor(np.maximum(np.log(self.rng.uniform()), 2.0**62 * self.scale) / self.scale)) + 1
+
+    def __call__(self) -> bool:
+        """Whether the next fragment is lost."""
+        self.left -= 1
+        if self.left:
+            return False
+        self.left = self._gap()
+        return True
+
+
 # event kinds, dequeued in (time, insertion sequence) order
 _EV_BURST = 0
 _EV_LINK_RX = 1
@@ -70,7 +99,7 @@ def simulate_reference(cfg: ScenarioConfig) -> SimulationLog:
     generators, trace_metadata = build_generators(
         cfg.generator, cfg.n_stations, cfg.seed, cfg.duration_s, cfg.constants
     )
-    loss_rng = RngStream(cfg.seed, _LOSS_STREAM_ID) if cfg.loss_prob > 0 else None
+    loss = GeometricLoss(RngStream(cfg.seed, _LOSS_STREAM_ID), cfg.loss_prob) if cfg.loss_prob > 0 else None
     reassemblers = [BurstReassembler() for _ in range(cfg.n_stations)]
     log = SimulationLog(stations=[StationLog() for _ in range(cfg.n_stations)])
     log.trace_metadata = trace_metadata
@@ -106,7 +135,7 @@ def simulate_reference(cfg: ScenarioConfig) -> SimulationLog:
             burst_seq[station] += 1
             log.stations[station].bursts_sent += 1
             for frag in fragments:
-                lost = loss_rng is not None and loss_rng.uniform() < cfg.loss_prob
+                lost = loss is not None and loss()
                 log.fragments_sent += 1
                 log.stations[station].fragments_sent += 1
                 push(now, _EV_LINK_RX, (station, frag, lost))
@@ -170,14 +199,14 @@ def _percentile(samples, p):
     return sorted(samples)[math.ceil(p * len(samples) / 100.0) - 1]
 
 
-def _delay_summary(delays) -> dict:
+def delay_summary(delays) -> dict:
+    """Count, mean, std and nearest-rank p95 of a list of delays."""
     if not delays:
         return {"count": 0, "mean_delay_ns": None, "std_delay_ns": None, "p95_delay_ns": None}
-    arr = np.asarray(delays, dtype=float)
     return {
         "count": len(delays),
-        "mean_delay_ns": float(arr.mean()),
-        "std_delay_ns": float(arr.std()),
+        "mean_delay_ns": statistics.fmean(delays),
+        "std_delay_ns": statistics.stdev(delays) if len(delays) > 1 else 0.0,
         "p95_delay_ns": _percentile(delays, 95),
     }
 
@@ -186,7 +215,7 @@ def summarize_reference(log: SimulationLog, cfg: ScenarioConfig) -> MetricsRepor
     """Aggregate a per-fragment log into the report ``vrburst.sim.summarize`` writes."""
     sent = sum(s.bursts_sent for s in log.stations)
     received = sum(s.bursts_received for s in log.stations)
-    burst = _delay_summary(log.burst_delays_ns)
+    burst = delay_summary(log.burst_delays_ns)
     burst = {
         "count": sent,
         "received": received,
@@ -211,14 +240,14 @@ def summarize_reference(log: SimulationLog, cfg: ScenarioConfig) -> MetricsRepor
                 "bursts_in_flight": st.bursts_in_flight,
                 "fragments_sent": st.fragments_sent,
                 "fragments_delivered": st.fragments_delivered,
-                "mean_burst_delay_ns": float(np.mean(delays)) if delays else None,
+                "mean_burst_delay_ns": statistics.fmean(delays) if delays else None,
                 "p95_burst_delay_ns": _percentile(delays, 95) if delays else None,
             }
         )
     return MetricsReport(
         config=cfg.to_dict(),
         rng_algorithm=RNG_ALGORITHM,
-        fragment=_delay_summary(log.fragment_delays_ns),
+        fragment=delay_summary(log.fragment_delays_ns),
         burst=burst,
         link={
             "fragments_sent": log.fragments_sent,
@@ -231,3 +260,27 @@ def summarize_reference(log: SimulationLog, cfg: ScenarioConfig) -> MetricsRepor
         per_station=per_station,
         trace_metadata=log.trace_metadata,
     )
+
+
+def fragment_delays(log: BurstLog, cfg: ScenarioConfig) -> np.ndarray:
+    """Delay of every fragment ``vrburst.sim.simulate``'s log delivered, in
+    the order the link delivered them.
+
+    The delays are whole float64 numbers while every value the expansion
+    adds up stays below 2**52 ns, where float64 holds it exactly: the run's
+    end plus the propagation delay, and ``(fragments + 1) * full_ser``.
+    Otherwise they are int64.
+    """
+    admitted = log.admitted
+    full_ser = _serialization_ns(cfg.fragment_size, cfg.overhead_bytes, cfg.link_rate_bps)
+    prop = cfg.propagation_delay_ns
+    ends = np.cumsum(admitted)
+    total = int(ends[-1]) if len(ends) else 0
+    dtype = np.float64 if max(log.end_time_ns + prop, (total + 1) * full_ser) < 2**52 else np.int64
+    # fragment k overall, the i-th of its burst, has delay
+    # start + (i+1)*full_ser + prop - time, and i + 1 = k + 1 - (end - admitted)
+    delays = np.repeat((log.start_ns + prop - log.time_ns - (ends - admitted) * full_ser).astype(dtype), admitted)
+    delays += np.arange(full_ser, (total + 1) * full_ser, full_ser, dtype=dtype)
+    served = admitted > 0
+    delays[ends[served] - 1] = (log.departure_ns + prop - log.time_ns)[served]
+    return delays if log.fragment_lost is None else np.delete(delays, log.fragment_lost)

@@ -1,23 +1,24 @@
 """Golden output digests for ``generate`` and ``simulate``.
 
-``golden/digests.json`` holds the sha256 of two ``generate`` trace CSVs and of
-36 ``simulate`` metrics reports (vr/simple/trace models x N in {1, 4, 8} x
-loss in {0, 0.05} x queue limit in {0, 50}, 0.5 s each), as written by the
-per-fragment event-heap simulator that preceded the burst-level link
-recursion. A report is hashed with only the keys that engine wrote (kept per
-model under ``report_shapes``), so keys added later leave the digests valid
-while every byte of the existing ones stays pinned.
+``golden/digests.json`` holds the sha256 of four ``generate`` trace CSVs and
+of 38 ``simulate`` metrics reports. A report is hashed with only the keys
+kept per model under ``report_shapes``, so keys added later leave the digests
+valid while every byte of the existing ones stays pinned.
 
-Two more ``generate`` traces (1 Mbit/s 60 FPS, 0.5 Mbit/s 30 FPS) and one
-4-station 1 Mbit/s ``simulate`` report were captured from the per-burst
-scalar generator that preceded block draws. At these rates many frame-size
-draws are non-positive and redrawn, which the 50 Mbit/s entries never hit.
+The ``generate`` traces are 50 Mbit/s VR, a simple model, and 1 Mbit/s
+60 FPS and 0.5 Mbit/s 30 FPS VR, where many frame-size draws are
+non-positive and redrawn, which the 50 Mbit/s entries never hit. They were
+captured from the per-burst scalar generator that preceded block draws.
 
-The ``congested-n16`` report is the benchmark's ``sim-congested`` command
-(16 stations at 50 Mbit/s 60 FPS on an 866 Mbit/s link, loss 0.001, queue
-limit 400, 1 s, seed 7), captured from the tail-drop loop that popped every
-departed burst on each arrival, before the loop admitted by its backlog
-bound: 92% load, so the queue fills and bursts are dropped and discarded.
+The ``simulate`` reports are vr/simple/trace models x N in {1, 4, 8} x loss
+in {0, 0.05} x queue limit in {0, 50}, 0.5 s each; a 4-station 1 Mbit/s VR
+run; and ``congested-n16``, the benchmark's ``sim-congested`` command (16
+stations at 50 Mbit/s 60 FPS on an 866 Mbit/s link, loss 0.001, queue limit
+400, 1 s, seed 7): 92% load, so the queue fills and bursts are dropped and
+discarded. They were captured from the engine that summarizes fragments by
+per-burst closed forms, takes every std by ``sim.mean_std``'s rule and
+draws losses as geometric gaps. At loss 0 they differ from the reports of
+the engine before only in their std fields.
 
 Regenerate only for an intentional output change recorded in CHANGES.md:
 ``PYTHONPATH=src python tests/test_golden.py``.

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from vrburst.generator import BurstDescriptor, save_trace
-from vrburst.rv import ParameterError
+from vrburst.rv import ParameterError, RngStream
 from vrburst.sim import (
     GeneratorConfig,
     ScenarioConfig,
     SimulationLog,
+    _loss_hits,
     percentile,
     run_scenario,
     simulate,
@@ -124,6 +125,28 @@ class TestLossAndQueue:
         report = run_scenario(vr_cfg(link_rate_bps=20e6, duration_s=1.0))
         assert report.link["fragments_queue_dropped"] == 0
         assert report.burst["success_ratio"] == 1.0  # drained after the horizon
+
+
+class TestLossGaps:
+    @pytest.mark.parametrize("p", [0.001, 0.3, 0.97])
+    def test_hits_do_not_depend_on_the_chunk(self, p):
+        n = 5_000
+        one, whole = (_loss_hits(RngStream(8, 0), p, n, chunk) for chunk in (1, n))
+        np.testing.assert_array_equal(one, whole)
+        assert len(one) and np.all(np.diff(one) > 0) and 0 <= one[0] and one[-1] < n
+
+    def test_p_one_loses_every_fragment(self):
+        np.testing.assert_array_equal(_loss_hits(RngStream(8, 0), 1.0, 1_000, 16), np.arange(1_000))
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-300])
+    def test_tiniest_p_loses_nothing_without_a_float_error(self, p):
+        with np.errstate(all="raise"):
+            assert len(_loss_hits(RngStream(8, 0), p, 10**6, 16)) == 0
+
+    def test_lost_count_is_binomial(self):
+        n, p = 10**6, 0.001
+        lost = len(_loss_hits(RngStream(8, 0), p, n, 64))
+        assert abs(lost - n * p) <= 5 * math.sqrt(n * p * (1 - p))
 
 
 class TestBurstOutcomes:

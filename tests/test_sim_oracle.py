@@ -3,13 +3,17 @@
 The oracle logs per-fragment lists; the engine logs per-burst columns. Each
 test projects the oracle's log onto what the columns determine and compares
 the two there: every delivered fragment's delay in delivery order (the
-engine's expanded from its columns by ``vrburst.sim.fragment_delays``), the
+engine's expanded from its columns by ``sim_oracle.fragment_delays``), the
 received bursts' delays overall and per station, each station's burst
 outcomes and fragment counts, and the link counters including
 ``end_time_ns``. The metrics reports must also be byte-identical: the
 engine's ``summarize`` against the oracle's list-based
 ``summarize_reference``. This holds for any small scenario, including
 stations that tie on every burst instant.
+
+The engine summarizes fragments from per-burst closed forms; a second
+property holds that summary to the one of the expanded delays, on runs too
+large or too slow for the event heap.
 """
 
 from dataclasses import replace
@@ -17,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sim_oracle import simulate_reference, summarize_reference
+from sim_oracle import delay_summary, fragment_delays, simulate_reference, summarize_reference
 
 from vrburst.generator import BurstDescriptor, save_trace
 from vrburst.sim import (
@@ -27,7 +31,6 @@ from vrburst.sim import (
     RECEIVED,
     GeneratorConfig,
     ScenarioConfig,
-    fragment_delays,
     simulate,
     summarize,
 )
@@ -185,6 +188,32 @@ ONE_PLACE = ScenarioConfig(
 @given(cfg=scenarios())
 def test_simulate_matches_event_heap_oracle(cfg):
     assert_matches_oracle(cfg)
+
+
+# One-fragment bursts 10 ms apart, each served in exactly 1 s, with the
+# longest propagation delay the run's link times allow: every delay lies
+# past 2**62 ns, so the sums take Python ints.
+LINK_TIME_BOUND = ScenarioConfig(
+    generator=GeneratorConfig(model="simple", size_dist="constant:1254", period_dist="constant:0.01"),
+    link_rate_bps=1278 * 8, propagation_delay_ns=2**63 - 1 - 990_000_000 - 101 * 10**9, duration_s=1.0, seed=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(cfg=SLOW)
+@example(cfg=SLOW_SUM)
+@example(cfg=LAST_LOST)
+@example(cfg=ZERO_ADMITTED)
+@example(cfg=replace(TIED, loss_prob=1.0))
+@example(cfg=LINK_TIME_BOUND)
+@given(cfg=scenarios())
+def test_closed_form_fragment_summary_equals_the_expansion(cfg):
+    log = simulate(cfg)
+    delays = fragment_delays(log, cfg).astype(np.int64).tolist()
+    expected = delay_summary(delays)
+    if delays:  # fmean's, but for delays past 2**53, which it rounds one by one
+        expected["mean_delay_ns"] = float(sum(delays)) / len(delays)
+    assert summarize(log, cfg).fragment == expected
 
 
 def test_tie_goes_to_the_burst_whose_predecessor_reached_the_link_first(tmp_path):
