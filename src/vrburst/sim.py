@@ -283,9 +283,9 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
     delivered, lost = admitted, None
     if cfg.loss_prob > 0:
         # over the fragments sent, in link order, tail-dropped ones included
-        mean = cfg.loss_prob * fragments_sent
+        expected = cfg.loss_prob * fragments_sent
         hit = _loss_hits(RngStream(cfg.seed, _LOSS_STREAM_ID), cfg.loss_prob, fragments_sent,
-                         int(mean + 4 * math.sqrt(mean)) + 16)
+                         int(expected + 4 * math.sqrt(expected)) + 16)
         sent_end = np.cumsum(frags)
         burst = np.searchsorted(sent_end, hit, side="right")
         index = hit - (sent_end - frags)[burst]  # within the burst
