@@ -361,8 +361,10 @@ def _fit_rows(rows, max_iter, tol):
     live = np.flatnonzero(iterations + 2 <= max_iter)
     while live.size:
         theta0, ll0, n = theta[:, live], ll[live], rows.n[live]
-        theta_n, gain = _newton_step(theta0, stats[:, live], curv[:, live], n, rows.totals[:, live])
-        newton_now = newton[live] & (gain < trust[live])  # gain is nan where no step is valid
+        theta_n, gain, on = theta0.copy(), np.full(live.size, np.nan), newton[live]
+        if (at := live[on]).size:  # a row's Newton step works on its own elements only
+            theta_n[:, on], gain[on] = _newton_step(theta0[:, on], stats[:, at], curv[:, at], n[on], rows.totals[:, at])
+        newton_now = on & (gain < trust[live])  # gain is nan where no step is valid
         last = newton_now & (gain < tol)
         theta1, ok1 = em_map(~newton_now)
         stepped = evaluate(np.where(newton_now, theta_n, theta1), newton_now | ok1, ~newton_now)

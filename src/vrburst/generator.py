@@ -14,8 +14,8 @@ arrays, drawing the blocks of the generators of one bank together, and
 single generator keeps the bursts computed before it next in line; generators
 scheduled together are not to be used.
 
-The two random generators compute up to ``BLOCK_BURSTS`` bursts at a time
-from one flat array of uniforms, read burst after burst in this word layout:
+The two random generators compute their bursts a block at a time from one
+flat array of uniforms, read burst after burst in this word layout:
 
 * VR: 2 words (component pick, normal) for the frame-size mixture; while the
   draw is non-positive, 2 more for a redraw, at most 100 draws in all (else
@@ -26,7 +26,9 @@ from one flat array of uniforms, read burst after burst in this word layout:
 
 Words a block leaves unread are the first words of the next block, so the
 bursts do not depend on the block size and equal those of a walk that draws
-each word when it needs it.
+each word when it needs it. A schedule round sizes each block to the bursts
+its generator needs to pass the horizon, from the model's mean period; the
+per-burst API takes ``BLOCK_BURSTS`` at a time.
 
 Trace CSV grammar: one ``burst_size_bytes,next_period_us`` row per burst
 (unsigned integers in ASCII digits, whitespace allowed around each field),
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from abc import ABC, abstractmethod
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -51,16 +52,18 @@ import numpy as np
 
 from .model import DEFAULT_CONSTANTS, DegenerateModelError, VrModelConstants, VrStreamParams
 from .model import derive_frame_size_model, derive_ifi_model
-from .rv import ParameterError, RngStream, dist_from_spec, gmm2_quantile, logistic_quantile
+from .rv import ParameterError, RngStream, dist_from_spec, gmm2_nonpositive, gmm2_quantile, logistic_quantile
 
 NS_PER_US = 1_000
 NS_PER_S = 1_000_000_000
 _INT64_MAX = 2**63 - 1
 
-# Bursts computed per block by the random generators.
+# Bursts per block of generate_burst, and of a schedule round at an unknown mean period.
 BLOCK_BURSTS = 256
-# A drawn period is below this, so a block's periods sum within int64.
-_MAX_PERIOD_NS = 2**63 // BLOCK_BURSTS
+# The most bursts of a bank's schedule round over all its rows: a memory bound.
+_ROUND_BURSTS_MAX = 4096
+# A drawn period is below this (about 417 days).
+_MAX_PERIOD_NS = 2**55
 # A VR frame gives up after this many consecutive non-positive size draws.
 _MAX_FRAME_DRAW_ATTEMPTS = 100
 _NO_WORDS = np.empty(0)
@@ -115,12 +118,14 @@ class TraceFile:
         self.records = np.asarray(self.records, np.int64).reshape(-1, 2)
 
 
-class BurstGenerator(ABC):
+class BurstGenerator:
     """Hands out burst descriptors until exhausted (stochastic ones never are).
 
     A generator keeps the bursts it has computed but not handed out yet;
     :meth:`_draw_blocks` computes more, together for the generators of a bank.
     """
+
+    _period_ns = None  # the mean period (ns), which sizes a schedule round; None where unknown
 
     def __init__(self):
         self._sizes = self._periods = np.empty(0, dtype=np.int64)
@@ -128,16 +133,15 @@ class BurstGenerator(ABC):
         self._bank = self  # generators with equal banks draw their blocks together
 
     @staticmethod
-    @abstractmethod
-    def _draw_blocks(generators):
-        """The next block of each of ``generators`` (one ``_bank``) as a row of two int64 arrays,
-        sizes (bytes) and periods (ns), and the bursts in each row, past which it is padding;
-        None when the generators are exhausted."""
+    def _draw_blocks(generators, bursts):
+        """The next block of about ``bursts`` bursts of each of ``generators`` (one ``_bank``) as a
+        row of two int64 arrays, sizes (bytes) and periods (ns), and the bursts in each row, past
+        which it is padding; None when the generators are exhausted, as a trace is after its rows."""
 
     def has_next_burst(self) -> bool:
         """True iff generate_burst() may be called."""
         if self._next == len(self._sizes):
-            rows = self._draw_blocks([self])
+            rows = self._draw_blocks([self], BLOCK_BURSTS)
             if rows is None:
                 return False
             (sizes,), (periods,), (n,) = rows
@@ -174,103 +178,91 @@ class SimpleBurstGenerator(BurstGenerator):
         self.size_dist = size_dist
         self.period_dist = period_dist
         self._bank = (size_dist, period_dist)
+        # every spec distribution is symmetric, so its median is its mean
+        self._period_ns = max(1.0, NS_PER_S * float(period_dist.quantile(np.full((1, 1), 0.5))[0]))
 
     @staticmethod
-    def _draw_blocks(generators):
+    def _draw_blocks(generators, bursts):
         g, n = generators[0], len(generators)
         split, width = g.size_dist.words, g.size_dist.words + g.period_dist.words
-        u = np.concatenate([g.rng.uniform(BLOCK_BURSTS * width) for g in generators]).reshape(n * BLOCK_BURSTS, width)
+        u = np.concatenate([g.rng.uniform(bursts * width) for g in generators]).reshape(n * bursts, width)
         with np.errstate(over="ignore", invalid="ignore"):  # _whole rejects the draws that overflow
             sizes, periods = g.size_dist.quantile(u[:, :split]), g.period_dist.quantile(u[:, split:])
-        return *(a.reshape(n, BLOCK_BURSTS) for a in _whole(sizes, periods)), np.full(n, BLOCK_BURSTS)
+        return *(a.reshape(n, bursts) for a in _whole(sizes, periods)), [bursts] * n
 
 
 class VrBurstGenerator(BurstGenerator):
     """Bursts following the fitted VR model for a (rate, fps) stream."""
 
-    def __init__(
-        self,
-        params: VrStreamParams,
-        rng: RngStream,
-        constants: VrModelConstants = DEFAULT_CONSTANTS,
-    ):
+    def __init__(self, params: VrStreamParams, rng: RngStream, constants: VrModelConstants = DEFAULT_CONSTANTS):
         super().__init__()
         self.rng = rng
         self.params = params
         self.constants = constants
-        self._gmm = derive_frame_size_model(params, constants)
-        self._ifi = derive_ifi_model(params, constants)
+        self._gmm, self._ifi = derive_frame_size_model(params, constants), derive_ifi_model(params, constants)
         self._carry = _NO_WORDS  # words the last block left unread
         self._bank = (self._gmm, self._ifi)
+        self._period_ns = max(1.0, NS_PER_S * self._ifi.mu)
 
     # defined on this class, not inherited: perfbench/tracer.py patches it here
     generate_burst = BurstGenerator.generate_burst
 
-    @staticmethod
-    def _draw_blocks(generators):
-        """The next block of each of several generators of one model, as each
-        computes it alone, from at most two mixture evaluations for all.
+    def _with_rng(self, rng):
+        """A generator of the same stream and models on ``rng``, from one that has not drawn yet."""
+        (other := object.__new__(VrBurstGenerator)).__dict__.update(self.__dict__, rng=rng)
+        return other
 
-        Row i is generator i's carry and then fresh words, ``3 * BLOCK_BURSTS``
-        in all. A row with no rejected draw is ``BLOCK_BURSTS`` 3-word bursts,
-        which needs the mixture at the burst starts only. The rows that hold one
-        are read from the draws at every word offset, one more evaluation for all.
+    @staticmethod
+    def _draw_blocks(generators, bursts):
+        """The next block of each of several generators of one model, as each computes it alone.
+
+        Row i is generator i's carry and then fresh words, 3 per burst, and at least the carry and
+        a whole frame (2 words a draw, and the interval word), so it completes a burst or raises.
+        A row whose starts all draw a positive size is 3-word bursts; :meth:`_read_row` reads others.
         """
-        gmm, width = generators[0]._gmm, 3 * BLOCK_BURSTS
-        words = np.empty((len(generators), width))
+        gmm = generators[0]._gmm
+        bursts = max(bursts, (max(len(g._carry) for g in generators) + 2 * _MAX_FRAME_DRAW_ATTEMPTS + 3) // 3)
+        words = np.empty((len(generators), 3 * bursts))
         for row, g in zip(words, generators):
             row[:len(g._carry)] = g._carry
-            row[len(g._carry):] = g.rng.uniform(width - len(g._carry))
-        raw, ifi = gmm2_quantile(gmm, words[:, 0::3], words[:, 1::3]), words[:, 2::3]
-        lengths = np.full(len(generators), BLOCK_BURSTS)
-        rejected = (raw <= 0.0).any(axis=1)
-        for full in itertools.compress(generators, (~rejected).tolist()):
-            full._carry = _NO_WORDS
-        if rejected.any():
-            rows, ifi = np.flatnonzero(rejected), ifi.copy()  # a carry is a view of words
-            every = gmm2_quantile(gmm, words[rows, :-1], words[rows, 1:])
-            for r, draws in zip(rows.tolist(), every):
-                sizes, ifi_words = generators[r]._read_block(words[r], draws)
-                n = lengths[r] = len(sizes)
-                # pad the row with its first burst, which the schedule drops
-                raw[r, :n], raw[r, n:], ifi[r, :n], ifi[r, n:] = sizes, sizes[0], ifi_words, ifi_words[0]
+            row[len(g._carry):] = g.rng.uniform(len(row) - len(g._carry))
+            g._carry = _NO_WORDS
+        lengths = [bursts] * len(generators)
+        rejected = gmm2_nonpositive(gmm, words[:, 0::3], words[:, 1::3]).any(axis=1)
+        raw, ifi = np.empty((len(generators), bursts)), words[:, 2::3].copy()  # a carry is a view of words
+        raw[~rejected] = gmm2_quantile(gmm, words[~rejected, 0::3], words[~rejected, 1::3])
+        for r in np.flatnonzero(rejected).tolist():
+            draws, taken = generators[r]._read_row(words[r])
+            n = lengths[r] = len(taken)
+            raw[r, :n], ifi[r, :n] = draws, words[r, taken + 2]
+            # pad the row with its first burst, which the schedule drops
+            raw[r, n:], ifi[r, n:] = draws[0], ifi[r, 0]
         sizes, periods = _whole(raw, logistic_quantile(ifi, generators[0]._ifi))
         return sizes, periods, lengths
 
-    def _read_block(self, words, draws):
-        """The block's raw sizes and inter-frame-interval words, from its words
-        and ``draws[j]``, the mixture draw from words j and j+1."""
-        # a burst starting at word p reads the draws at p, p+2, ... until one
-        # is positive
-        sizes, ifi_words = [], []
-        pos = n = 0
-        while n < BLOCK_BURSTS:
-            # the bursts before the next rejected draw are 3-word rows
-            m = min(BLOCK_BURSTS - n, (len(words) - pos) // 3)
-            rejected = np.flatnonzero(draws[pos:pos + 3 * m:3] <= 0.0)
-            ok = int(rejected[0]) if rejected.size else m
-            sizes.append(draws[pos:pos + 3 * ok:3])
-            ifi_words.append(words[pos + 2:pos + 3 * ok:3])
-            n += ok
-            pos += 3 * ok
-            if ok == m:
-                break  # block full, or out of words
-            # the draws the words left hold for the rejected burst, each followed by its interval word
-            tries = draws[pos:pos + min(2 * _MAX_FRAME_DRAW_ATTEMPTS, len(words) - pos - 2):2]
-            used = next((i for i, value in enumerate(tries, 1) if value > 0.0), 0)  # stops at the first positive
-            if not used:
-                if n or len(tries) < _MAX_FRAME_DRAW_ATTEMPTS:
-                    break  # hand out the bursts before it; the next block reads it or raises
-                raise DegenerateModelError(
-                    f"frame-size mixture produced {_MAX_FRAME_DRAW_ATTEMPTS} consecutive "
-                    "non-positive draws; model parameters are degenerate"
-                )
-            sizes.append(tries[used - 1:used])
-            ifi_words.append(words[pos + 2 * used:pos + 2 * used + 1])
-            n += 1
-            pos += 2 * used + 1
-        self._carry = words[pos:]
-        return np.concatenate(sizes), np.concatenate(ifi_words)
+    def _read_row(self, words):
+        """The size draws of a row's bursts and the words they are drawn at; the
+        words after the last burst become the carry. A burst starting at word s
+        takes the first positive draw at words s, s + 2, ... (at most
+        ``_MAX_FRAME_DRAW_ATTEMPTS``), say at q, and ends at q + 3. ``take[s]`` is
+        q for every s, from the signs alone; doubling the map from a burst's q to
+        the next one's chains the bursts, and only their draws are computed."""
+        n, index = len(words), np.arange(len(words) - 1)
+        take = np.where(gmm2_nonpositive(self._gmm, words[:-1], words[1:]), n, index)
+        for k in (0, 1):
+            take[k::2] = np.minimum.accumulate(take[k::2][::-1])[::-1]
+        # n where the burst does not end in the row or its frame is degenerate
+        take[(take - index >= 2 * _MAX_FRAME_DRAW_ATTEMPTS) | (take > n - 3)] = n
+        after = np.concatenate((take[3:], np.full(5, n)))  # the next burst's q, n past the last
+        taken = take[:1]
+        while (taken := np.concatenate((taken, after[taken])))[-1] < n:
+            after = after[after]
+        taken = taken[:np.searchsorted(taken, n)]
+        if not len(taken):  # with a whole frame's words in the row
+            raise DegenerateModelError(f"frame-size mixture produced {_MAX_FRAME_DRAW_ATTEMPTS} consecutive "
+                                       "non-positive draws; model parameters are degenerate")
+        self._carry = words[taken[-1] + 3:]
+        return gmm2_quantile(self._gmm, words[taken], words[taken + 1]), taken
 
 
 def sample_vr_frame(params: VrStreamParams, constants: VrModelConstants, rng: RngStream, size: int):
@@ -289,7 +281,7 @@ def _first_vr_bursts(params, constants, rng, size):
     generator = VrBurstGenerator(params, rng, constants)
     blocks, n = [np.empty((2, 0), np.int64)], 0
     while n < size:
-        sizes, periods, (k,) = generator._draw_blocks([generator])
+        sizes, periods, (k,) = generator._draw_blocks([generator], BLOCK_BURSTS)
         blocks.append(np.stack((sizes[0, :k], periods[0, :k])))
         n += k
     return np.concatenate(blocks, axis=1)[:, :size]
@@ -310,10 +302,6 @@ class TraceFileBurstGenerator(BurstGenerator):
         super().__init__()
         self._sizes, self._periods = trace.records.T
         self.schedule(round(start_time_s * NS_PER_S))  # skip the bursts before t0
-
-    @staticmethod
-    def _draw_blocks(generators):
-        return None
 
 
 def _whole(sizes, periods_s):
@@ -341,10 +329,12 @@ def schedule_stations(generators: list[BurstGenerator], duration_ns, offsets_ns:
     bursts computed, those past it included, must end before 2**63 ns (else
     :class:`ParameterError`). The first round is the bursts the generators
     kept; each later one is a block per generator, drawn as the rows of one
-    array per bank (:meth:`BurstGenerator._draw_blocks`), and the burst times
-    and the horizon cut run along the rows. A generator's bursts do not depend
-    on its block boundaries, so each schedule is the one its generator gives
-    alone.
+    array per bank (:meth:`BurstGenerator._draw_blocks`), of about 10% more
+    bursts than the bank's mean period (``_period_ns``) fits before the
+    horizon (``BLOCK_BURSTS`` where it is unknown), at most
+    ``_ROUND_BURSTS_MAX`` in all. Burst times and the horizon cut run along
+    the rows. A generator's bursts do not depend on its block boundaries, so
+    each schedule is the one its generator gives alone.
 
     On an error, each generator keeps the bursts it computed in the rounds
     before it next in line, so a single generator goes on from where it
@@ -355,28 +345,43 @@ def schedule_stations(generators: list[BurstGenerator], duration_ns, offsets_ns:
     if max(offsets_ns, default=0) > _INT64_MAX:
         raise ParameterError(f"burst times reach {max(offsets_ns)} ns, beyond int64")
     reach = np.array(offsets_ns, dtype=np.int64)  # each station's next burst time
-    todo = [([i], g._sizes[None, g._next:], g._periods[None, g._next:], np.array([len(g._sizes) - g._next]))
+    todo = [([i], g._sizes[None, g._next:], g._periods[None, g._next:], [len(g._sizes) - g._next])
             for i, g in enumerate(generators) if g._next < len(g._sizes)]
     blocks, live, done = [], range(len(generators)), False
     try:
         while True:
             for members, sizes, periods, lengths in todo:
-                blocks.append([members, sizes, periods, lengths.tolist()])
-                steps = np.maximum(periods, 1)
-                if lengths.min() < steps.shape[1]:  # padding takes no time
-                    steps[np.arange(steps.shape[1]) >= lengths[:, None]] = 0
-                times = np.cumsum(steps, axis=1)
-                start, end = reach[members], reach[members] + times[:, -1]
-                if (end < start).any():  # the sum wrapped
+                blocks.append([members, sizes, periods, lengths])
+                if len(members) == 1:  # one row: no padding, Python ints and a search for the cut
+                    steps = np.maximum(periods[0, :lengths[0]], 1)
+                    times, start = steps.cumsum(), int(reach[members[0]])
+                    # every step is below 2**63, so a sum that wraps turns negative there
+                    wrapped = times.min() < 0 or (end := start + int(times[-1])) > _INT64_MAX
+                    times += start - steps
+                    cut, times = [int(times.searchsorted(horizon))], times[None]
+                else:
+                    steps = np.maximum(periods, 1)
+                    if min(lengths) < steps.shape[1]:  # padding takes no time
+                        steps[np.arange(steps.shape[1]) >= np.array(lengths)[:, None]] = 0
+                    times = steps.cumsum(axis=1)
+                    start, end = reach[members], reach[members] + times[:, -1]
+                    wrapped = times.min() < 0 or (end < start).any()
+                    times += start[:, None] - steps
+                    cut = np.minimum((times < horizon).sum(axis=1), lengths).tolist()
+                if wrapped:
                     raise ParameterError("burst times reach 2**63 ns, beyond int64")
-                times += start[:, None] - steps
                 reach[members] = end
-                blocks[-1] += [times, np.minimum((times < horizon).sum(axis=1), lengths).tolist()]
+                blocks[-1] += [times, cut]
             short, banks = (reach < horizon).tolist(), {}
             for i in filter(short.__getitem__, live):
                 banks.setdefault(generators[i]._bank, []).append(i)
-            todo = [(members, *rows) for members in banks.values()
-                    if (rows := generators[members[0]]._draw_blocks([generators[i] for i in members])) is not None]
+            todo = []
+            for members in banks.values():
+                g, gap = generators[members[0]], horizon - reach[members].min()
+                bursts = int(1.1 * gap / g._period_ns) + 16 if g._period_ns else BLOCK_BURSTS
+                bursts = min(bursts, max(1, _ROUND_BURSTS_MAX // len(members)))
+                if (rows := g._draw_blocks([generators[i] for i in members], bursts)) is not None:
+                    todo.append((members, *rows))
             if not todo:
                 break
             live = [i for members, *_ in todo for i in members]
@@ -437,9 +442,9 @@ def build_generators(
     starts ``start_time_s + i * duration_s`` into the file, so stations
     running for ``duration_s`` replay disjoint parts of it.
     """
-    if config.model == "vr":
-        params = VrStreamParams(config.rate_mbps * 1e6, config.fps)
-        return [VrBurstGenerator(params, RngStream(seed, i + 1), constants) for i in range(n_stations)], None
+    if config.model == "vr":  # the stations share one mixture and IFI model
+        first = VrBurstGenerator(VrStreamParams(config.rate_mbps * 1e6, config.fps), RngStream(seed, 1), constants)
+        return [first._with_rng(RngStream(seed, i + 1)) if i else first for i in range(n_stations)], None
     if config.model == "simple":
         size_dist = dist_from_spec(config.size_dist)
         period_dist = dist_from_spec(config.period_dist)

@@ -221,6 +221,20 @@ def gmm2_quantile(p: Gmm2Params, pick, u):
     return np.where(pick < p.w_hi, p.mu_hi + p.sigma_hi * z, p.mu_lo + p.sigma_lo * z)
 
 
+def gmm2_nonpositive(p: Gmm2Params, pick, u):
+    """Whether each :func:`gmm2_quantile` value is <= 0 (not for a NaN): whether ``u`` is at most
+    Phi(-mu / sigma) of its component, but computed where ``u`` is within a relative 1e-9 of that
+    threshold, far beyond the rounding of either side, or the threshold is NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_hi, t_lo = (0.5 * math.erfc(np.float64(mu) / (sigma * math.sqrt(2.0)))
+                      for mu, sigma in ((p.mu_hi, p.sigma_hi), (p.mu_lo, p.sigma_lo)))
+    t = np.where(pick < p.w_hi, t_hi, t_lo)
+    out = u <= t
+    if (near := ~(np.abs(u - t) > 1e-9 * t)).any():
+        out[near] = gmm2_quantile(p, pick[near], u[near]) <= 0.0
+    return out
+
+
 # --- spec distributions used by SimpleBurstGenerator -------------------------
 #
 # Each maps a (n, words) block of uniforms to n values with ``quantile``,

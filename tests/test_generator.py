@@ -17,9 +17,10 @@ from vrburst.generator import (
     sample_vr_frame,
     sample_vr_ifi,
     save_trace,
+    schedule_stations,
 )
 from vrburst.model import DEFAULT_CONSTANTS, VrStreamParams
-from vrburst.rv import RngStream, dist_from_spec
+from vrburst.rv import ParameterError, RngStream, dist_from_spec
 
 
 def write(tmp_path, text, name="trace.csv"):
@@ -105,6 +106,26 @@ class TestVrBurstGenerator:
         np.testing.assert_array_equal(sample_vr_ifi(params, DEFAULT_CONSTANTS, RngStream(11, 2), n),
                                       periods / NS_PER_S)
         assert len(sample_vr_frame(params, DEFAULT_CONSTANTS, RngStream(11, 2), 0)) == 0
+
+
+class TestScheduleRounds:
+    def test_a_one_second_station_draws_at_most_twice_the_words_it_reads(self, monkeypatch):
+        calls, uniform = [], RngStream.uniform
+        monkeypatch.setattr(RngStream, "uniform", lambda rng, size=None: calls.append(size) or uniform(rng, size))
+        _, sizes, _ = VrBurstGenerator(VrStreamParams(50e6, 60), RngStream(3, 1)).schedule(NS_PER_S)
+        # one round; a 50 Mbit/s frame is never redrawn, so each burst reads 3 words
+        assert len(calls) == 1
+        assert 3 * len(sizes) <= calls[0] <= 2 * 3 * len(sizes)
+
+    @pytest.mark.parametrize("stations", [1, 2])
+    def test_a_long_round_whose_sum_wraps_past_2_63_raises(self, stations):
+        # the median period is 0, so the round is 4096 bursts, whose periods
+        # (half 0, half up to 3.6e16 ns) sum to about 4 * 2**63: at seed 2 the
+        # sum wraps twice and ends past the horizon, so no later round raises
+        size, period = dist_from_spec("constant:1000"), dist_from_spec("uniform:-3.6e7:3.6e7")
+        generators = [SimpleBurstGenerator(size, period, RngStream(2, 1)) for _ in range(stations)]
+        with pytest.raises(ParameterError, match="2\\*\\*63"):
+            schedule_stations(generators, 2**55, [0] * stations)
 
 
 class TestLoadTrace:

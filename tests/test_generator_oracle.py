@@ -9,7 +9,8 @@ taken one by one through ``generate_burst()`` or as the arrays of
 same bursts as the oracle's generation horizon, and ``schedule_stations``,
 which draws the blocks of several VR stations together, the same schedules
 as each station alone, also when the stations mix VR models, simple sources
-and a trace that runs out.
+and a trace that runs out. Blocks of any size, as schedule rounds draw them,
+give the oracle's bursts too.
 """
 
 import generator_oracle as oracle
@@ -101,6 +102,48 @@ def test_vr_degenerate_model_raises_at_the_same_burst(iframe_slope, seed, chunks
     want = take_oracle(oracle.VrBurstGenerator(params, RngStream(seed, 1), constants), sum(chunks))
     got = take(VrBurstGenerator(params, RngStream(seed, 1), constants), chunks, want[0])
     assert got == want
+
+
+# the low component is a point mass at 0 and the high one has weight 1/20:
+# about 19 redraws a frame, and now and then 100 in a row fail
+ONE_IN_TWENTY = VrModelConstants(iframe_mean_slope=20.0, pframe_mean_slope=0.0, iframe_std_coeff=0.0,
+                                 pframe_std_coeff=0.0)
+
+
+def sources(kind, seed, rate_mbps):
+    """A block-drawn generator and the oracle of the same stream: VR at
+    ``rate_mbps`` and 60 FPS, the ``ONE_IN_TWENTY`` VR model, or a simple source."""
+    if kind == "simple":
+        specs = ("normal:8000:6000", "uniform:0:0.003")
+        return (SimpleBurstGenerator(*map(dist_from_spec, specs), RngStream(seed, 1)),
+                oracle.SimpleBurstGenerator(*map(oracle.dist_from_spec, specs), RngStream(seed, 1)))
+    params = VrStreamParams(rate_mbps * 1e6, 60)
+    constants = ONE_IN_TWENTY if kind == "one-in-twenty" else VrModelConstants()
+    return (VrBurstGenerator(params, RngStream(seed, 1), constants),
+            oracle.VrBurstGenerator(params, RngStream(seed, 1), constants))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["vr", "one-in-twenty", "simple"]), rate_mbps=st.floats(0.2, 200.0), seed=seeds,
+       rounds=st.lists(st.integers(1, 4096), min_size=1, max_size=3))
+# the first round leaves a 97-word carry, more than the next row of 16 bursts
+@example(kind="one-in-twenty", rate_mbps=5.0, seed=0, rounds=[16, 16, 1])
+# a degenerate frame starts 168 words before the end of round 4 and raises in round 5
+@example(kind="one-in-twenty", rate_mbps=5.0, seed=0, rounds=[100] * 5)
+# at 1 Mbit/s about one draw in 15 is non-positive: 297 redraws in one row
+@example(kind="vr", rate_mbps=1.0, seed=2, rounds=[4096])
+def test_blocks_of_any_size_match_the_scalar_walk(kind, rate_mbps, seed, rounds):
+    generator, reference = sources(kind, seed, rate_mbps)
+    got, raised = [], False
+    try:
+        for size in rounds:
+            sizes, periods, (n,) = generator._draw_blocks([generator], size)
+            assert n >= 1
+            got += zip(sizes[0, :n].tolist(), periods[0, :n].tolist())
+    except DegenerateModelError:
+        raised = True
+    # the oracle raises at the burst where the blocks did
+    assert take_oracle(reference, len(got) + raised) == (got, raised)
 
 
 @settings(max_examples=40, deadline=None)
