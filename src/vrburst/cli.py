@@ -413,7 +413,7 @@ def receive_bursts(
         gro = False
     cmsg_size = socket.CMSG_SPACE(4)
     flows: dict = {}
-    received = discarded = malformed = datagrams = reads = late = 0
+    malformed = datagrams = reads = late = 0
     deadline = time.monotonic() + duration_s
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("# source: vrburst recv\n")
@@ -445,25 +445,22 @@ def receive_bursts(
                         continue
                     for event in events:
                         if isinstance(event, BurstReceived):
-                            received += 1
-                            fh.write(
-                                f"{event.burst_seq},received,{event.delay_ns},{event.burst_size}\n"
-                            )
+                            fh.write(f"{event.burst_seq},received,{event.delay_ns},{event.burst_size}\n")
                         elif isinstance(event, BurstDiscarded):
-                            discarded += 1
                             fh.write(f"{event.burst_seq},discarded,,{event.burst_size}\n")
                         elif isinstance(event, LateFragmentIgnored):
                             late += 1
         finally:
             if own_sock:
                 sock.close()
+    counters = [flow.counters for flow in flows.values()]
     return {
         "datagrams": datagrams,
         "malformed": malformed,
         "late": late,
-        "duplicates": sum(flow.counters.fragments_duplicate for flow in flows.values()),
-        "bursts_received": received,
-        "bursts_discarded": discarded,
+        "duplicates": sum(c.fragments_duplicate for c in counters),
+        "bursts_received": sum(c.bursts_received for c in counters),
+        "bursts_discarded": sum(c.bursts_failed for c in counters),
         "flows": len(flows),
         "reads": reads,
         "gro": gro,

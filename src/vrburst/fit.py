@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -491,11 +491,7 @@ class GroupFit:
             "n_frames": self.n_frames,
             "mean_frame_size_bytes": self.mean_frame_size,
             "gmm": {
-                "w_hi": self.gmm.params.w_hi,
-                "mu_hi": self.gmm.params.mu_hi,
-                "sigma_hi": self.gmm.params.sigma_hi,
-                "mu_lo": self.gmm.params.mu_lo,
-                "sigma_lo": self.gmm.params.sigma_lo,
+                **asdict(self.gmm.params),
                 "log_likelihood": self.gmm.log_likelihood,
                 "n_iterations": self.gmm.n_iterations,
                 "converged": self.gmm.converged,
@@ -510,7 +506,9 @@ class GroupFit:
 
 @dataclass
 class FitReport:
-    """Pooled fit over all groups plus the per-group details."""
+    """Pooled fit over all groups plus the per-group details. The pooled
+    values are named, and serialized in the order of, the fields of
+    :class:`VrModelConstants`."""
 
     groups: list[GroupFit]
     ifi_std_coeff: float
@@ -528,15 +526,7 @@ class FitReport:
         return {
             "weighting": self.weighting,
             "slopes_valid": self.slopes_valid,
-            "pooled": {
-                "ifi_std_coeff": self.ifi_std_coeff,
-                "iframe_mean_slope": self.iframe_mean_slope,
-                "pframe_mean_slope": self.pframe_mean_slope,
-                "iframe_std_coeff": self.iframe_std_coeff,
-                "iframe_std_exp": self.iframe_std_exp,
-                "pframe_std_coeff": self.pframe_std_coeff,
-                "pframe_std_exp": self.pframe_std_exp,
-            },
+            "pooled": {f.name: getattr(self, f.name) for f in fields(VrModelConstants)},
             "constants": self.constants.to_dict() if self.constants else None,
             "groups": [g.to_dict() for g in self.groups],
         }
@@ -626,44 +616,25 @@ def fit_vr_model(
     for fit, weight in zip(fits, weights):
         fit.weight = float(weight)
 
-    sizes_emp = [g.mean_frame_size for g in fits]
-    hi_slope = fit_linear_through_origin(
-        zip(sizes_emp, (g.gmm.params.mu_hi for g in fits)), weights
-    )
-    lo_slope = fit_linear_through_origin(
-        zip(sizes_emp, (g.gmm.params.mu_lo for g in fits)), weights
-    )
-    hi_coeff, hi_exp = fit_power_law(
-        list(zip(sizes_emp, (g.gmm.params.sigma_hi for g in fits))), weights
-    )
-    lo_coeff, lo_exp = fit_power_law(
-        list(zip(sizes_emp, (g.gmm.params.sigma_lo for g in fits))), weights
-    )
-    ifi_coeff = float(np.mean([g.ifi_std_coeff for g in fits]))
-
+    sizes_emp, params = [g.mean_frame_size for g in fits], [g.gmm.params for g in fits]
+    hi_slope = fit_linear_through_origin(zip(sizes_emp, (p.mu_hi for p in params)), weights)
+    lo_slope = fit_linear_through_origin(zip(sizes_emp, (p.mu_lo for p in params)), weights)
     slopes_valid = lo_slope <= 1.0 <= hi_slope
-    constants = None
-    if slopes_valid:
-        constants = VrModelConstants(
-            ifi_std_coeff=ifi_coeff,
-            iframe_mean_slope=hi_slope,
-            pframe_mean_slope=lo_slope,
-            iframe_std_coeff=hi_coeff,
-            iframe_std_exp=hi_exp,
-            pframe_std_coeff=lo_coeff,
-            pframe_std_exp=lo_exp,
-        )
+    pooled = {
+        "ifi_std_coeff": float(np.mean([g.ifi_std_coeff for g in fits])),
+        "iframe_mean_slope": hi_slope,
+        "pframe_mean_slope": lo_slope,
+    }
+    pooled["iframe_std_coeff"], pooled["iframe_std_exp"] = fit_power_law(
+        zip(sizes_emp, (p.sigma_hi for p in params)), weights
+    )
+    pooled["pframe_std_coeff"], pooled["pframe_std_exp"] = fit_power_law(
+        zip(sizes_emp, (p.sigma_lo for p in params)), weights
+    )
     return FitReport(
         groups=fits,
-        ifi_std_coeff=ifi_coeff,
-        iframe_mean_slope=hi_slope,
-        pframe_mean_slope=lo_slope,
-        iframe_std_coeff=hi_coeff,
-        iframe_std_exp=hi_exp,
-        pframe_std_coeff=lo_coeff,
-        pframe_std_exp=lo_exp,
+        **pooled,
         weighting=weighting,
         slopes_valid=slopes_valid,
-        constants=constants,
+        constants=VrModelConstants(**pooled) if slopes_valid else None,
     )
-

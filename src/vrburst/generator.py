@@ -197,8 +197,6 @@ class VrBurstGenerator(BurstGenerator):
     def __init__(self, params: VrStreamParams, rng: RngStream, constants: VrModelConstants = DEFAULT_CONSTANTS):
         super().__init__()
         self.rng = rng
-        self.params = params
-        self.constants = constants
         self._gmm, self._ifi = derive_frame_size_model(params, constants), derive_ifi_model(params, constants)
         self._carry = _NO_WORDS  # words the last block left unread
         self._bank = (self._gmm, self._ifi)

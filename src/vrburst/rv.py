@@ -201,6 +201,8 @@ class Gmm2Params:
     def __post_init__(self):
         if not 0.0 <= self.w_hi <= 1.0:
             raise ParameterError(f"component weight must lie in [0, 1], got {self.w_hi}")
+        if not all(map(math.isfinite, (self.mu_hi, self.sigma_hi, self.mu_lo, self.sigma_lo))):
+            raise ParameterError(f"component means and sigmas must be finite, got {self}")
         if self.sigma_hi < 0 or self.sigma_lo < 0:
             raise ParameterError("component sigmas must be non-negative")
         if self.mu_hi < self.mu_lo:

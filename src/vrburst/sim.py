@@ -104,8 +104,8 @@ def _total(values: np.ndarray, top: float) -> int:
 
 @dataclass
 class ScenarioConfig:
-    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     n_stations: int = 1
+    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     link_rate_bps: float = 866e6
     propagation_delay_ns: int = 0
     overhead_bytes: int = 0
@@ -139,20 +139,9 @@ class ScenarioConfig:
             raise ParameterError("station_start_offsets_ns must list one offset per station")
 
     def to_dict(self) -> dict:
-        return {
-            "n_stations": self.n_stations,
-            "generator": self.generator.to_dict(),
-            "link_rate_bps": self.link_rate_bps,
-            "propagation_delay_ns": self.propagation_delay_ns,
-            "overhead_bytes": self.overhead_bytes,
-            "loss_prob": self.loss_prob,
-            "queue_limit": self.queue_limit,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "fragment_size": self.fragment_size,
-            "station_start_offsets_ns": self.station_start_offsets_ns,
-            "constants": self.constants.to_dict(),
-        }
+        """The fields in declaration order; the generator and constants as their own dicts."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: value.to_dict() if hasattr(value, "to_dict") else value for name, value in values}
 
 
 # Burst outcomes, the values of SimulationLog.outcome
@@ -201,7 +190,7 @@ def _serialization_ns(wire_bytes, overhead: int, link_rate_bps: float):
     the overhead, rounded up."""
     bits = (wire_bytes + overhead) * 8
     if float(link_rate_bps).is_integer():
-        rate = int(link_rate_bps)
+        rate = min(int(link_rate_bps), 2**63 - 1)  # exact: every bits * NS_PER_S is below 2**63
         return -(-(bits * NS_PER_S) // rate)
     if isinstance(bits, np.ndarray):
         return np.ceil(bits * NS_PER_S / link_rate_bps).astype(np.int64)

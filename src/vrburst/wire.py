@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 HEADER_LEN = 24
 # Observed VR streams fragment frames into packets of this size.
@@ -197,14 +197,14 @@ class LateFragmentIgnored:
     frag_index: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReassemblyCounters:
-    bursts_started: int
-    bursts_received: int
-    bursts_failed: int
-    fragments_received: int
-    fragments_duplicate: int
-    bytes_received: int
+    bursts_started: int = 0
+    bursts_received: int = 0
+    bursts_failed: int = 0
+    fragments_received: int = 0
+    fragments_duplicate: int = 0
+    bytes_received: int = 0
 
 
 class BurstReassembler:
@@ -229,23 +229,12 @@ class BurstReassembler:
         self._first: FragmentHeader | None = None  # first header of the current burst
         self._seen: set[int] = set()  # its fragment indices that arrived
         self._payload = 0  # their payload bytes
-        self._started = 0
-        self._received = 0
-        self._failed = 0
-        self._fragments = 0
-        self._duplicates = 0
-        self._bytes = 0
+        self._counters = ReassemblyCounters()
 
     @property
     def counters(self) -> ReassemblyCounters:
-        return ReassemblyCounters(
-            bursts_started=self._started,
-            bursts_received=self._received,
-            bursts_failed=self._failed,
-            fragments_received=self._fragments,
-            fragments_duplicate=self._duplicates,
-            bytes_received=self._bytes,
-        )
+        """A snapshot of the counters, which later fragments leave unchanged."""
+        return replace(self._counters)
 
     def on_fragment(self, header: FragmentHeader, arrival_ns: int, payload_len: int = 0) -> list:
         """Process one fragment arrival; returns the events it triggered."""
@@ -259,15 +248,16 @@ class BurstReassembler:
                 f"burst's first header on (frag_count, burst_size, timestamp_ns): "
                 f"{header[2:]} != {first[2:]}"
             )
-        self._fragments += 1
-        self._bytes += payload_len
+        counters = self._counters
+        counters.fragments_received += 1
+        counters.bytes_received += payload_len
         if ahead >= _U32 // 2:
             return [LateFragmentIgnored(header.burst_seq, header.frag_index)]
 
         events: list = []
         if ahead:
             if first is not None and len(self._seen) < first.frag_count:
-                self._failed += 1
+                counters.bursts_failed += 1
                 events.append(
                     BurstDiscarded(
                         burst_seq=first.burst_seq,
@@ -279,16 +269,16 @@ class BurstReassembler:
             self._first = first = header
             self._seen = set()
             self._payload = 0
-            self._started += 1
+            counters.bursts_started += 1
 
         seen = self._seen
         if header.frag_index in seen:
-            self._duplicates += 1
+            counters.fragments_duplicate += 1
             return events  # burst outcome unchanged
         seen.add(header.frag_index)
         self._payload += payload_len
         if len(seen) == first.frag_count:
-            self._received += 1
+            counters.bursts_received += 1
             events.append(
                 BurstReceived(
                     burst_seq=first.burst_seq,

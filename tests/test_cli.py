@@ -574,6 +574,9 @@ class TestCliPlumbing:
         # burst times past 2**63 ns used to wrap (the later --duration-s wins)
         (2, SIMPLE + ["--size-dist", "constant:100", "--period-dist", "constant:1e7", "--duration-s", "9e9"]),
         (2, ["simulate", "--fps", "1e-300", "--duration-s", "1"]),
+        # a mean frame size past the float range used to print numpy warnings first
+        (2, ["generate", "--rate-mbps", "1e300", "--fps", "1e-10", "--duration-s", "1", "--out", "out.csv"]),
+        (2, ["simulate", "--rate-mbps", "1e300", "--fps", "1e-10", "--duration-s", "1"]),
         # a run that rounds to 0 ns used to report 0 bursts and exit 0
         (2, ["simulate", "--duration-s", "1e-10"]),
         # link parameters whose int64 ns arithmetic divides by zero or overflows

@@ -194,6 +194,9 @@ class TestGmm2Sample:
             Gmm2Params(w_hi=0.5, mu_hi=0.0, sigma_hi=1.0, mu_lo=1.0, sigma_lo=1.0)
         with pytest.raises(ParameterError):
             Gmm2Params(w_hi=0.5, mu_hi=1.0, sigma_hi=-1.0, mu_lo=0.0, sigma_lo=1.0)
+        for bad in ({"mu_hi": math.inf}, {"mu_lo": -math.inf}, {"sigma_hi": math.inf}, {"sigma_lo": math.nan}):
+            with pytest.raises(ParameterError, match="finite"):
+                Gmm2Params(**{"w_hi": 0.5, "mu_hi": 1.0, "sigma_hi": 1.0, "mu_lo": 0.0, "sigma_lo": 1.0, **bad})
 
 
 class TestDistSpecs:

@@ -271,6 +271,19 @@ class TestSummarize:
         assert parsed["config"]["seed"] == 3
         assert parsed["rng_algorithm"]
         assert parsed["burst"]["received"] == 100
+        # the report's key order is pinned here; the golden digests re-order keys before hashing
+        assert list(parsed) == ["config", "rng_algorithm", "fragment", "burst", "link", "throughput_mbps",
+                                "per_station"]
+        assert list(parsed["config"]) == [
+            "n_stations", "generator", "link_rate_bps", "propagation_delay_ns", "overhead_bytes", "loss_prob",
+            "queue_limit", "duration_s", "seed", "fragment_size", "station_start_offsets_ns", "constants",
+        ]
+        assert list(parsed["config"]["generator"]) == ["model", "rate_mbps", "fps", "size_dist", "period_dist",
+                                                       "trace_path", "start_time_s"]
+        assert list(parsed["config"]["constants"]) == [
+            "ifi_std_coeff", "iframe_mean_slope", "pframe_mean_slope", "iframe_std_coeff", "iframe_std_exp",
+            "pframe_std_coeff", "pframe_std_exp",
+        ]
 
 
 class TestConfigValidation:
@@ -308,6 +321,14 @@ class TestConfigValidation:
         cfg["propagation_delay_ns"] += 1
         with pytest.raises(ParameterError, match="2\\*\\*63"):
             simulate(constant_cfg(**cfg))
+
+    def test_link_rate_past_int64_serves_each_fragment_in_1_ns(self):
+        # a rate of 2**63 bit/s or more used to raise OverflowError; every
+        # fragment takes 1 ns at any rate from 2**63 - 1 up
+        fast, top = (run_scenario(vr_cfg(link_rate_bps=rate, duration_s=0.01)).to_dict()
+                     for rate in (1e300, 2**63 - 1))
+        assert fast["link"]["busy_ns"] == fast["link"]["fragments_sent"] > 0
+        assert {**fast, "config": None} == {**top, "config": None}
 
     @pytest.mark.parametrize("duration_s", [math.inf, math.nan, 1e300])
     def test_non_finite_duration_rejected(self, duration_s):

@@ -215,6 +215,13 @@ def test_read_without_segment_size_is_one_datagram(tmp_path):
     assert result["bursts_received"] == 1 and rows[0][:2] == ["3", "received"]
 
 
+def test_discarded_burst_is_counted_and_logged(tmp_path):
+    first = bytes(pack_burst(0, 2 * 1254, 5))[:1278]  # burst 0 loses its second fragment
+    result, rows = receive(tmp_path, [(first, [], 0), (bytes(pack_burst(1, 10, 5)), [], 0)])
+    assert (result["bursts_discarded"], result["bursts_received"]) == (1, 1)
+    assert [row[:2] for row in rows] == [["0", "discarded"], ["1", "received"]]
+
+
 def test_late_and_duplicate_fragments_are_counted(tmp_path):
     one, two = bytes(pack_burst(1, 2 * 1254, 5)), bytes(pack_burst(2, 10, 5))
     old = bytes(pack_burst(0, 10, 5))
