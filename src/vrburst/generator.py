@@ -33,8 +33,11 @@ per-burst API takes ``BLOCK_BURSTS`` at a time.
 Trace CSV grammar: one ``burst_size_bytes,next_period_us`` row per burst
 (unsigned integers in ASCII digits, whitespace allowed around each field),
 with blank lines and ``#`` comment lines anywhere (``# key: value`` ones are
-metadata), LF or CRLF line endings and an optional UTF-8 byte-order mark.
-Periods are stored as integer microseconds to keep files round-trip exact. A parsed :class:`TraceFile` holds the rows as ``records``,
+metadata), in UTF-8 with an optional byte-order mark; a line ends wherever
+``str.splitlines`` ends one (LF, CRLF, CR, VT, FF, FS, GS, RS, NEL, U+2028,
+U+2029). Periods are stored as integer microseconds to keep files round-trip
+exact. :func:`load_trace` and :func:`save_trace` work on the file's bytes as
+arrays. A parsed :class:`TraceFile` holds the rows as ``records``,
 one ``(n, 2)`` int64 array with the columns ``burst_size`` (bytes) and
 ``next_period_ns``, so sizes and the total of the periods (in ns) must fit
 in int64.
@@ -42,7 +45,6 @@ in int64.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
@@ -467,20 +469,18 @@ def _parse_metadata_line(line: str) -> tuple[str, str] | None:
     return key, value.strip()
 
 
-# The trace grammar over a text whose lines each follow a "\n". A line is a data
-# row, a comment or blank; whitespace is what str.strip() removes ([^\S\n] on
-# one line) and digits are ASCII. _MALFORMED finds the "\n" before the first
-# line that is none of these; the first alternative is the row save_trace writes.
-_WS = r"[^\S\n]*"
-_MALFORMED = re.compile(
-    rf"\n(?![0-9]+,[0-9]+(?:\n|\Z)|{_WS}(?:#[^\n]*|[0-9]+{_WS},{_WS}[0-9]+{_WS})?(?:\n|\Z))"
-)
-# In well-formed lines, "#" starts a comment and a digit a data row.
-_COMMENT = re.compile(r"#[^\n]*")
-_DATA_ROW = re.compile(rf"\n{_WS}[0-9]")
-# Every byte of a data row but its digits is a separator (UTF-8 whitespace
-# included), as np.fromstring(sep=" ") reads one.
-_DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
+# The trace grammar on bytes: the class of each byte that is no ASCII digit,
+# from a 256-entry table. A line is a row, digits "," digits, a comment, "#"
+# first, or empty; other bytes, whitespace and non-ASCII included, may only
+# stand in a comment.
+_OTHER, _COMMA, _LF, _HASH, _SPACE, _BREAK = range(6)
+_BYTE_CLASS = np.full(256, _OTHER, np.uint8)
+_BYTE_CLASS[list(b",\n# \t\x1f")] = _COMMA, _LF, _HASH, _SPACE, _SPACE, _SPACE  # in-line whitespace of str.strip()
+_BYTE_CLASS[list(b"\r\x0b\x0c\x1c\x1d\x1e")] = _BREAK  # line ends of str.splitlines() besides LF (and CRLF)
+_ZERO = np.uint8(ord("0"))
+_UTF8_BOM = "\ufeff".encode()
+_UNICODE_BREAKS = "\x85\u2028\u2029"  # the non-ASCII line ends of str.splitlines()
+_WHITESPACE = re.compile(r"[^\S\n]")
 _VALUE_RULES = (
     "burst size must be at least 1 byte",
     "next period must be positive",  # burst times must be strictly increasing along the trace
@@ -489,6 +489,18 @@ _VALUE_RULES = (
 # uint64 scalars: numpy 1.x compares a uint64 array with a Python int in float64
 _U64_INT64_MAX = np.uint64(_INT64_MAX)
 _U64_PERIOD_US_MAX = np.uint64(_INT64_MAX // NS_PER_US)
+_U64_MAX = 2**64 - 1
+# Decimal digits in a little-endian uint64, the first in its lowest byte: a run
+# of up to 16 is read as two words of 8, _KEEP_HIGH[k] keeping a word's k highest
+# bytes; a value is written as 7-digit chunks, "0000" to "9999" from a table.
+_U64_1E8, _U64_1E7 = np.uint64(10**8), np.uint64(10**7)
+_KEEP_HIGH = np.array([(_U64_MAX >> 8 * (8 - k)) << 8 * (8 - k) for k in range(9)], np.uint64)
+_LOW_NIBBLES, _HIGH_BITS, _BELOW_HIGH_BIT, _ASCII_ZEROS = (
+    np.uint64(byte * 0x0101010101010101) for byte in (0x0F, 0x80, 0x7F, 0x30))
+_DIGIT_CHARS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64)
+_FOUR_DIGITS = (_DIGIT_CHARS[:, None, None, None] | _DIGIT_CHARS[:, None, None] << np.uint64(8)
+                | _DIGIT_CHARS[:, None] << np.uint64(16) | _DIGIT_CHARS << np.uint64(24)).ravel()
+_SEPARATORS = np.array([[ord(",")], [ord("\n")]], np.uint64) << np.uint64(56)
 
 
 def _malformed_line_error(lineno: int, line: str) -> TraceParseError:
@@ -505,35 +517,124 @@ def _malformed_line_error(lineno: int, line: str) -> TraceParseError:
 def load_trace(path) -> TraceFile:
     """Parse a trace CSV; raises :class:`TraceParseError` with line numbers.
 
-    The whole text is checked and converted at once; an error names the first
-    line that breaks a rule, and the first rule it breaks, in this order: two
-    fields, an unsigned size, an unsigned period, size >= 1, period > 0, and
-    the size and the running total of the periods (in ns) within int64.
+    The whole file is checked and converted at once, as bytes; an error names
+    the first line that breaks a rule, and the first rule it breaks, in this
+    order: two fields, an unsigned size, an unsigned period, size >= 1,
+    period > 0, and the size and the running total of the periods (in ns)
+    within int64. A file that is not UTF-8 fails at the line of its first
+    undecodable byte. The bytes are read as they are where every line ends in
+    LF or CRLF and is a ``size,period`` row, a comment starting with ``#`` or
+    empty. Any other text, a malformed one included, is first split into lines
+    by ``str.splitlines``, its whitespace made spaces and stripped from around
+    its fields, and then checked the same way.
     """
-    # line k starts after the k-th "\n"; splitlines() draws the line boundaries
-    text = "\n" + "\n".join(Path(path).read_text(encoding="utf-8-sig").splitlines())
-    malformed = _MALFORMED.search(text)
-    head = text[: malformed.start()] if malformed else text  # the well-formed lines before it
-    digits = _COMMENT.sub("", head).encode().translate(_DIGITS_ONLY).strip()  # fromstring reads " " as [0]
-    values = np.fromstring(digits, np.uint64, sep=" ")
-    sizes, periods_us = values.reshape(-1, 2).T  # a value past uint64 reads as its maximum
-    period_ns = np.where(periods_us > _U64_PERIOD_US_MAX, 0, periods_us * np.uint64(NS_PER_US))
-    # the uint64 total is exact up to the first row that takes it past int64
+    raw = Path(path).read_bytes().removeprefix(_UTF8_BOM)
+    text = None if raw.isascii() else _decode(raw)
+    trace = None
+    if text is None or not any(c in text for c in _UNICODE_BREAKS):
+        trace = _parse(raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw, path)
+    if trace is None:
+        lines = (text or raw.decode()).splitlines()
+        joined = "\n".join(lines) if text is None else _WHITESPACE.sub(" ", "\n".join(lines))
+        trace = _parse(_strip_fields(joined.encode()), path, lines)
+    return trace
+
+
+def _strip_fields(body: bytes) -> bytes:
+    """``body`` without the whitespace at either end of a line and on either
+    side of a comma; whitespace within a field stays."""
+    a = np.frombuffer(b"\n" + body + b"\n", np.uint8)
+    kind = _BYTE_CLASS.take(a)
+    space = (kind == _SPACE).nonzero()[0]
+    if not len(space):
+        return body
+    run = np.diff(space, prepend=-2) > 1  # where each run of whitespace starts
+    first, last = space[run], space[np.append(run[1:], True)]
+    edge = np.isin(kind[first - 1], (_COMMA, _LF)) | np.isin(kind[last + 1], (_COMMA, _LF))
+    keep = np.ones(len(a), bool)
+    keep[space[np.repeat(edge, last - first + 1)]] = False
+    return a[keep][1:-1].tobytes()
+
+
+def _decode(raw: bytes) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as error:
+        lineno = len((raw[: error.start].decode() + "x").splitlines())  # the undecodable byte's line
+        raise TraceParseError(f"line {lineno}: byte 0x{raw[error.start]:02x} is not UTF-8 ({error.reason})") from None
+
+
+def _parse(body: bytes, path, lines: list[str] | None = None) -> TraceFile | None:
+    """The trace in ``body``, whose lines end in LF, each a ``size,period`` row
+    of ASCII digits, a comment whose first byte is ``#``, or empty. Without
+    ``lines`` (the lines of the text ``body`` was made from, which messages and
+    metadata quote), None where any line is none of these or holds a line end
+    of ``str.splitlines``, so the text is to be split first."""
+    text = b"\n" + body + b"\n"  # line k ends at the (k + 1)-th LF
+    a = np.frombuffer(text, np.uint8)
+    at = (a - _ZERO > 9).nonzero()[0]  # every byte but the digits
+    kind = _BYTE_CLASS.take(a[at])
+    if lines is None and (kind == _BREAK).any():
+        return None
+    lf = (kind == _LF).nonzero()[0]  # in ``at``: the LF put before line 1, then each line's end
+    start, stop = at[lf[:-1]] + 1, at[lf[1:]]  # line k is text[start[k - 1]:stop[k - 1]]
+    first = lf[:-1] + 1  # each line's first byte that is no digit, its LF when none is
+    first_kind, first_at = kind[first], at[first]
+    comment = (first_kind == _HASH) & (first_at == start)
+    row = (np.diff(lf) == 2) & (first_kind == _COMMA) & (start < first_at) & (first_at + 1 < stop)
+    bad = (~(row | comment | (start == stop))).nonzero()[0]
+    if lines is None and len(bad):
+        return None
+    rows = row[: bad[0] if len(bad) else None].nonzero()[0]  # the data rows before the first malformed line
+    comma = first_at[rows]
+    values = _read_uints(text, np.column_stack((start[rows], comma + 1)), np.column_stack((comma, stop[rows])))
+    sizes, periods_us = values.T  # a value past uint64 reads as its maximum
+    # a period past _U64_PERIOD_US_MAX wraps, but its row breaks a rule, and the total
+    # is exact up to the first row that takes it past int64
+    period_ns = periods_us * np.uint64(NS_PER_US)
     total_ns = np.cumsum(period_ns)
-    too_big = (sizes > _U64_INT64_MAX) | (periods_us > _U64_PERIOD_US_MAX) | (total_ns > _U64_INT64_MAX)
-    broken = np.stack((sizes == 0, periods_us == 0, too_big))
-    row_broken = broken.any(axis=0)
-    if row_broken.any():
-        row = int(row_broken.argmax())
-        start = next(itertools.islice(_DATA_ROW.finditer(head), row, None)).start()
-        lineno = head.count("\n", 0, start + 1)
-        raise TraceParseError(f"line {lineno}: {_VALUE_RULES[int(broken[:, row].argmax())]}")
-    if malformed:
-        raise _malformed_line_error(head.count("\n") + 1, text[malformed.start() + 1 :].partition("\n")[0])
-    if not len(sizes):
+    if (min(sizes.min(initial=1), periods_us.min(initial=1)) == 0 or periods_us.max(initial=0) > _U64_PERIOD_US_MAX
+            or max(sizes.max(initial=0), total_ns.max(initial=0)) > _U64_INT64_MAX):
+        too_big = (sizes > _U64_INT64_MAX) | (periods_us > _U64_PERIOD_US_MAX) | (total_ns > _U64_INT64_MAX)
+        broken = np.stack((sizes == 0, periods_us == 0, too_big))
+        r = int(broken.any(axis=0).argmax())
+        raise TraceParseError(f"line {rows[r] + 1}: {_VALUE_RULES[int(broken[:, r].argmax())]}")
+    if len(bad):
+        raise _malformed_line_error(int(bad[0]) + 1, lines[bad[0]])
+    if not len(rows):
         raise TraceParseError(f"{path}: no data rows")
-    metadata = dict(filter(None, map(_parse_metadata_line, _COMMENT.findall(text))))
-    return TraceFile(records=np.column_stack((sizes, period_ns)), metadata=metadata)
+    k = comment.nonzero()[0]
+    if lines is None:
+        comments = [text[i:j].decode() for i, j in zip(start[k].tolist(), stop[k].tolist())]
+    else:
+        comments = [lines[i].lstrip() for i in k.tolist()]
+    metadata = dict(filter(None, map(_parse_metadata_line, comments)))
+    return TraceFile(records=np.column_stack((sizes, period_ns)).view(np.int64), metadata=metadata)
+
+
+def _read_uints(text: bytes, starts, stops):
+    """The value of each run ``text[start:stop]`` of ASCII digits, as uint64;
+    a value past 2**64 - 1 reads as 2**64 - 1. A run of up to 16 digits is
+    read from the 16 bytes before its stop, as two 8-digit words."""
+    width = stops - starts
+    padded = bytes(16) + text  # text byte i is padded byte i + 16
+    words = np.ndarray(len(padded) - 7, "<u8", padded, strides=(1,))  # the 8 bytes from each offset
+    values = _eight_digits(words.take(stops + 8) & _KEEP_HIGH.take(np.minimum(width, 8)))
+    longest = width.max(initial=0)
+    if longest > 8:
+        high = words.take(stops) & _KEEP_HIGH.take(np.clip(width - 8, 0, 8))
+        values += _eight_digits(high) * _U64_1E8
+    if longest > 16:
+        for i in zip(*(width > 16).nonzero()):
+            values[i] = min(int(text[starts[i] : stops[i]]), _U64_MAX)
+    return values
+
+
+def _eight_digits(words):
+    """The value of eight ASCII digits in each word, the first in its lowest byte."""
+    words = (words & _LOW_NIBBLES) * np.uint64(10 << 8 | 1) >> np.uint64(8)
+    words = (words & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 << 16 | 1) >> np.uint64(16)
+    return (words & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10_000 << 32 | 1) >> np.uint64(32)
 
 
 def save_trace(path, records, metadata: dict | None = None) -> None:
@@ -551,6 +652,39 @@ def save_trace(path, records, metadata: dict | None = None) -> None:
     beyond = np.flatnonzero(periods_ns >= 2**53)
     periods_us[beyond] = [max(1, round(period_ns / NS_PER_US)) for period_ns in periods_ns[beyond].tolist()]
     header = "".join(f"# {key}: {value}\n" for key, value in (metadata or {}).items())
-    rows = ("%d,%d\n" * len(sizes)) % tuple(np.column_stack((sizes, periods_us)).ravel().tolist())
-    Path(path).write_text(header + rows, encoding="utf-8")
+    Path(path).write_bytes(header.encode() + _format_rows(sizes, periods_us))
 
+
+def _format_rows(sizes, periods_us) -> bytes:
+    """The rows ``b"%d,%d\\n" % (size, period)``, formatted as arrays.
+
+    A value is 7-digit chunks, each a little-endian word of ASCII digits with
+    the first in its lowest byte and one more byte: NUL, or the separator after
+    the last chunk. A leading zero digit is NUL too, and so is the byte before
+    a negative size's digits but for its sign, so the bytes without their NULs
+    are the rows.
+    """
+    values = np.column_stack((np.abs(sizes), periods_us)).astype(np.uint64)  # |-2**63| wraps to 2**63
+    negative = sizes < 0
+    top = int(values.max(initial=0)) * (10 if negative.any() else 1)  # a sign needs a leading zero
+    n, k = len(values), (len(str(top)) + 6) // 7
+    chunks = np.empty((n, 2, k), np.uint64)  # most significant first
+    for j in range(k - 1, 0, -1):
+        values, rest = values // _U64_1E7, values
+        chunks[..., j] = rest - values * _U64_1E7
+    chunks[..., 0] = values
+    high = chunks // np.uint64(10_000)
+    low = chunks - high * np.uint64(10_000)
+    # "0" and the chunk's 7 digits; take reads int64 indices faster than uint64 ones
+    words = _FOUR_DIGITS.take(high.view(np.int64)) | _FOUR_DIGITS.take(low.view(np.int64)) << np.uint64(32)
+    # bit 7 of each byte from a value's first nonzero digit on, and of its last digit
+    seen = ((words ^ _ASCII_ZEROS) + _BELOW_HIGH_BIT) & _HIGH_BITS
+    for shift in (8, 16, 32):
+        seen |= seen << np.uint64(shift)
+    for j in range(1, k):
+        seen[..., j] |= (seen[..., j - 1] >> np.uint64(63)) * _HIGH_BITS
+    seen[..., -1] |= _HIGH_BITS << np.uint64(56)
+    words = (words & (seen >> np.uint64(7)) * np.uint64(0xFF)) >> np.uint64(8)
+    words[..., -1:] |= _SEPARATORS
+    words[negative, 0, 0] |= np.uint64(ord("-"))
+    return words.astype("<u8").tobytes().translate(None, b"\0")

@@ -121,6 +121,13 @@ class TestReplay:
         assert code == 3
         assert "line 1" in err
 
+    def test_non_utf8_trace_is_one_parse_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad8.csv"
+        bad.write_bytes(b"# fps: 60\n1000,16667\n10\xff0,16667\n")
+        code, out, err = run(capsys, "stats", str(bad))
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["error: line 3: byte 0xff is not UTF-8 (invalid start byte)"]
+
     @pytest.mark.parametrize("row", ["1180591620717411303424,16000", "1000,9300000000000000"])
     @pytest.mark.parametrize("command", ["stats", "replay", "simulate"])
     def test_values_beyond_int64_are_parse_errors(self, tmp_path, capsys, command, row):

@@ -178,6 +178,19 @@ class TestLoadTrace:
         trace = load_trace(write(tmp_path, "\ufeff1000,16667\r\n2000,16667\r\n"))
         assert trace.records.tolist() == [[1000, 16_667_000], [2000, 16_667_000]]
 
+    @pytest.mark.parametrize("data, lineno", [
+        (b"# fps: 60\n1000,16667\n10\xff0,16667\n", 3),
+        (b"# fps: 60\r1000,16667\r\n\x85 10,5\n", 3),  # a lone continuation byte; CR ends line 1
+        (b"\xef\xbb\xbf# note: caf\xe9\n1,1\n", 1),  # Latin-1, after a byte-order mark
+        (b"1,1\n\n2,2\n# \xe2\x80", 4),  # a character cut off at the end
+    ])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, data, lineno):
+        # str.splitlines() counts the lines before the first byte that does not decode
+        path = tmp_path / "trace.csv"
+        path.write_bytes(data)
+        with pytest.raises(TraceParseError, match=f"^line {lineno}: byte 0x[0-9a-f]{{2}} is not UTF-8"):
+            load_trace(path)
+
     def test_row_count_scales_with_duration(self, tmp_path):
         # a 550 s trace at 60 FPS carries about 33k records
         rows = "\n".join("1000,16667" for _ in range(33_000))

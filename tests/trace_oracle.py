@@ -1,12 +1,16 @@
-"""Reference trace parser for differential tests; not used by the package.
+"""Reference trace parser and writer for differential tests; not used by the package.
 
 ``load_trace`` is the line-at-a-time parser that ``vrburst.generator.load_trace``
-replaced with bulk checks over the whole text: it strips and splits every line,
-tests each field with ``str.isdecimal`` and converts it with ``int``, and keeps
-the running total of the periods as a Python int. It differs from the package
-parser in two ways, each tested on its own: it reads the file as ``utf-8``, so
-a leading byte-order mark is part of line 1, and it accepts any Unicode decimal
+replaced with bulk checks over the file's bytes: it strips and splits every
+line, tests each field with ``str.isdecimal`` and converts it with ``int``, and
+keeps the running total of the periods as a Python int. It differs from the
+package parser in three ways, each tested on its own: it reads the file as
+``utf-8``, so a leading byte-order mark is part of line 1 and a file that is
+not UTF-8 raises ``UnicodeDecodeError``, and it accepts any Unicode decimal
 digit (``int`` parses them), where the package accepts ASCII ``0-9`` only.
+
+``save_trace`` is the writer that ``vrburst.generator.save_trace`` replaced
+with digits formatted as arrays: one ``%d,%d`` string over all the rows.
 """
 
 from __future__ import annotations
@@ -70,3 +74,17 @@ def load_trace(path) -> TraceFile:
     if not values:
         raise TraceParseError(f"{path}: no data rows")
     return TraceFile(records=np.array(values, np.int64).reshape(-1, 2), metadata=metadata)
+
+
+def save_trace(path, records, metadata: dict | None = None) -> None:
+    """Write a trace CSV with a ``# key: value`` metadata header; periods are
+    rounded to whole microseconds, at least 1."""
+    sizes, periods_ns = np.asarray(records, np.int64).reshape(-1, 2).T
+    # np.rint of the float quotient is round(period_ns / NS_PER_US) while the
+    # int64 -> float64 conversion is exact; Python's int division stays exact beyond
+    periods_us = np.maximum(np.rint(periods_ns / NS_PER_US), 1).astype(np.int64)
+    beyond = np.flatnonzero(periods_ns >= 2**53)
+    periods_us[beyond] = [max(1, round(period_ns / NS_PER_US)) for period_ns in periods_ns[beyond].tolist()]
+    header = "".join(f"# {key}: {value}\n" for key, value in (metadata or {}).items())
+    rows = ("%d,%d\n" * len(sizes)) % tuple(np.column_stack((sizes, periods_us)).ravel().tolist())
+    Path(path).write_text(header + rows, encoding="utf-8")
