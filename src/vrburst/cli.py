@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import socket
 import sys
 import time
@@ -31,7 +30,7 @@ from .fit import fit_vr_model, group_traces
 from .generator import NS_PER_S, GeneratorConfig, build_generators, load_trace, save_trace
 from .model import DEFAULT_CONSTANTS, VrModelConstants
 from .rv import ParameterError
-from .sim import ScenarioConfig, mean_std, percentile, run_scenario
+from .sim import ScenarioConfig, exact_sums, mean_std, percentile, run_scenario
 from .wire import (
     DEFAULT_FRAGMENT_SIZE,
     HEADER_LEN,
@@ -110,8 +109,8 @@ def cmd_generate(args) -> int:
         metadata["size_dist"] = args.size_dist
         metadata["period_dist"] = args.period_dist
     save_trace(args.out, np.column_stack((sizes, periods)), metadata)
-    mean_size = sum(sizes.tolist()) / len(sizes)
-    print(f"wrote {len(sizes)} bursts to {args.out} (mean size {mean_size:.0f} B)")
+    [[total]] = exact_sums(int(sizes.max()), lambda *c: c, sizes)
+    print(f"wrote {len(sizes)} bursts to {args.out} (mean size {total / len(sizes):.0f} B)")
     return EXIT_OK
 
 
@@ -178,29 +177,28 @@ def cmd_simulate(args) -> int:
 
 def _summary(column) -> dict:
     """Mean, sample std and nearest-rank p95 of an int64 column, with the
-    bytes of Python 3.11's ``statistics.fmean`` and ``statistics.stdev``.
-
-    The std is :func:`~vrburst.sim.mean_std`'s. ``fmean`` rounds each value
-    to a float before it sums them, which differs from rounding the exact sum
-    only for values past 2**53, so the mean is ``fsum``'s.
-    """
-    values = column.tolist()
-    n = len(values)
-    _, std = mean_std(n, sum(values), sum(map(operator.mul, values, values)))
-    return {"mean": math.fsum(values) / n, "std": std, "p95": percentile(column, 95)}
+    bytes of Python 3.11's ``statistics.fmean`` and ``statistics.stdev``, by
+    the rules of the ``simulate`` reports, :func:`~vrburst.sim.exact_sums` and
+    :func:`~vrburst.sim.mean_std`. ``fmean`` rounds each value to a float
+    before it sums them, which differs from rounding the exact sum only for
+    values past 2**53; there the mean is ``fsum``'s."""
+    n, big = len(column), max(-int(column.min()), int(column.max()))  # Python ints: np.abs wraps at -2**63
+    [total], [total_sq] = exact_sums(big * big, lambda x: (x, x * x), column)
+    mean, std = mean_std(n, total, total_sq)
+    return {"mean": math.fsum(column.tolist()) / n if big >= 2**53 else mean, "std": std, "p95": percentile(column, 95)}
 
 
 def cmd_stats(args) -> int:
     trace = load_trace(args.trace)
     sizes, periods = trace.records.T
-    total_s = sum(periods.tolist()) / NS_PER_S
+    [total_size], [total_period] = exact_sums(int(trace.records.max()), lambda *c: c, sizes, periods)
     out = {
         "source": str(args.trace),
         "metadata": trace.metadata,
         "bursts": len(sizes),
         "size_bytes": _summary(sizes),
         "period_ns": _summary(periods),
-        "data_rate_mbps": (sum(sizes.tolist()) * 8 / total_s / 1e6) if total_s > 0 else None,
+        "data_rate_mbps": total_size * 8 / (total_period / NS_PER_S) / 1e6,  # load_trace takes no period under 1 us
     }
     sys.stdout.write(json.dumps(out, indent=2) + "\n")
     return EXIT_OK

@@ -352,24 +352,16 @@ def schedule_stations(generators: list[BurstGenerator], duration_ns, offsets_ns:
         while True:
             for members, sizes, periods, lengths in todo:
                 blocks.append([members, sizes, periods, lengths])
-                if len(members) == 1:  # one row: no padding, Python ints and a search for the cut
-                    steps = np.maximum(periods[0, :lengths[0]], 1)
-                    times, start = steps.cumsum(), int(reach[members[0]])
-                    # every step is below 2**63, so a sum that wraps turns negative there
-                    wrapped = times.min() < 0 or (end := start + int(times[-1])) > _INT64_MAX
-                    times += start - steps
-                    cut, times = [int(times.searchsorted(horizon))], times[None]
-                else:
-                    steps = np.maximum(periods, 1)
-                    if min(lengths) < steps.shape[1]:  # padding takes no time
-                        steps[np.arange(steps.shape[1]) >= np.array(lengths)[:, None]] = 0
-                    times = steps.cumsum(axis=1)
-                    start, end = reach[members], reach[members] + times[:, -1]
-                    wrapped = times.min() < 0 or (end < start).any()
-                    times += start[:, None] - steps
-                    cut = np.minimum((times < horizon).sum(axis=1), lengths).tolist()
-                if wrapped:
+                steps = np.maximum(periods, 1)
+                if min(lengths) < steps.shape[1]:  # padding takes no time
+                    steps[np.arange(steps.shape[1]) >= np.array(lengths)[:, None]] = 0
+                times = steps.cumsum(axis=1)
+                # every step is below 2**63, so a sum that wraps turns negative there
+                start, end = reach[members], reach[members] + times[:, -1]
+                if times.min() < 0 or (end < start).any():
                     raise ParameterError("burst times reach 2**63 ns, beyond int64")
+                times += start[:, None] - steps
+                cut = np.minimum((times < horizon).sum(axis=1), lengths).tolist()
                 reach[members] = end
                 blocks[-1] += [times, cut]
             short, banks = (reach < horizon).tolist(), {}

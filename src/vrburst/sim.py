@@ -31,7 +31,7 @@ bursts, and those of tail-dropped fragments dropped.
 
 The :class:`SimulationLog` keeps per-burst columns and the lost fragments;
 :func:`summarize` takes the fragment delays' sums and p95 from per-burst
-closed forms, and every mean and std from exact sums by :func:`mean_std`.
+closed forms, and every mean and std by :func:`mean_std` from :func:`exact_sums`.
 
 Time is integer nanoseconds end to end, so a (config, seed) pair always
 produces the same report; a config or run whose link times could pass int64
@@ -59,18 +59,20 @@ from .wire import fragment_burst  # noqa: F401  (perfbench/tracer.py patches it 
 _LOSS_STREAM_ID = 0
 
 
-def percentile(samples, p: float):
-    """Nearest-rank percentile: the sorted sample at index ceil(p*n/100).
+def nearest_rank(p: float, n):
+    """The place, from 1, of the nearest-rank p-th percentile among n samples: ceil(p * n / 100), n an int or array."""
+    return -(-p * n // 100)
 
-    ``samples`` is a sequence or an ndarray of numbers; the result is a Python
-    int or float.
-    """
+
+def percentile(samples, p: float):
+    """The nearest-rank ``p``-th percentile of ``samples``, a sequence or an
+    ndarray of numbers, as a Python int or float."""
     n = len(samples)
     if n == 0:
         raise ValueError("percentile of an empty sample set is undefined")
     if not 0 < p <= 100:
         raise ValueError(f"percentile must lie in (0, 100], got {p}")
-    rank = math.ceil(p * n / 100.0)
+    rank = int(nearest_rank(p, n))
     value = np.partition(np.asarray(samples), rank - 1)[rank - 1]
     return value.item() if isinstance(value, np.generic) else value  # ints beyond int64 stay objects
 
@@ -91,15 +93,24 @@ def mean_std(n: int, total: int, total_sq: int) -> tuple[float, float]:
     return float(total) / n, std
 
 
-def _exact(values: np.ndarray, top: float) -> np.ndarray:
-    """``values`` as int64 when ``top``, a bound on every sum formed within
-    one row, is below 2**62; else as Python ints."""
-    return values if top < 2**62 else values.astype(object)
-
-
-def _total(values: np.ndarray, top: float) -> int:
-    """The exact sum of ``values`` from :func:`_exact`, none past ``top``."""
-    return int(values.sum()) if values.dtype == object or len(values) * top < 2**62 else sum(values.tolist())
+def exact_sums(top, terms, *columns, heads=(0,)) -> list[list[int]]:
+    """The exact sums, as Python ints, of the segments that start at ``heads``
+    (increasing, from 0) of each array ``terms(*columns)`` returns, ``top``
+    bounding the magnitude of every value formed. This is the one rule for
+    exact sums: the columns stay int64 while ``top`` is below 2**62, else
+    become Python ints, and a segment is summed in int64 pieces of at most
+    ``2**62 // top`` values, whose sums are added as Python ints."""
+    if top >= 2**62:
+        columns = [column.astype(object) for column in columns]
+    step, sums = max(1, int(2**62 // max(top, 1))), []
+    for values in terms(*columns):
+        if 0 < len(values) <= step:  # one piece a segment
+            sums.append(np.add.reduceat(values, heads).tolist())
+        else:
+            ends = [*heads[1:], len(values)]  # pieces of step values within each segment
+            sums.append([sum(np.add.reduceat(values[a:b], range(0, b - a, step)).tolist())
+                         for a, b in zip(heads, ends)])
+    return sums
 
 
 @dataclass
@@ -237,10 +248,9 @@ def simulate(cfg: ScenarioConfig) -> SimulationLog:
     offsets = cfg.station_start_offsets_ns or [0] * cfg.n_stations
     schedules = schedule_stations(generators, duration_ns, offsets)
     counts = [len(times) for times, _, _ in schedules]
-    times = np.concatenate([times for times, _, _ in schedules])
+    times, sizes, _ = map(np.concatenate, zip(*schedules))
     order = _link_order(times, counts)
-    times = times[order]
-    sizes = np.concatenate([sizes for _, sizes, _ in schedules])[order]
+    times, sizes = times[order], sizes[order]
     station = np.repeat(np.arange(cfg.n_stations), counts)[order]
 
     n_bursts = len(times)
@@ -413,17 +423,18 @@ def _fragment_summary(log: SimulationLog, cfg: ScenarioConfig) -> dict:
     if not n:
         return {"count": 0, "mean_delay_ns": None, "std_delay_ns": None, "p95_delay_ns": None}
 
+    def moments(b, j, z, x):  # each burst's sums of delays and of their squares, and the lost delays
+        t1, t2 = j * (j + 1) // 2, j * (j + 1) * (2 * j + 1) // 6  # the sums of k and of k**2
+        return j * b + t1 * full_ser + z, j * b * b + b * t1 * full_ser * 2 + t2 * full_ser * full_ser + z * z, x, x * x
+
     top = float(((m + 1) * last.astype(float) ** 2).max())  # no burst's sum of squares passes it
-    b, j, z, x = (_exact(v, top) for v in (base, m, last, lost))
-    t1, t2 = j * (j + 1) // 2, j * (j + 1) * (2 * j + 1) // 6  # the sums of k and of k**2
-    total = _total(j * b + t1 * full_ser + z, top) - _total(x, top)
-    total_sq = _total(j * b * b + b * t1 * full_ser * 2 + t2 * full_ser * full_ser + z * z, top) - _total(x * x, top)
-    mean, std = mean_std(n, total, total_sq)
+    [total], [total_sq], [lost_sum], [lost_sq] = exact_sums(top, moments, base, m, last, lost)
+    mean, std = mean_std(n, total - lost_sum, total_sq - lost_sq)
 
     first = base // full_ser + 1  # the level of k = 1
     starts, stops, last = np.sort(first), np.sort(first + m), np.sort(last)
     start_sums, stop_sums = (np.concatenate(([0], np.cumsum(v))) for v in (starts, stops))
-    rank = math.ceil(95 * n / 100.0)  # as percentile() takes it
+    rank = nearest_rank(95, n)
     lo, hi, under = 0, int(last[-1]) // full_ser + 1, 0
     while hi - lo > 1:  # under, the values below level lo, < rank <= the values below level hi
         # the values under level * full_ser: clip(level - first, 0, m) a burst, summed over sorted
@@ -491,13 +502,11 @@ def summarize(log: SimulationLog, cfg: ScenarioConfig) -> MetricsReport:
     mean = std = p95 = None
     means = p95s = iter(())
     if n_received:
-        top = float(delays.max()) ** 2
-        exact = _exact(delays, top)
-        sums = np.add.reduceat(exact, heads).tolist()  # below 2**63 with under 2**31 bursts a station
-        mean, std = mean_std(n_received, sum(sums), _total(exact * exact, top))
+        sums, squares = exact_sums(int(delays.max()) ** 2, lambda x: (x, x * x), delays, heads=heads)
+        mean, std = mean_std(n_received, sum(sums), sum(squares))
         p95 = percentile(delays, 95)
         means = (float(total) / c for total, c in zip(sums, count[busy].tolist()))  # as mean_std takes it
-        p95s = iter(delays[heads + (95 * count[busy] + 99) // 100 - 1].tolist())  # as percentile() takes it
+        p95s = iter(delays[heads + nearest_rank(95, count[busy]) - 1].tolist())
     per_station = []
     for idx, counts in enumerate(outcomes):
         per_station.append(

@@ -256,6 +256,24 @@ class TestStats:
         code, _, err = run(capsys, "stats", str(tmp_path / "absent.csv"))
         assert code == 4
 
+    # an int64 sum of these sizes wraps without a warning; load_trace bounds only the periods' total
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="stdev rounds correctly from Python 3.11")
+    def test_sizes_summing_past_int64(self, tmp_path, capsys):
+        sizes = [2**62, 2**62 + 1, 2**63 - 1, 2**53 + 1]
+        periods_us = [16667, 16666, 1, 1_000_000]
+        src = tmp_path / "huge.csv"
+        src.write_text("".join(f"{s},{p}\n" for s, p in zip(sizes, periods_us)))
+        code, stdout, _ = run(capsys, "stats", str(src))
+        assert code == 0
+        stats = json.loads(stdout)
+        periods_ns = [p * 1000 for p in periods_us]
+        assert sum(sizes) >= 2**63
+        assert stats["data_rate_mbps"] == sum(sizes) * 8 / (sum(periods_ns) / 10**9) / 1e6
+        assert stats["size_bytes"]["mean"] == statistics.fmean(sizes)
+        assert stats["size_bytes"]["std"] == statistics.stdev(sizes)
+        assert stats["period_ns"]["mean"] == statistics.fmean(periods_ns)
+        assert stats["period_ns"]["std"] == statistics.stdev(periods_ns)
+
     # the summary keeps the bytes of Python 3.11's correctly rounded stdev
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="stdev rounds correctly from Python 3.11")
     @settings(max_examples=300, deadline=None)

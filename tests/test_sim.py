@@ -11,6 +11,8 @@ from vrburst.sim import (
     ScenarioConfig,
     SimulationLog,
     _loss_hits,
+    exact_sums,
+    nearest_rank,
     percentile,
     run_scenario,
     simulate,
@@ -78,6 +80,35 @@ class TestPercentile:
     def test_out_of_range_rejected(self, p):
         with pytest.raises(ValueError):
             percentile([1], p)
+
+
+class TestExactSums:
+    @pytest.mark.parametrize(
+        "values, heads",
+        [
+            ([2**28] * 63, [0]),  # n * max**2 just below 2**62: one int64 piece
+            ([2**28] * 65, [0]),  # just above: pieces of 64 values
+            ([2**28] * 200, [0]),  # the squares' sum passes 2**63
+            ([2**28] * 200, [0, 50, 130]),  # segments of several pieces each
+            ([2**31 - 1, 2**31 - 2, -(2**31) + 1], [0]),  # max**2 just below 2**62: int64, one value a piece
+            ([2**31, 2**31 - 1, 1], [0, 1]),  # max**2 at 2**62: Python ints
+            ([-(2**63), 2**63 - 1, 5], [0]),  # np.abs(-2**63) wraps to -2**63
+            ([-7], [0]),
+        ],
+    )
+    def test_sums_equal_python_int_sums(self, values, heads):
+        column = np.array(values, dtype=np.int64)
+        big = max(-int(column.min()), int(column.max()))  # Python ints, as the callers take it
+        got = exact_sums(big * big, lambda x: (x, x * x), column, heads=heads)
+        bounds = [*heads, len(values)]
+        segments = [values[a:b] for a, b in zip(bounds, bounds[1:])]
+        assert got == [[sum(s) for s in segments], [sum(v * v for v in s) for s in segments]]
+        assert all(type(total) is int for sums in got for total in sums)
+
+    def test_nearest_rank_of_ints_and_arrays(self):
+        assert nearest_rank(95, 20) == 19 and nearest_rank(95, 21) == 20 and nearest_rank(99.9, 7) == 7
+        counts = np.arange(1, 1000)
+        assert nearest_rank(95, counts).tolist() == [math.ceil(95 * n / 100.0) for n in counts.tolist()]
 
 
 class TestSerializationOnly:
