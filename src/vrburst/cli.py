@@ -9,13 +9,15 @@ using the 24-byte fragment header).
 it for every later call; `build_parser` still returns a fresh parser.
 
 Exit codes, all set in `main`: 0 success; 2 usage error or ParameterError (a
-flag value out of range); 3 any other ValueError (a bad trace, degenerate model
-constants, a failed fit, a fragment size with no room for payload); 4 OSError.
+flag value out of range, such as `fit --em-restarts 0`); 3 any other ValueError
+(a bad trace, degenerate model constants, a failed fit, a fragment size with no
+room for payload); 4 OSError.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -71,6 +73,16 @@ def _load_constants(args) -> VrModelConstants:
     if getattr(args, "params", None):
         return VrModelConstants.load_json(args.params)
     return DEFAULT_CONSTANTS
+
+
+def _write_json(payload, path=None) -> None:
+    """Write ``payload`` as JSON indented by 2, with a final newline, to ``path`` or stdout."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _generator_config(args) -> GeneratorConfig:
@@ -164,14 +176,8 @@ def cmd_simulate(args) -> int:
             fragment_size=args.fragment_size,
             constants=constants,
         )
-        reports.append(run_scenario(cfg).to_dict())
-    payload = reports[0] if len(reports) == 1 else reports
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        reports.append(run_scenario(cfg))
+    _write_json(reports[0] if len(reports) == 1 else reports, args.out)
     return EXIT_OK
 
 
@@ -200,7 +206,7 @@ def cmd_stats(args) -> int:
         "period_ns": _summary(periods),
         "data_rate_mbps": total_size * 8 / (total_period / NS_PER_S) / 1e6,  # load_trace takes no period under 1 us
     }
-    sys.stdout.write(json.dumps(out, indent=2) + "\n")
+    _write_json(out)
     return EXIT_OK
 
 
@@ -213,7 +219,7 @@ def cmd_fit(args) -> int:
         weighting="uniform" if args.uniform_weights else "rank",
     )
     if args.report:
-        report.save_json(args.report)
+        _write_json(report.to_dict(), args.report)
     for group in report.groups:
         if not group.gmm.converged:
             print(
@@ -225,16 +231,14 @@ def cmd_fit(args) -> int:
     if not report.slopes_valid:
         print(
             "fitted mean slopes do not straddle 1 "
-            f"(lo={report.pframe_mean_slope:.4f}, hi={report.iframe_mean_slope:.4f}); "
+            f"(lo={report.pooled['pframe_mean_slope']:.4f}, hi={report.pooled['iframe_mean_slope']:.4f}); "
             "no constants emitted",
             file=sys.stderr,
         )
         return EXIT_DATA
+    _write_json(report.constants.to_dict(), args.out)
     if args.out:
-        report.constants.save_json(args.out)
         print(f"wrote model constants to {args.out}")
-    else:
-        sys.stdout.write(json.dumps(report.constants.to_dict(), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -400,57 +404,51 @@ def receive_bursts(
     burst older than the flow's current one, and ``duplicates`` fragments that
     arrived twice.
     """
-    own_sock = sock is None
-    if own_sock:
-        sock = _open_receive_socket(listen)
-    sock.settimeout(0.2)
-    try:
-        sock.setsockopt(socket.IPPROTO_UDP, _UDP_GRO, 1)
-        gro = True
-    except OSError:
-        gro = False
-    cmsg_size = socket.CMSG_SPACE(4)
-    flows: dict = {}
-    malformed = datagrams = reads = late = 0
-    deadline = time.monotonic() + duration_s
-    with open(out_path, "w", encoding="utf-8") as fh:
+    owned = _open_receive_socket(listen) if sock is None else contextlib.nullcontext(sock)
+    with owned as sock, open(out_path, "w", encoding="utf-8") as fh:  # closes a socket it opened on every path
+        sock.settimeout(0.2)
+        try:
+            sock.setsockopt(socket.IPPROTO_UDP, _UDP_GRO, 1)
+            gro = True
+        except OSError:
+            gro = False
+        cmsg_size = socket.CMSG_SPACE(4)
+        flows: dict = {}
+        malformed = datagrams = reads = late = 0
+        deadline = time.monotonic() + duration_s
         fh.write("# source: vrburst recv\n")
         fh.write(f"# listen: {listen[0]}:{listen[1]}\n")
         fh.write("# clock: sender monotonic_ns; delays are only meaningful when "
                  "sender and receiver share a clock\n")
         fh.write("# columns: burst_seq,outcome,delay_ns,size\n")
-        try:
-            while time.monotonic() < deadline:
+        while time.monotonic() < deadline:
+            try:
+                data, ancdata, flags, addr = sock.recvmsg(_MAX_READ, cmsg_size)
+            except socket.timeout:
+                continue
+            arrival = time.monotonic_ns()
+            reads += 1
+            segments = _gro_segments(data, ancdata, flags)
+            if segments is None:
+                datagrams += 1
+                malformed += 1
+                continue
+            for segment in segments:
+                datagrams += 1
                 try:
-                    data, ancdata, flags, addr = sock.recvmsg(_MAX_READ, cmsg_size)
-                except socket.timeout:
-                    continue
-                arrival = time.monotonic_ns()
-                reads += 1
-                segments = _gro_segments(data, ancdata, flags)
-                if segments is None:
-                    datagrams += 1
+                    header = decode_header(segment)
+                    flow = flows.get(addr) or flows.setdefault(addr, BurstReassembler())
+                    events = flow.on_fragment(header, arrival, len(segment) - HEADER_LEN)
+                except ValueError:
                     malformed += 1
                     continue
-                for segment in segments:
-                    datagrams += 1
-                    try:
-                        header = decode_header(segment)
-                        flow = flows.get(addr) or flows.setdefault(addr, BurstReassembler())
-                        events = flow.on_fragment(header, arrival, len(segment) - HEADER_LEN)
-                    except ValueError:
-                        malformed += 1
-                        continue
-                    for event in events:
-                        if isinstance(event, BurstReceived):
-                            fh.write(f"{event.burst_seq},received,{event.delay_ns},{event.burst_size}\n")
-                        elif isinstance(event, BurstDiscarded):
-                            fh.write(f"{event.burst_seq},discarded,,{event.burst_size}\n")
-                        elif isinstance(event, LateFragmentIgnored):
-                            late += 1
-        finally:
-            if own_sock:
-                sock.close()
+                for event in events:
+                    if isinstance(event, BurstReceived):
+                        fh.write(f"{event.burst_seq},received,{event.delay_ns},{event.burst_size}\n")
+                    elif isinstance(event, BurstDiscarded):
+                        fh.write(f"{event.burst_seq},discarded,,{event.burst_size}\n")
+                    elif isinstance(event, LateFragmentIgnored):
+                        late += 1
     counters = [flow.counters for flow in flows.values()]
     return {
         "datagrams": datagrams,

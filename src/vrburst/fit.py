@@ -30,17 +30,15 @@ Sample standard deviations use the n-1 denominator throughout.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .generator import TraceFile
 from .model import VrModelConstants
-from .rv import Gmm2Params, LogisticParams, RngStream
+from .rv import Gmm2Params, LogisticParams, ParameterError, RngStream
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # relative slack when checking that EM never decreases the log-likelihood
@@ -112,7 +110,7 @@ class _Mixture(NamedTuple):
 def _standardise(samples, restarts, rng, name="") -> _Mixture:
     """Standardise ``samples``; each restart's means are two distinct uniformly chosen samples."""
     if restarts < 1:
-        raise ValueError(f"mixture fit needs at least 1 restart, got {restarts}")
+        raise ParameterError(f"mixture fit needs at least 1 restart, got {restarts}")
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 10:
@@ -506,18 +504,12 @@ class GroupFit:
 
 @dataclass
 class FitReport:
-    """Pooled fit over all groups plus the per-group details. The pooled
-    values are named, and serialized in the order of, the fields of
+    """Pooled fit over all groups plus the per-group details. ``pooled``
+    holds the pooled values, keyed and ordered as the fields of
     :class:`VrModelConstants`."""
 
     groups: list[GroupFit]
-    ifi_std_coeff: float
-    iframe_mean_slope: float
-    pframe_mean_slope: float
-    iframe_std_coeff: float
-    iframe_std_exp: float
-    pframe_std_coeff: float
-    pframe_std_exp: float
+    pooled: dict[str, float]
     weighting: str
     slopes_valid: bool
     constants: VrModelConstants | None
@@ -526,13 +518,10 @@ class FitReport:
         return {
             "weighting": self.weighting,
             "slopes_valid": self.slopes_valid,
-            "pooled": {f.name: getattr(self, f.name) for f in fields(VrModelConstants)},
+            "pooled": self.pooled,
             "constants": self.constants.to_dict() if self.constants else None,
             "groups": [g.to_dict() for g in self.groups],
         }
-
-    def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
 def _goodness_weights(mean_lls, weighting: str) -> np.ndarray:
@@ -633,7 +622,7 @@ def fit_vr_model(
     )
     return FitReport(
         groups=fits,
-        **pooled,
+        pooled=pooled,
         weighting=weighting,
         slopes_valid=slopes_valid,
         constants=VrModelConstants(**pooled) if slopes_valid else None,

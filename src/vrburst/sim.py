@@ -42,7 +42,6 @@ still count toward the metrics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 
@@ -454,32 +453,9 @@ def _fragment_summary(log: SimulationLog, cfg: ScenarioConfig) -> dict:
     return {"count": n, "mean_delay_ns": mean, "std_delay_ns": std, "p95_delay_ns": int(values[rank - under - 1])}
 
 
-@dataclass
-class MetricsReport:
-    """Aggregated fragment- and burst-level metrics for one scenario run."""
-
-    config: dict
-    rng_algorithm: str
-    fragment: dict
-    burst: dict
-    link: dict
-    throughput_mbps: float | None
-    per_station: list
-    trace_metadata: dict | None = None
-
-    def to_dict(self) -> dict:
-        # a shallow copy, in field order: the report's key order
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.trace_metadata is None:
-            del out["trace_metadata"]
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-
-def summarize(log: SimulationLog, cfg: ScenarioConfig) -> MetricsReport:
-    """Aggregate a run log into a :class:`MetricsReport`.
+def summarize(log: SimulationLog, cfg: ScenarioConfig) -> dict:
+    """Aggregate a run log into the report ``simulate`` writes, in its key
+    order, with ``trace_metadata`` only for a trace source.
 
     Burst delays are last-fragment arrival minus the burst timestamp and only
     successfully reassembled bursts contribute delay samples; fragment delays
@@ -535,25 +511,27 @@ def summarize(log: SimulationLog, cfg: ScenarioConfig) -> MetricsReport:
         "p95_delay_ns": p95,
         "success_ratio": (n_received / sent) if sent else None,
     }
-    return MetricsReport(
-        config=cfg.to_dict(),
-        rng_algorithm=RNG_ALGORITHM,
-        fragment=_fragment_summary(log, cfg),
-        burst=burst,
-        link={
+    report = {
+        "config": cfg.to_dict(),
+        "rng_algorithm": RNG_ALGORITHM,
+        "fragment": _fragment_summary(log, cfg),
+        "burst": burst,
+        "link": {
             "fragments_sent": log.fragments_sent,
             "fragments_lost": log.fragments_lost,
             "fragments_queue_dropped": log.fragments_queue_dropped,
             "served_bytes": log.served_bytes,
             "busy_ns": log.link_busy_ns,
         },
-        throughput_mbps=log.payload_bytes_received * 8 / cfg.duration_s / 1e6,
-        per_station=per_station,
-        trace_metadata=log.trace_metadata,
-    )
+        "throughput_mbps": log.payload_bytes_received * 8 / cfg.duration_s / 1e6,
+        "per_station": per_station,
+    }
+    if log.trace_metadata is not None:
+        report["trace_metadata"] = log.trace_metadata
+    return report
 
 
-def run_scenario(cfg: ScenarioConfig) -> MetricsReport:
-    """Simulate one scenario and return its metrics report."""
+def run_scenario(cfg: ScenarioConfig) -> dict:
+    """Simulate one scenario and return its metrics report, as :func:`summarize` builds it."""
     return summarize(simulate(cfg), cfg)
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from vrburst.generator import NS_PER_S, build_generators
 from vrburst.rv import RNG_ALGORITHM, RngStream
-from vrburst.sim import _LOSS_STREAM_ID, MetricsReport, ScenarioConfig, SimulationLog as BurstLog, _serialization_ns
+from vrburst.sim import _LOSS_STREAM_ID, ScenarioConfig, SimulationLog as BurstLog, _serialization_ns
 from vrburst.wire import HEADER_LEN, BurstDiscarded, BurstReassembler, BurstReceived, fragment_burst
 
 @dataclass
@@ -211,7 +211,7 @@ def delay_summary(delays) -> dict:
     }
 
 
-def summarize_reference(log: SimulationLog, cfg: ScenarioConfig) -> MetricsReport:
+def summarize_reference(log: SimulationLog, cfg: ScenarioConfig) -> dict:
     """Aggregate a per-fragment log into the report ``vrburst.sim.summarize`` writes."""
     sent = sum(s.bursts_sent for s in log.stations)
     received = sum(s.bursts_received for s in log.stations)
@@ -244,22 +244,24 @@ def summarize_reference(log: SimulationLog, cfg: ScenarioConfig) -> MetricsRepor
                 "p95_burst_delay_ns": _percentile(delays, 95) if delays else None,
             }
         )
-    return MetricsReport(
-        config=cfg.to_dict(),
-        rng_algorithm=RNG_ALGORITHM,
-        fragment=delay_summary(log.fragment_delays_ns),
-        burst=burst,
-        link={
+    report = {
+        "config": cfg.to_dict(),
+        "rng_algorithm": RNG_ALGORITHM,
+        "fragment": delay_summary(log.fragment_delays_ns),
+        "burst": burst,
+        "link": {
             "fragments_sent": log.fragments_sent,
             "fragments_lost": log.fragments_lost,
             "fragments_queue_dropped": log.fragments_queue_dropped,
             "served_bytes": log.served_bytes,
             "busy_ns": log.link_busy_ns,
         },
-        throughput_mbps=log.payload_bytes_received * 8 / cfg.duration_s / 1e6,
-        per_station=per_station,
-        trace_metadata=log.trace_metadata,
-    )
+        "throughput_mbps": log.payload_bytes_received * 8 / cfg.duration_s / 1e6,
+        "per_station": per_station,
+    }
+    if log.trace_metadata is not None:
+        report["trace_metadata"] = log.trace_metadata
+    return report
 
 
 def fragment_delays(log: BurstLog, cfg: ScenarioConfig) -> np.ndarray:

@@ -189,11 +189,11 @@ def test_criterion_10_fit_closed_loop():
     fitted = fit_vr_model(groups, em_restarts=8, em_tol=5e-12, seed=99)
     k = DEFAULT_CONSTANTS
     errs = {
-        "s_hi": (fitted.iframe_mean_slope / k.iframe_mean_slope - 1.0, 0.03),
-        "s_lo": (fitted.pframe_mean_slope / k.pframe_mean_slope - 1.0, 0.03),
-        "c": (fitted.ifi_std_coeff / k.ifi_std_coeff - 1.0, 0.03),
-        "b_hi": (fitted.iframe_std_exp / k.iframe_std_exp - 1.0, 0.10),
-        "b_lo": (fitted.pframe_std_exp / k.pframe_std_exp - 1.0, 0.10),
+        "s_hi": (fitted.pooled["iframe_mean_slope"] / k.iframe_mean_slope - 1.0, 0.03),
+        "s_lo": (fitted.pooled["pframe_mean_slope"] / k.pframe_mean_slope - 1.0, 0.03),
+        "c": (fitted.pooled["ifi_std_coeff"] / k.ifi_std_coeff - 1.0, 0.03),
+        "b_hi": (fitted.pooled["iframe_std_exp"] / k.iframe_std_exp - 1.0, 0.10),
+        "b_lo": (fitted.pooled["pframe_std_exp"] / k.pframe_std_exp - 1.0, 0.10),
     }
     ok = all(abs(err) <= tol for err, tol in errs.values())
     detail = ", ".join(f"{name} {err*100:+.2f}% (tol {tol*100:.0f}%)" for name, (err, tol) in errs.items())
@@ -209,7 +209,7 @@ def test_criterion_11_fps_delay_scaling():
             duration_s=5.0,
             seed=11,
         )
-        return run_scenario(cfg).burst["mean_delay_ns"]
+        return run_scenario(cfg)["burst"]["mean_delay_ns"]
 
     ratio = mean_delay(30) / mean_delay(60)
     report(11, 1.8 <= ratio <= 2.2, f"mean burst delay ratio 30/60 FPS = {ratio:.3f} in [1.8, 2.2]")
@@ -227,9 +227,9 @@ def test_criterion_12_station_scaling_trends():
             seed=7,
         )
         rep = run_scenario(cfg)
-        means.append(rep.burst["mean_delay_ns"])
-        p95s.append(rep.burst["p95_delay_ns"])
-        optimism_ok &= rep.fragment["mean_delay_ns"] <= rep.burst["mean_delay_ns"]
+        means.append(rep["burst"]["mean_delay_ns"])
+        p95s.append(rep["burst"]["p95_delay_ns"])
+        optimism_ok &= rep["fragment"]["mean_delay_ns"] <= rep["burst"]["mean_delay_ns"]
     mean_ok = all(b >= a for a, b in zip(means, means[1:]))
     p95_ok = all(b >= a for a, b in zip(p95s, p95s[1:]))
     report(

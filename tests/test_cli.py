@@ -197,6 +197,16 @@ class TestSimulate:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("stations", ["1", "1..2"])
+    def test_out_file_holds_the_bytes_printed(self, tmp_path, capsys, stations):
+        args = ["simulate", "--stations", stations, "--duration-s", "1"]
+        code, stdout, _ = run(capsys, *args)
+        assert code == 0
+        assert stdout.endswith("\n") and not stdout.endswith("\n\n")
+        out = tmp_path / "r.json"
+        assert run(capsys, *args, "--out", str(out)) == (0, "", "")
+        assert out.read_bytes() == stdout.encode("utf-8")
+
     def test_trace_source_echoes_metadata(self, tmp_path, capsys):
         src = tmp_path / "src.csv"
         save_trace(src, [BurstDescriptor(1000, 10_000_000)] * 50, {"fps": "60"})
@@ -346,6 +356,35 @@ class TestFitCommand:
         assert "10 Mbit/s, 60 FPS" in warnings[0] and "50 Mbit/s, 60 FPS" in warnings[1]
 
     @staticmethod
+    def two_group_traces(tmp_path):
+        paths = [str(tmp_path / f"{rate}.csv") for rate in (10, 50)]
+        for rate, path in zip((10, 50), paths):
+            assert main(["generate", "--rate-mbps", str(rate), "--duration-s", "10", "--out", path]) == 0
+        return paths
+
+    def test_out_file_holds_the_bytes_printed(self, tmp_path, capsys):
+        traces = self.two_group_traces(tmp_path)
+        capsys.readouterr()
+        code, stdout, _ = run(capsys, "fit", *traces, "--em-restarts", "2")
+        assert code == 0
+        assert stdout.endswith("\n") and not stdout.endswith("\n\n")
+        out, report = tmp_path / "k.json", tmp_path / "report.json"
+        code, stdout_out, _ = run(capsys, "fit", *traces, "--em-restarts", "2", "--out", str(out),
+                                  "--report", str(report))
+        assert (code, stdout_out) == (0, f"wrote model constants to {out}\n")
+        assert out.read_bytes() == stdout.encode("utf-8")
+        text = report.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_restarts_below_one_is_one_usage_error_line(self, tmp_path, capsys, restarts):
+        traces = self.two_group_traces(tmp_path)
+        capsys.readouterr()
+        code, stdout, err = run(capsys, "fit", *traces, "--em-restarts", restarts)
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [f"error: mixture fit needs at least 1 restart, got {restarts}"]
+
+    @staticmethod
     def point_mass_traces(tmp_path):
         # A fifth of each group's frames share one size, so one component
         # collapses onto it and its sigma sits on the 1e-6 floor. The E step
@@ -434,6 +473,18 @@ class TestUdpLoopback:
         finally:
             fresh.close()
             owned.close()
+
+    def test_owned_socket_closes_when_the_events_file_cannot_open(self, tmp_path, monkeypatch):
+        opened = []
+
+        def tracked(listen):
+            opened.append(_open_receive_socket(listen))
+            return opened[-1]
+
+        monkeypatch.setattr(vrburst.cli, "_open_receive_socket", tracked)
+        with pytest.raises(OSError):
+            receive_bursts(("127.0.0.1", 0), tmp_path / "missing" / "x.csv", duration_s=0.1)
+        assert [sock.fileno() for sock in opened] == [-1]
 
     def test_recv_without_sender_times_out_empty(self, tmp_path):
         out = tmp_path / "empty.csv"

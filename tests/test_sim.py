@@ -115,47 +115,47 @@ class TestSerializationOnly:
     def test_hand_computed_delay(self):
         # 1254 B payload + 24 B header = 1278 B on the wire at 10 Mbit/s
         report = run_scenario(constant_cfg())
-        assert report.burst["mean_delay_ns"] == 1_022_400
-        assert report.burst["p95_delay_ns"] == 1_022_400
-        assert report.fragment["mean_delay_ns"] == 1_022_400
-        assert report.burst["count"] == 100
+        assert report["burst"]["mean_delay_ns"] == 1_022_400
+        assert report["burst"]["p95_delay_ns"] == 1_022_400
+        assert report["fragment"]["mean_delay_ns"] == 1_022_400
+        assert report["burst"]["count"] == 100
 
     def test_propagation_delay_adds_constant(self):
         base = run_scenario(constant_cfg())
         bumped = run_scenario(constant_cfg(propagation_delay_ns=5_000))
-        assert bumped.burst["mean_delay_ns"] == base.burst["mean_delay_ns"] + 5_000
+        assert bumped["burst"]["mean_delay_ns"] == base["burst"]["mean_delay_ns"] + 5_000
 
     def test_overhead_slows_serialization(self):
         report = run_scenario(constant_cfg(overhead_bytes=22))
-        assert report.burst["mean_delay_ns"] == (1278 + 22) * 8 * 100  # 10 Mbit/s = 100 ns/bit
+        assert report["burst"]["mean_delay_ns"] == (1278 + 22) * 8 * 100  # 10 Mbit/s = 100 ns/bit
 
 
 class TestLossAndQueue:
     def test_total_loss_receives_nothing(self):
         report = run_scenario(constant_cfg(loss_prob=1.0))
-        assert report.burst["received"] == 0
-        assert report.burst["success_ratio"] == 0.0
+        assert report["burst"]["received"] == 0
+        assert report["burst"]["success_ratio"] == 0.0
 
     def test_no_loss_under_capacity_succeeds_fully(self):
         report = run_scenario(vr_cfg())
-        assert report.burst["success_ratio"] == 1.0
-        assert report.link["fragments_lost"] == 0
+        assert report["burst"]["success_ratio"] == 1.0
+        assert report["link"]["fragments_lost"] == 0
 
     def test_partial_loss_discards_some_bursts(self):
         report = run_scenario(vr_cfg(loss_prob=0.01))
-        assert 0.0 < report.burst["success_ratio"] < 1.0
-        assert report.burst["received"] + report.burst["failed"] <= report.burst["count"]
+        assert 0.0 < report["burst"]["success_ratio"] < 1.0
+        assert report["burst"]["received"] + report["burst"]["failed"] <= report["burst"]["count"]
 
     def test_queue_limit_drops_fragments(self):
         # 50 Mbit/s VR into a 20 Mbit/s link with a 10-fragment queue
         report = run_scenario(vr_cfg(link_rate_bps=20e6, queue_limit=10, duration_s=1.0))
-        assert report.link["fragments_queue_dropped"] > 0
-        assert report.burst["success_ratio"] < 1.0
+        assert report["link"]["fragments_queue_dropped"] > 0
+        assert report["burst"]["success_ratio"] < 1.0
 
     def test_unbounded_queue_never_drops(self):
         report = run_scenario(vr_cfg(link_rate_bps=20e6, duration_s=1.0))
-        assert report.link["fragments_queue_dropped"] == 0
-        assert report.burst["success_ratio"] == 1.0  # drained after the horizon
+        assert report["link"]["fragments_queue_dropped"] == 0
+        assert report["burst"]["success_ratio"] == 1.0  # drained after the horizon
 
 
 class TestLossGaps:
@@ -191,29 +191,29 @@ class TestBurstOutcomes:
     )
     def test_every_burst_has_one_outcome(self, overrides):
         report = run_scenario(vr_cfg(**overrides))
-        burst = report.burst
+        burst = report["burst"]
         assert burst["lost"] + burst["in_flight"] > 0
         assert burst["received"] + burst["failed"] + burst["lost"] + burst["in_flight"] == burst["count"]
         for key, station_key in (("lost", "bursts_lost"), ("in_flight", "bursts_in_flight")):
-            assert sum(s[station_key] for s in report.per_station) == burst[key]
-        for s in report.per_station:
+            assert sum(s[station_key] for s in report["per_station"]) == burst[key]
+        for s in report["per_station"]:
             outcomes = ("bursts_received", "bursts_discarded", "bursts_lost", "bursts_in_flight")
             assert sum(s[key] for key in outcomes) == s["bursts_sent"]
 
     def test_total_loss_loses_every_burst(self):
-        burst = run_scenario(constant_cfg(loss_prob=1.0)).burst
+        burst = run_scenario(constant_cfg(loss_prob=1.0))["burst"]
         assert (burst["failed"], burst["lost"], burst["in_flight"]) == (0, 100, 0)
 
 
 class TestDeterminismAndConservation:
     def test_identical_seeds_identical_reports(self):
-        a = run_scenario(vr_cfg()).to_json()
-        b = run_scenario(vr_cfg()).to_json()
+        a = json.dumps(run_scenario(vr_cfg()))
+        b = json.dumps(run_scenario(vr_cfg()))
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = run_scenario(vr_cfg()).to_json()
-        b = run_scenario(vr_cfg(seed=6)).to_json()
+        a = json.dumps(run_scenario(vr_cfg()))
+        b = json.dumps(run_scenario(vr_cfg(seed=6)))
         assert a != b
 
     def test_work_conservation_under_overload(self):
@@ -228,7 +228,7 @@ class TestDeterminismAndConservation:
     def test_burst_mean_dominates_fragment_mean(self):
         for seed in (1, 2, 3):
             report = run_scenario(vr_cfg(seed=seed))
-            assert report.fragment["mean_delay_ns"] <= report.burst["mean_delay_ns"]
+            assert report["fragment"]["mean_delay_ns"] <= report["burst"]["mean_delay_ns"]
 
 
 class TestVrScenario:
@@ -236,23 +236,23 @@ class TestVrScenario:
         means = []
         for n in (1, 2, 3):
             report = run_scenario(vr_cfg(n_stations=n, duration_s=3.0))
-            means.append(report.burst["mean_delay_ns"])
+            means.append(report["burst"]["mean_delay_ns"])
         assert means == sorted(means)
 
     def test_per_station_counts_sum_to_totals(self):
         report = run_scenario(vr_cfg(n_stations=3))
-        assert sum(s["bursts_sent"] for s in report.per_station) == report.burst["count"]
-        assert sum(s["bursts_received"] for s in report.per_station) == report.burst["received"]
-        assert sum(s["fragments_delivered"] for s in report.per_station) == report.fragment["count"]
+        assert sum(s["bursts_sent"] for s in report["per_station"]) == report["burst"]["count"]
+        assert sum(s["bursts_received"] for s in report["per_station"]) == report["burst"]["received"]
+        assert sum(s["fragments_delivered"] for s in report["per_station"]) == report["fragment"]["count"]
 
     def test_station_offsets_shift_start(self):
         base = run_scenario(vr_cfg(n_stations=2))
         offset = run_scenario(vr_cfg(n_stations=2, station_start_offsets_ns=[0, 1_000_000]))
-        assert base.to_json() != offset.to_json()
+        assert json.dumps(base) != json.dumps(offset)
 
     def test_throughput_tracks_offered_load(self):
         report = run_scenario(vr_cfg(duration_s=5.0))
-        assert report.throughput_mbps == pytest.approx(50.0, rel=0.05)
+        assert report["throughput_mbps"] == pytest.approx(50.0, rel=0.05)
 
 
 class TestTraceScenario:
@@ -268,8 +268,8 @@ class TestTraceScenario:
             seed=1,
         )
         report = run_scenario(cfg)
-        assert report.trace_metadata == {"fps": "60", "target_rate_mbps": "0.8"}
-        assert report.to_dict()["trace_metadata"]["fps"] == "60"
+        assert report["trace_metadata"] == {"fps": "60", "target_rate_mbps": "0.8"}
+        assert report["trace_metadata"]["fps"] == "60"
 
     def test_stations_replay_disjoint_windows(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -283,22 +283,22 @@ class TestTraceScenario:
             seed=1,
         )
         report = run_scenario(cfg)
-        for station in report.per_station:
+        for station in report["per_station"]:
             assert station["bursts_sent"] == 100
 
 
 class TestSummarize:
     def test_empty_run_has_no_percentiles(self):
         report = summarize(SimulationLog(), vr_cfg())
-        assert report.burst["count"] == 0
-        assert report.burst["p95_delay_ns"] is None
-        assert report.burst["success_ratio"] is None
-        assert report.fragment["count"] == 0
-        assert report.fragment["mean_delay_ns"] is None
+        assert report["burst"]["count"] == 0
+        assert report["burst"]["p95_delay_ns"] is None
+        assert report["burst"]["success_ratio"] is None
+        assert report["fragment"]["count"] == 0
+        assert report["fragment"]["mean_delay_ns"] is None
 
     def test_report_is_json_round_trippable(self):
         report = run_scenario(constant_cfg())
-        parsed = json.loads(report.to_json())
+        parsed = json.loads(json.dumps(report))
         assert parsed["config"]["seed"] == 3
         assert parsed["rng_algorithm"]
         assert parsed["burst"]["received"] == 100
@@ -346,9 +346,9 @@ class TestConfigValidation:
         # bound is the last burst's time plus 101 services and the delay
         cfg = dict(link_rate_bps=1278 * 8, propagation_delay_ns=2**63 - 1 - 990_000_000 - 101 * 10**9)
         report = run_scenario(constant_cfg(**cfg))
-        assert report.burst["received"] == 100
+        assert report["burst"]["received"] == 100
         # the p95 burst, the 95th, is generated at 0.94 s and leaves the link at 95 s
-        assert report.burst["p95_delay_ns"] == cfg["propagation_delay_ns"] + 95 * 10**9 - 940_000_000
+        assert report["burst"]["p95_delay_ns"] == cfg["propagation_delay_ns"] + 95 * 10**9 - 940_000_000
         cfg["propagation_delay_ns"] += 1
         with pytest.raises(ParameterError, match="2\\*\\*63"):
             simulate(constant_cfg(**cfg))
@@ -356,7 +356,7 @@ class TestConfigValidation:
     def test_link_rate_past_int64_serves_each_fragment_in_1_ns(self):
         # a rate of 2**63 bit/s or more used to raise OverflowError; every
         # fragment takes 1 ns at any rate from 2**63 - 1 up
-        fast, top = (run_scenario(vr_cfg(link_rate_bps=rate, duration_s=0.01)).to_dict()
+        fast, top = (run_scenario(vr_cfg(link_rate_bps=rate, duration_s=0.01))
                      for rate in (1e300, 2**63 - 1))
         assert fast["link"]["busy_ns"] == fast["link"]["fragments_sent"] > 0
         assert {**fast, "config": None} == {**top, "config": None}

@@ -16,6 +16,7 @@ property holds that summary to the one of the expanded delays, on runs too
 large or too slow for the event heap.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -75,7 +76,7 @@ def assert_matches_oracle(cfg):
     expected = simulate_reference(cfg)
     actual = simulate(cfg)
     assert view(actual, cfg) == project(expected)
-    assert summarize(actual, cfg).to_json() == summarize_reference(expected, cfg).to_json()
+    assert json.dumps(summarize(actual, cfg), indent=2) == json.dumps(summarize_reference(expected, cfg), indent=2)
     return actual
 
 
@@ -213,7 +214,7 @@ def test_closed_form_fragment_summary_equals_the_expansion(cfg):
     expected = delay_summary(delays)
     if delays:  # fmean's, but for delays past 2**53, which it rounds one by one
         expected["mean_delay_ns"] = float(sum(delays)) / len(delays)
-    assert summarize(log, cfg).fragment == expected
+    assert summarize(log, cfg)["fragment"] == expected
 
 
 def test_tie_goes_to_the_burst_whose_predecessor_reached_the_link_first(tmp_path):
