@@ -219,24 +219,24 @@ def cmd_fit(args) -> int:
         weighting="uniform" if args.uniform_weights else "rank",
     )
     if args.report:
-        _write_json(report.to_dict(), args.report)
-    for group in report.groups:
-        if not group.gmm.converged:
+        _write_json(report, args.report)
+    for group in report["groups"]:
+        if not group["gmm"]["converged"]:
             print(
-                f"warning: mixture fit of the {group.rate_bps / 1e6:g} Mbit/s, "
-                f"{group.fps:g} FPS group did not converge: its best restart stopped "
-                f"after {group.gmm.n_iterations} E steps",
+                f"warning: mixture fit of the {group['rate_mbps']:g} Mbit/s, "
+                f"{group['fps']:g} FPS group did not converge: its best restart stopped "
+                f"after {group['gmm']['n_iterations']} E steps",
                 file=sys.stderr,
             )
-    if not report.slopes_valid:
+    if not report["slopes_valid"]:
         print(
             "fitted mean slopes do not straddle 1 "
-            f"(lo={report.pooled['pframe_mean_slope']:.4f}, hi={report.pooled['iframe_mean_slope']:.4f}); "
+            f"(lo={report['pooled']['pframe_mean_slope']:.4f}, hi={report['pooled']['iframe_mean_slope']:.4f}); "
             "no constants emitted",
             file=sys.stderr,
         )
         return EXIT_DATA
-    _write_json(report.constants.to_dict(), args.out)
+    _write_json(report["constants"], args.out)
     if args.out:
         print(f"wrote model constants to {args.out}")
     return EXIT_OK

@@ -6,7 +6,7 @@ frame sizes (EM with random restarts). Across groups it pools the results:
 zero-intercept linear fits of the component means against the empirical mean
 frame size, power-law fits of the component standard deviations, and the
 mean of (IFI std * fps) for the inverse-law coefficient. The pooled result
-is a :class:`~vrburst.model.VrModelConstants` ready for the generators.
+is checked by :class:`~vrburst.model.VrModelConstants` for the generators.
 
 The mixture fits of all groups run as one loop over rows, one row per
 restart, each on its group's standardised samples u = (x - mean) / std, so
@@ -31,7 +31,6 @@ Sample standard deviations use the n-1 denominator throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -73,30 +72,6 @@ def fit_logistic(samples) -> LogisticParams:
     return LogisticParams(mu=float(x.mean()), s=std * math.sqrt(3.0) / math.pi)
 
 
-@dataclass(frozen=True)
-class EmRestart:
-    """Outcome of one EM restart; ``iterations`` counts its E steps."""
-
-    iterations: int
-    log_likelihood: float
-    converged: bool
-
-
-@dataclass(frozen=True)
-class Gmm2Fit:
-    """Best EM result over all restarts; components labeled by mean.
-
-    ``n_iterations`` and ``converged`` describe the best restart; ``restarts``
-    lists every restart in the order its initial means were drawn.
-    """
-
-    params: Gmm2Params
-    log_likelihood: float
-    n_iterations: int
-    converged: bool
-    restarts: tuple[EmRestart, ...]
-
-
 class _Mixture(NamedTuple):
     """One group's mixture-fit input; ``name`` names it in errors."""
 
@@ -111,14 +86,15 @@ def _standardise(samples, restarts, rng, name="") -> _Mixture:
     """Standardise ``samples``; each restart's means are two distinct uniformly chosen samples."""
     if restarts < 1:
         raise ParameterError(f"mixture fit needs at least 1 restart, got {restarts}")
+    of = f" of the {name} group" if name else ""
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 10:
-        raise ValueError(f"mixture fit needs at least 10 samples, got {n}")
+        raise ValueError(f"mixture fit{of} needs at least 10 samples, got {n}")
     sample_mean = float(x.mean())
     sample_std = float(x.std(ddof=1))
     if sample_std == 0.0:
-        raise ValueError("mixture fit is degenerate: all samples are equal")
+        raise ValueError(f"mixture fit{of} is degenerate: all samples are equal")
     u = (x - sample_mean) / sample_std
     starts = np.empty((restarts, 2))
     for k in range(restarts):
@@ -387,7 +363,7 @@ def _fit_rows(rows, max_iter, tol):
     return theta, ll, iterations, converged
 
 
-def _fit_mixtures(mixtures, max_iter, tol) -> list[Gmm2Fit]:
+def _fit_mixtures(mixtures, max_iter, tol) -> list[dict]:
     """Fit every mixture in one loop; each keeps its best restart (ties keep the earliest)."""
     rows = _Rows(mixtures)
     theta, ll_u, iterations, converged = _fit_rows(rows, max_iter, tol)
@@ -395,15 +371,16 @@ def _fit_mixtures(mixtures, max_iter, tol) -> list[Gmm2Fit]:
     for m, start, stop in zip(mixtures, rows.bounds, rows.bounds[1:]):
         ll = ll_u[start:stop] - m.basis.shape[1] * math.log(m.std)  # back to the density of x in bytes
         its, oks = iterations[start:stop].tolist(), converged[start:stop].tolist()
-        summary = tuple(map(EmRestart, its, ll.tolist(), oks))
+        restarts = [{"iterations": i, "log_likelihood": v, "converged": c} for i, v, c in zip(its, ll.tolist(), oks)]
         best = int(np.argmax(ll))  # first maximum: ties keep the earliest restart
         w0, mu0, mu1, sigma0, sigma1 = theta[:, start + best]
         a = (w0, m.mean + m.std * mu0, m.std * sigma0)
         b = (1.0 - w0, m.mean + m.std * mu1, m.std * sigma1)
         (w_hi, mu_hi, sigma_hi), (_, mu_lo, sigma_lo) = (a, b) if a[1] >= b[1] else (b, a)
-        params = Gmm2Params(*map(float, (w_hi, mu_hi, sigma_hi, mu_lo, sigma_lo)))
-        top = summary[best]
-        fits.append(Gmm2Fit(params, top.log_likelihood, top.iterations, top.converged, summary))
+        params = Gmm2Params(*map(float, (w_hi, mu_hi, sigma_hi, mu_lo, sigma_lo)))  # validated, then its fields
+        top = restarts[best]
+        fits.append({**vars(params), "log_likelihood": top["log_likelihood"], "n_iterations": top["iterations"],
+                     "converged": top["converged"], "restarts": restarts})
     return fits
 
 
@@ -413,7 +390,7 @@ def fit_gmm2_em(
     max_iter: int = 500,
     tol: float = 1e-10,
     rng: RngStream | None = None,
-) -> Gmm2Fit:
+) -> dict:
     """EM fit of a 2-component univariate Gaussian mixture.
 
     Each restart initializes the means from two distinct uniformly chosen
@@ -427,6 +404,12 @@ def fit_gmm2_em(
     steps. Sigmas are floored at 1e-6 of the sample std. The restart with
     the highest log-likelihood wins; ties keep the earliest. Raises
     :class:`EmMonotonicityError` when rounding lowers the log-likelihood.
+
+    Returns a group's ``gmm`` dict of the ``fit --report`` JSON: the best
+    restart's :class:`~vrburst.rv.Gmm2Params` fields (labeled by mean),
+    ``log_likelihood``, ``n_iterations`` (E steps) and ``converged``, then
+    ``restarts``: each restart's ``iterations``, ``log_likelihood`` and
+    ``converged``, in the order its initial means were drawn.
     """
     mixture = _standardise(samples, restarts, RngStream(0) if rng is None else rng)
     return _fit_mixtures([mixture], max_iter, tol)[0]
@@ -468,62 +451,6 @@ def fit_power_law(points, weights=None) -> tuple[float, float]:
     return coeff, exponent
 
 
-@dataclass
-class GroupFit:
-    """Per-(rate, fps) fit results feeding the pooled regressions."""
-
-    rate_bps: float
-    fps: float
-    n_frames: int
-    mean_frame_size: float  # empirical mean, bytes
-    gmm: Gmm2Fit
-    ifi: LogisticParams
-    ifi_std_coeff: float  # (fitted IFI std) * fps
-    mean_log_likelihood: float
-    weight: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "rate_mbps": self.rate_bps / 1e6,
-            "fps": self.fps,
-            "n_frames": self.n_frames,
-            "mean_frame_size_bytes": self.mean_frame_size,
-            "gmm": {
-                **asdict(self.gmm.params),
-                "log_likelihood": self.gmm.log_likelihood,
-                "n_iterations": self.gmm.n_iterations,
-                "converged": self.gmm.converged,
-                "restarts": [asdict(restart) for restart in self.gmm.restarts],
-            },
-            "ifi": {"mu": self.ifi.mu, "s": self.ifi.s, "std": self.ifi.std},
-            "ifi_std_coeff": self.ifi_std_coeff,
-            "mean_log_likelihood": self.mean_log_likelihood,
-            "weight": self.weight,
-        }
-
-
-@dataclass
-class FitReport:
-    """Pooled fit over all groups plus the per-group details. ``pooled``
-    holds the pooled values, keyed and ordered as the fields of
-    :class:`VrModelConstants`."""
-
-    groups: list[GroupFit]
-    pooled: dict[str, float]
-    weighting: str
-    slopes_valid: bool
-    constants: VrModelConstants | None
-
-    def to_dict(self) -> dict:
-        return {
-            "weighting": self.weighting,
-            "slopes_valid": self.slopes_valid,
-            "pooled": self.pooled,
-            "constants": self.constants.to_dict() if self.constants else None,
-            "groups": [g.to_dict() for g in self.groups],
-        }
-
-
 def _goodness_weights(mean_lls, weighting: str) -> np.ndarray:
     count = len(mean_lls)
     if weighting == "uniform":
@@ -537,22 +464,28 @@ def _goodness_weights(mean_lls, weighting: str) -> np.ndarray:
     return ranks / ranks.sum()
 
 
+def _metadata_number(metadata, name) -> float:
+    if name not in metadata:
+        raise ValueError(f"trace metadata is missing the {name!r} key needed for grouping "
+                         "(expected 'target_rate_mbps' and 'fps')")
+    try:
+        value = float(metadata[name])
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"trace metadata {name} {metadata[name]!r} is not a positive number")
+    return value
+
+
 def group_traces(traces) -> dict[tuple[float, float], TraceFile]:
-    """Group traces by the (target_rate_mbps, fps) keys in their metadata.
+    """Group traces by the (target_rate_mbps, fps) keys in their metadata, each a positive number.
 
     Traces sharing a key are concatenated into one group.
     """
     groups: dict[tuple[float, float], TraceFile] = {}
     for trace in traces:
-        try:
-            rate_bps = float(trace.metadata["target_rate_mbps"]) * 1e6
-            fps = float(trace.metadata["fps"])
-        except KeyError as exc:
-            raise ValueError(
-                f"trace metadata is missing the {exc} key needed for grouping "
-                "(expected 'target_rate_mbps' and 'fps')"
-            ) from None
-        key = (rate_bps, fps)
+        rate_mbps, fps = (_metadata_number(trace.metadata, name) for name in ("target_rate_mbps", "fps"))
+        key = (rate_mbps * 1e6, fps)
         if key in groups:
             groups[key].records = np.concatenate((groups[key].records, trace.records))
         else:
@@ -567,7 +500,7 @@ def fit_vr_model(
     em_tol: float = 1e-10,
     seed: int = 0,
     weighting: str = "rank",
-) -> FitReport:
+) -> dict:
     """Fit the full model across (rate, fps) groups.
 
     ``groups`` maps (target rate in bit/s, frame rate) to the group's trace.
@@ -575,6 +508,9 @@ def fit_vr_model(
     fits it alone. Regressions run against each group's *empirical* mean
     frame size, and the linear/power-law fits weigh groups by mixture-fit
     goodness (see ``weighting``: 'rank' or 'uniform').
+
+    Returns the ``fit --report`` JSON as a dict; its ``constants`` are its
+    ``pooled`` values, or None when the mean slopes do not straddle 1.
     """
     if len(groups) < 2:
         raise ValueError(f"model fit needs at least 2 (rate, fps) groups, got {len(groups)}")
@@ -585,45 +521,37 @@ def fit_vr_model(
                      f"{rate / 1e6:g} Mbit/s, {fps:g} FPS")
         for index, (rate, fps) in enumerate(keys)
     ]  # fmt: skip
-    fits: list[GroupFit] = []
+    fits = []
     for (rate_bps, fps), m, gmm in zip(keys, mixtures, _fit_mixtures(mixtures, em_max_iter, em_tol)):
         ifi = fit_logistic(groups[rate_bps, fps].records[:, 1].astype(float) * 1e-9)
-        fits.append(
-            GroupFit(
-                rate_bps=rate_bps,
-                fps=fps,
-                n_frames=m.basis.shape[1],
-                mean_frame_size=m.mean,
-                gmm=gmm,
-                ifi=ifi,
-                ifi_std_coeff=ifi.std * fps,
-                mean_log_likelihood=gmm.log_likelihood / m.basis.shape[1],
-            )
-        )
+        n = m.basis.shape[1]
+        fits.append({"rate_mbps": rate_bps / 1e6, "fps": fps, "n_frames": n, "mean_frame_size_bytes": m.mean,
+                     "gmm": gmm, "ifi": {"mu": ifi.mu, "s": ifi.s, "std": ifi.std}, "ifi_std_coeff": ifi.std * fps,
+                     "mean_log_likelihood": gmm["log_likelihood"] / n})  # the weight follows below
 
-    weights = _goodness_weights([g.mean_log_likelihood for g in fits], weighting)
+    weights = _goodness_weights([g["mean_log_likelihood"] for g in fits], weighting)
     for fit, weight in zip(fits, weights):
-        fit.weight = float(weight)
+        fit["weight"] = float(weight)
 
-    sizes_emp, params = [g.mean_frame_size for g in fits], [g.gmm.params for g in fits]
-    hi_slope = fit_linear_through_origin(zip(sizes_emp, (p.mu_hi for p in params)), weights)
-    lo_slope = fit_linear_through_origin(zip(sizes_emp, (p.mu_lo for p in params)), weights)
+    sizes_emp, gmms = [g["mean_frame_size_bytes"] for g in fits], [g["gmm"] for g in fits]
+    hi_slope = fit_linear_through_origin(zip(sizes_emp, (p["mu_hi"] for p in gmms)), weights)
+    lo_slope = fit_linear_through_origin(zip(sizes_emp, (p["mu_lo"] for p in gmms)), weights)
     slopes_valid = lo_slope <= 1.0 <= hi_slope
     pooled = {
-        "ifi_std_coeff": float(np.mean([g.ifi_std_coeff for g in fits])),
+        "ifi_std_coeff": float(np.mean([g["ifi_std_coeff"] for g in fits])),
         "iframe_mean_slope": hi_slope,
         "pframe_mean_slope": lo_slope,
     }
     pooled["iframe_std_coeff"], pooled["iframe_std_exp"] = fit_power_law(
-        zip(sizes_emp, (p.sigma_hi for p in params)), weights
+        zip(sizes_emp, (p["sigma_hi"] for p in gmms)), weights
     )
     pooled["pframe_std_coeff"], pooled["pframe_std_exp"] = fit_power_law(
-        zip(sizes_emp, (p.sigma_lo for p in params)), weights
+        zip(sizes_emp, (p["sigma_lo"] for p in gmms)), weights
     )
-    return FitReport(
-        groups=fits,
-        pooled=pooled,
-        weighting=weighting,
-        slopes_valid=slopes_valid,
-        constants=VrModelConstants(**pooled) if slopes_valid else None,
-    )
+    return {
+        "weighting": weighting,
+        "slopes_valid": slopes_valid,
+        "pooled": pooled,
+        "constants": VrModelConstants(**pooled).to_dict() if slopes_valid else None,
+        "groups": fits,
+    }

@@ -73,9 +73,6 @@ class VrModelConstants:
             raise ParameterError(f"unknown model constant(s): {sorted(extra)}")
         return cls(**{k: float(v) for k, v in data.items()})
 
-    def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
-
     @classmethod
     def load_json(cls, path) -> "VrModelConstants":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

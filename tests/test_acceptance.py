@@ -155,7 +155,7 @@ def test_criterion_09_em_oracle():
     truth = Gmm2Params(w_hi=0.36, mu_hi=100_000, sigma_hi=8_000, mu_lo=50_000, sigma_lo=5_000)
     samples = gmm2_quantile(truth, *RngStream(109, 1).uniform(100_000).reshape(-1, 2).T)
     fit = fit_gmm2_em(samples, restarts=50, rng=RngStream(109, 2))
-    p = fit.params
+    p = Gmm2Params(**{k: fit[k] for k in ("w_hi", "mu_hi", "sigma_hi", "mu_lo", "sigma_lo")})
     mu_hi_err = abs(p.mu_hi / truth.mu_hi - 1.0)
     mu_lo_err = abs(p.mu_lo / truth.mu_lo - 1.0)
     w_err = abs(p.w_hi - truth.w_hi)
@@ -189,11 +189,11 @@ def test_criterion_10_fit_closed_loop():
     fitted = fit_vr_model(groups, em_restarts=8, em_tol=5e-12, seed=99)
     k = DEFAULT_CONSTANTS
     errs = {
-        "s_hi": (fitted.pooled["iframe_mean_slope"] / k.iframe_mean_slope - 1.0, 0.03),
-        "s_lo": (fitted.pooled["pframe_mean_slope"] / k.pframe_mean_slope - 1.0, 0.03),
-        "c": (fitted.pooled["ifi_std_coeff"] / k.ifi_std_coeff - 1.0, 0.03),
-        "b_hi": (fitted.pooled["iframe_std_exp"] / k.iframe_std_exp - 1.0, 0.10),
-        "b_lo": (fitted.pooled["pframe_std_exp"] / k.pframe_std_exp - 1.0, 0.10),
+        "s_hi": (fitted["pooled"]["iframe_mean_slope"] / k.iframe_mean_slope - 1.0, 0.03),
+        "s_lo": (fitted["pooled"]["pframe_mean_slope"] / k.pframe_mean_slope - 1.0, 0.03),
+        "c": (fitted["pooled"]["ifi_std_coeff"] / k.ifi_std_coeff - 1.0, 0.03),
+        "b_hi": (fitted["pooled"]["iframe_std_exp"] / k.iframe_std_exp - 1.0, 0.10),
+        "b_lo": (fitted["pooled"]["pframe_std_exp"] / k.pframe_std_exp - 1.0, 0.10),
     }
     ok = all(abs(err) <= tol for err, tol in errs.values())
     detail = ", ".join(f"{name} {err*100:+.2f}% (tol {tol*100:.0f}%)" for name, (err, tol) in errs.items())

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import vrburst.cli
 from vrburst.cli import _open_receive_socket, build_parser, main, receive_bursts, send_bursts
+from vrburst.fit import fit_vr_model, group_traces
 from vrburst.generator import BurstDescriptor, SimpleBurstGenerator, load_trace, save_trace
 from vrburst.model import VrModelConstants
 from vrburst.rv import RngStream, dist_from_spec
@@ -79,7 +80,7 @@ class TestGenerate:
 
     def test_custom_params_file(self, tmp_path, capsys):
         params = tmp_path / "k.json"
-        VrModelConstants(ifi_std_coeff=0.0).save_json(params)
+        params.write_text(json.dumps(VrModelConstants(ifi_std_coeff=0.0).to_dict()))
         out = tmp_path / "vr.csv"
         code, _, _ = run(
             capsys, "generate", "--fps", "50", "--duration-s", "1",
@@ -375,6 +376,41 @@ class TestFitCommand:
         assert out.read_bytes() == stdout.encode("utf-8")
         text = report.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_report_is_the_dict_fit_vr_model_returns(self, tmp_path, capsys):
+        traces = self.two_group_traces(tmp_path)
+        report_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "fit", *traces, "--em-restarts", "3", "--seed", "5",
+                         "--report", str(report_path))
+        assert code == 0
+        report = fit_vr_model(group_traces(load_trace(path) for path in traces), em_restarts=3, seed=5)
+        assert json.loads(json.dumps(report)) == report
+        assert report_path.read_text(encoding="utf-8") == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "sizes, metadata, message",
+        [
+            ([1000, 2000, 3000], {"target_rate_mbps": 10, "fps": 60},
+             "mixture fit of the 10 Mbit/s, 60 FPS group needs at least 10 samples, got 3"),
+            ([1000] * 20, {"target_rate_mbps": 10, "fps": 60},
+             "mixture fit of the 10 Mbit/s, 60 FPS group is degenerate: all samples are equal"),
+            ([1000, 2000] * 10, {"target_rate_mbps": "ten", "fps": 60},
+             "trace metadata target_rate_mbps 'ten' is not a positive number"),
+            ([1000, 2000] * 10, {"target_rate_mbps": "nan", "fps": 60},
+             "trace metadata target_rate_mbps 'nan' is not a positive number"),
+            ([1000, 2000] * 10, {"target_rate_mbps": 10, "fps": 0},
+             "trace metadata fps '0' is not a positive number"),
+        ],
+        ids=["three-rows", "equal-sizes", "rate-not-a-number", "rate-nan", "fps-zero"],
+    )
+    def test_group_data_error_names_the_group(self, tmp_path, capsys, sizes, metadata, message):
+        good, bad = str(tmp_path / "good.csv"), str(tmp_path / "bad.csv")
+        assert main(["generate", "--rate-mbps", "50", "--duration-s", "1", "--out", good]) == 0
+        save_trace(bad, [BurstDescriptor(size, 16_666_667) for size in sizes], metadata)
+        capsys.readouterr()
+        code, stdout, err = run(capsys, "fit", good, bad, "--em-restarts", "2")
+        assert (code, stdout) == (3, "")
+        assert err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("restarts", ["0", "-1"])
     def test_restarts_below_one_is_one_usage_error_line(self, tmp_path, capsys, restarts):

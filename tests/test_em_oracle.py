@@ -63,9 +63,9 @@ def test_fit_matches_or_beats_the_oracle(make, n, restarts, seed):
     fit = fit_gmm2_em(x, restarts=restarts, rng=rng)
     ref = fit_reference(x, restarts=restarts, rng=rng_ref)
 
-    assert fit.log_likelihood >= ref.log_likelihood - 1e-9 * n
+    assert fit["log_likelihood"] >= ref.log_likelihood - 1e-9 * n
 
-    p = fit.params
+    p = Gmm2Params(**{k: fit[k] for k in ("w_hi", "mu_hi", "sigma_hi", "mu_lo", "sigma_lo")})
     returned = np.array([p.w_hi, p.mu_hi, p.sigma_hi, p.mu_lo, p.sigma_lo])
     moved = np.abs(plain_em_step(x, p) / returned - 1.0)
     assert moved.max() < 1e-6, moved
@@ -81,7 +81,7 @@ def test_fits_of_vr_like_groups_stop_at_the_em_fixed_point():
     for k, (rate, fps) in enumerate((r, f) for r in rates for f in (30.0, 60.0)):
         x = sample_vr_frame(VrStreamParams(rate * 1e6, fps), DEFAULT_CONSTANTS, RngStream(420, k), size=3000)
         fit = fit_gmm2_em(x.astype(float), restarts=8, rng=RngStream(421, k))
-        p = fit.params
+        p = Gmm2Params(**{k: fit[k] for k in ("w_hi", "mu_hi", "sigma_hi", "mu_lo", "sigma_lo")})
         returned = np.array([p.w_hi, p.mu_hi, p.sigma_hi, p.mu_lo, p.sigma_lo])
         worst = max(worst, np.abs(plain_em_step(x.astype(float), p) / returned - 1.0).max())
     assert worst < 1e-6, worst

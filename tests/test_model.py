@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,7 @@ class TestConstants:
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "constants.json"
-        DEFAULT_CONSTANTS.save_json(path)
+        path.write_text(json.dumps(DEFAULT_CONSTANTS.to_dict()))
         assert VrModelConstants.load_json(path) == DEFAULT_CONSTANTS
 
     def test_rejects_unknown_keys(self):
