@@ -395,7 +395,8 @@ def receive_bursts(
     (outcome is ``received`` or ``discarded``; discarded rows leave delay
     empty). Returns receive counters; ``malformed`` counts datagrams whose
     header fails to decode or disagrees with its burst's first header, and
-    reads the kernel truncated.
+    reads the kernel truncated. ``bursts_in_flight`` counts the bursts still
+    incomplete when the run ends (at most one a flow), which get no row.
 
     ``UDP_GRO`` is turned on for the socket, a passed-in one too, where the
     kernel accepts it (``gro`` in the counters). One read (``reads``) may then
@@ -457,6 +458,7 @@ def receive_bursts(
         "duplicates": sum(c.fragments_duplicate for c in counters),
         "bursts_received": sum(c.bursts_received for c in counters),
         "bursts_discarded": sum(c.bursts_failed for c in counters),
+        "bursts_in_flight": sum(c.bursts_started - c.bursts_received - c.bursts_failed for c in counters),
         "flows": len(flows),
         "reads": reads,
         "gro": gro,

@@ -415,38 +415,28 @@ def fit_gmm2_em(
     return _fit_mixtures([mixture], max_iter, tol)[0]
 
 
-def fit_linear_through_origin(points, weights=None) -> float:
-    """Weighted least-squares slope with the intercept forced to zero."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("linear fit needs at least one point")
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
-    w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
-    denom = float((w * x * x).sum())
+def fit_linear_through_origin(x, y, weights) -> float:
+    """Weighted least-squares slope of ``y`` on ``x`` (arrays) with the intercept forced to zero."""
+    denom = float((weights * x * x).sum())
     if denom <= 0.0:
         raise ValueError("linear fit through the origin needs a non-zero abscissa")
-    return float((w * x * y).sum() / denom)
+    return float((weights * x * y).sum() / denom)
 
 
-def fit_power_law(points, weights=None) -> tuple[float, float]:
-    """Fit y = coeff * x**exp by weighted least squares in log-log space."""
-    pts = list(points)
-    if len(pts) < 2:
-        raise ValueError(f"power-law fit needs at least 2 points, got {len(pts)}")
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
+def fit_power_law(x, y, weights) -> tuple[float, float]:
+    """Fit y = coeff * x**exp to arrays by weighted least squares in log-log space."""
+    if len(x) < 2:
+        raise ValueError(f"power-law fit needs at least 2 points, got {len(x)}")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("power-law fit needs strictly positive coordinates")
-    w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
     lx, ly = np.log(x), np.log(y)
-    wsum = float(w.sum())
-    mx = float((w * lx).sum() / wsum)
-    my = float((w * ly).sum() / wsum)
-    sxx = float((w * (lx - mx) ** 2).sum())
+    wsum = float(weights.sum())
+    mx = float((weights * lx).sum() / wsum)
+    my = float((weights * ly).sum() / wsum)
+    sxx = float((weights * (lx - mx) ** 2).sum())
     if sxx == 0.0:
         raise ValueError("power-law fit needs at least two distinct abscissae")
-    exponent = float((w * (lx - mx) * (ly - my)).sum() / sxx)
+    exponent = float((weights * (lx - mx) * (ly - my)).sum() / sxx)
     coeff = math.exp(my - exponent * mx)
     return coeff, exponent
 
@@ -533,21 +523,20 @@ def fit_vr_model(
     for fit, weight in zip(fits, weights):
         fit["weight"] = float(weight)
 
-    sizes_emp, gmms = [g["mean_frame_size_bytes"] for g in fits], [g["gmm"] for g in fits]
-    hi_slope = fit_linear_through_origin(zip(sizes_emp, (p["mu_hi"] for p in gmms)), weights)
-    lo_slope = fit_linear_through_origin(zip(sizes_emp, (p["mu_lo"] for p in gmms)), weights)
+    x = np.array([g["mean_frame_size_bytes"] for g in fits])
+    mu_hi, mu_lo, sigma_hi, sigma_lo = (
+        np.array([g["gmm"][k] for g in fits]) for k in ("mu_hi", "mu_lo", "sigma_hi", "sigma_lo")
+    )
+    hi_slope = fit_linear_through_origin(x, mu_hi, weights)
+    lo_slope = fit_linear_through_origin(x, mu_lo, weights)
     slopes_valid = lo_slope <= 1.0 <= hi_slope
     pooled = {
         "ifi_std_coeff": float(np.mean([g["ifi_std_coeff"] for g in fits])),
         "iframe_mean_slope": hi_slope,
         "pframe_mean_slope": lo_slope,
     }
-    pooled["iframe_std_coeff"], pooled["iframe_std_exp"] = fit_power_law(
-        zip(sizes_emp, (p["sigma_hi"] for p in gmms)), weights
-    )
-    pooled["pframe_std_coeff"], pooled["pframe_std_exp"] = fit_power_law(
-        zip(sizes_emp, (p["sigma_lo"] for p in gmms)), weights
-    )
+    pooled["iframe_std_coeff"], pooled["iframe_std_exp"] = fit_power_law(x, sigma_hi, weights)
+    pooled["pframe_std_coeff"], pooled["pframe_std_exp"] = fit_power_law(x, sigma_lo, weights)
     return {
         "weighting": weighting,
         "slopes_valid": slopes_valid,

@@ -207,11 +207,6 @@ class VrBurstGenerator(BurstGenerator):
     # defined on this class, not inherited: perfbench/tracer.py patches it here
     generate_burst = BurstGenerator.generate_burst
 
-    def _with_rng(self, rng):
-        """A generator of the same stream and models on ``rng``, from one that has not drawn yet."""
-        (other := object.__new__(VrBurstGenerator)).__dict__.update(self.__dict__, rng=rng)
-        return other
-
     @staticmethod
     def _draw_blocks(generators, bursts):
         """The next block of each of several generators of one model, as each computes it alone.
@@ -434,9 +429,9 @@ def build_generators(
     starts ``start_time_s + i * duration_s`` into the file, so stations
     running for ``duration_s`` replay disjoint parts of it.
     """
-    if config.model == "vr":  # the stations share one mixture and IFI model
-        first = VrBurstGenerator(VrStreamParams(config.rate_mbps * 1e6, config.fps), RngStream(seed, 1), constants)
-        return [first._with_rng(RngStream(seed, i + 1)) if i else first for i in range(n_stations)], None
+    if config.model == "vr":  # equal models make one bank: the stations draw their rounds together
+        params = VrStreamParams(config.rate_mbps * 1e6, config.fps)
+        return [VrBurstGenerator(params, RngStream(seed, i + 1), constants) for i in range(n_stations)], None
     if config.model == "simple":
         size_dist = dist_from_spec(config.size_dist)
         period_dist = dist_from_spec(config.period_dist)

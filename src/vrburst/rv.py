@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -238,64 +239,21 @@ def gmm2_nonpositive(p: Gmm2Params, pick, u):
 
 
 # --- spec distributions used by SimpleBurstGenerator -------------------------
-#
-# Each maps a (n, words) block of uniforms to n values with ``quantile``,
-# consuming ``words`` uniforms per value.
 
 
-class ConstantDist:
-    """Always returns the same value; consumes no uniforms."""
+class SpecDist(NamedTuple):
+    """A spec distribution: ``quantile`` maps a (n, words) block of uniforms to
+    n values, consuming ``words`` uniforms per value."""
 
-    words = 0
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def quantile(self, u):
-        return np.full(len(u), self.value)
+    words: int
+    quantile: Callable
 
 
-class UniformDist:
-    words = 1
-
-    def __init__(self, low: float, high: float):
-        if high < low:
-            raise ParameterError(f"uniform bounds out of order: [{low}, {high}]")
-        self.low = float(low)
-        self.high = float(high)
-
-    def quantile(self, u):
-        return self.low + (self.high - self.low) * u[:, 0]
-
-
-class NormalDist:
-    words = 1
-
-    def __init__(self, mu: float, sigma: float):
-        if sigma < 0:
-            raise ParameterError(f"sigma must be non-negative, got {sigma}")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-
-    def quantile(self, u):
-        return self.mu + self.sigma * ndtri(u[:, 0])
-
-
-class LogisticDist:
-    words = 1
-
-    def __init__(self, mu: float, s: float):
-        self.params = LogisticParams(mu, s)
-
-    def quantile(self, u):
-        return logistic_quantile(u[:, 0], self.params)
-
-
-def dist_from_spec(spec: str):
+def dist_from_spec(spec: str) -> SpecDist:
     """Parse a ``name:arg[:arg]`` distribution spec used by CLI flags.
 
     Supported: ``constant:V``, ``uniform:LO:HI``, ``normal:MU:SIGMA``,
-    ``logistic:MU:S``, with finite parameters.
+    ``logistic:MU:S``, with finite parameters; ``constant`` reads no uniforms.
     """
     parts = spec.split(":")
     name, args = parts[0].strip().lower(), parts[1:]
@@ -305,16 +263,21 @@ def dist_from_spec(spec: str):
         raise ParameterError(f"bad distribution spec {spec!r}: {exc}") from None
     if not all(map(math.isfinite, values)):
         raise ParameterError(f"distribution parameters must be finite, got {spec!r}")
-    makers = {
-        "constant": (1, ConstantDist),
-        "uniform": (2, UniformDist),
-        "normal": (2, NormalDist),
-        "logistic": (2, LogisticDist),
-    }
-    if name not in makers:
+    arities = {"constant": 1, "uniform": 2, "normal": 2, "logistic": 2}
+    if name not in arities:
         raise ParameterError(f"unknown distribution {name!r} in spec {spec!r}")
-    arity, maker = makers[name]
-    if len(values) != arity:
-        raise ParameterError(f"{name} takes {arity} parameter(s), got {len(values)} in {spec!r}")
-    return maker(*values)
-
+    if len(values) != arities[name]:
+        raise ParameterError(f"{name} takes {arities[name]} parameter(s), got {len(values)} in {spec!r}")
+    if name == "constant":
+        return SpecDist(0, lambda u: np.full(len(u), values[0]))
+    a, b = values
+    if name == "uniform":
+        if b < a:
+            raise ParameterError(f"uniform bounds out of order: [{a}, {b}]")
+        return SpecDist(1, lambda u: a + (b - a) * u[:, 0])
+    if name == "normal":
+        if b < 0:
+            raise ParameterError(f"sigma must be non-negative, got {b}")
+        return SpecDist(1, lambda u: a + b * ndtri(u[:, 0]))
+    params = LogisticParams(a, b)
+    return SpecDist(1, lambda u: logistic_quantile(u[:, 0], params))

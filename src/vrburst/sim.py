@@ -240,6 +240,7 @@ def _link_order(times: np.ndarray, counts: list[int]) -> np.ndarray:
 
 def simulate(cfg: ScenarioConfig) -> SimulationLog:
     """Run the scenario and collect the per-burst log."""
+    fragment_layout(1, cfg.fragment_size)  # raises for a fragment size with no room for payload
     duration_ns = round(cfg.duration_s * NS_PER_S)
     generators, trace_metadata = build_generators(
         cfg.generator, cfg.n_stations, cfg.seed, cfg.duration_s, cfg.constants

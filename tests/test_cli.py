@@ -242,6 +242,16 @@ class TestSimulate:
         code, stdout, err = run(capsys, "simulate", "--duration-s", "0.1", *argv)
         assert (code, stdout, err) == (3, "", message)
 
+    @pytest.mark.parametrize("fragment_size", ["10", "-5"])
+    def test_fragment_size_without_payload_is_data_error_with_no_burst(self, tmp_path, capsys, fragment_size):
+        # the window starts past the trace's end, so no burst is scheduled
+        trace = tmp_path / "t.csv"
+        save_trace(trace, [BurstDescriptor(1000, 10_000_000)])
+        code, stdout, err = run(capsys, "simulate", "--model", "trace", "--trace", str(trace),
+                                "--start-time", "1000", "--duration-s", "0.01", "--fragment-size", fragment_size)
+        message = f"error: fragment_size must exceed the 24-byte header, got {fragment_size}\n"
+        assert (code, stdout, err) == (3, "", message)
+
 
 class TestStats:
     def test_two_row_trace(self, tmp_path, capsys):
@@ -551,7 +561,7 @@ class TestUdpLoopback:
         thread.join()
         recv_sock.close()
         assert result == {"datagrams": 3, "malformed": 1, "late": 0, "duplicates": 0,
-                          "bursts_received": 1, "bursts_discarded": 0, "flows": 1,
+                          "bursts_received": 1, "bursts_discarded": 0, "bursts_in_flight": 0, "flows": 1,
                           "reads": 3, "gro": True}
         seq, outcome, _, size = out.read_text().splitlines()[-1].split(",")
         assert (seq, outcome, size) == ("0", "received", "2000")

@@ -102,52 +102,50 @@ class TestFitGmm2Em:
 class TestFitLinearThroughOrigin:
     def test_noiseless_is_exact(self):
         xs = np.linspace(10, 100, 7)
-        points = [(x, 1.1764 * x) for x in xs]
-        assert fit_linear_through_origin(points) == pytest.approx(1.1764, rel=1e-12)
+        assert fit_linear_through_origin(xs, 1.1764 * xs, np.ones(7)) == pytest.approx(1.1764, rel=1e-12)
 
     def test_single_point_interpolates(self):
-        assert fit_linear_through_origin([(2.0, 3.0)]) == pytest.approx(1.5)
+        assert fit_linear_through_origin(np.array([2.0]), np.array([3.0]), np.ones(1)) == pytest.approx(1.5)
 
     def test_weights_steer_the_slope(self):
-        points = [(1.0, 1.0), (1.0, 3.0)]
-        assert fit_linear_through_origin(points, [1.0, 0.0]) == pytest.approx(1.0)
-        assert fit_linear_through_origin(points, [0.0, 1.0]) == pytest.approx(3.0)
+        x, y = np.ones(2), np.array([1.0, 3.0])
+        assert fit_linear_through_origin(x, y, np.array([1.0, 0.0])) == pytest.approx(1.0)
+        assert fit_linear_through_origin(x, y, np.array([0.0, 1.0])) == pytest.approx(3.0)
 
     def test_zero_abscissae_rejected(self):
         with pytest.raises(ValueError):
-            fit_linear_through_origin([(0.0, 1.0), (0.0, 2.0)])
+            fit_linear_through_origin(np.zeros(2), np.array([1.0, 2.0]), np.ones(2))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit_linear_through_origin([])
+            fit_linear_through_origin(np.empty(0), np.empty(0), np.empty(0))
 
 
 class TestFitPowerLaw:
     def test_noiseless_recovery(self):
-        xs = [1e3, 5e3, 2e4, 1e5, 3e5]
-        points = [(x, 9.0399 * x**0.6251) for x in xs]
-        coeff, exp = fit_power_law(points)
+        xs = np.array([1e3, 5e3, 2e4, 1e5, 3e5])
+        coeff, exp = fit_power_law(xs, 9.0399 * xs**0.6251, np.ones(5))
         assert coeff == pytest.approx(9.0399, rel=1e-9)
         assert exp == pytest.approx(0.6251, rel=1e-9)
 
     def test_constant_data_has_zero_exponent(self):
-        coeff, exp = fit_power_law([(1.0, 7.0), (10.0, 7.0), (100.0, 7.0)])
+        coeff, exp = fit_power_law(np.array([1.0, 10.0, 100.0]), np.full(3, 7.0), np.ones(3))
         assert exp == pytest.approx(0.0, abs=1e-12)
         assert coeff == pytest.approx(7.0, rel=1e-12)
 
     def test_non_positive_coordinates_rejected(self):
         with pytest.raises(ValueError):
-            fit_power_law([(1.0, 1.0), (-2.0, 4.0)])
+            fit_power_law(np.array([1.0, -2.0]), np.array([1.0, 4.0]), np.ones(2))
         with pytest.raises(ValueError):
-            fit_power_law([(1.0, 0.0), (2.0, 4.0)])
+            fit_power_law(np.array([1.0, 2.0]), np.array([0.0, 4.0]), np.ones(2))
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
-            fit_power_law([(1.0, 1.0)])
+            fit_power_law(np.ones(1), np.ones(1), np.ones(1))
 
     def test_identical_abscissae_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            fit_power_law([(5.0, 1.0), (5.0, 2.0)])
+            fit_power_law(np.full(2, 5.0), np.array([1.0, 2.0]), np.ones(2))
 
 
 # Reference measurements: per-acquisition fitted mixture parameters at 30 and
@@ -167,23 +165,19 @@ class TestReferenceMeasurements:
     """Pooled fits over the published per-acquisition mixture parameters."""
 
     def test_iframe_mean_slope(self):
-        points = list(
-            zip(MEAN_FRAME_KB_30 + MEAN_FRAME_KB_60, IFRAME_MEAN_KB_30 + IFRAME_MEAN_KB_60)
-        )
-        assert fit_linear_through_origin(points) == pytest.approx(1.1764, abs=0.02)
+        x, y = np.array(MEAN_FRAME_KB_30 + MEAN_FRAME_KB_60), np.array(IFRAME_MEAN_KB_30 + IFRAME_MEAN_KB_60)
+        assert fit_linear_through_origin(x, y, np.ones(10)) == pytest.approx(1.1764, abs=0.02)
 
     def test_pframe_mean_slope(self):
-        points = list(
-            zip(MEAN_FRAME_KB_30 + MEAN_FRAME_KB_60, PFRAME_MEAN_KB_30 + PFRAME_MEAN_KB_60)
-        )
-        assert fit_linear_through_origin(points) == pytest.approx(0.9008, abs=0.02)
+        x, y = np.array(MEAN_FRAME_KB_30 + MEAN_FRAME_KB_60), np.array(PFRAME_MEAN_KB_30 + PFRAME_MEAN_KB_60)
+        assert fit_linear_through_origin(x, y, np.ones(10)) == pytest.approx(0.9008, abs=0.02)
 
     def test_pframe_std_power_law(self):
         # power laws are fitted on byte-valued sizes; kB inputs would shift
         # the coefficient by 1000**(exp - 1)
-        xs = [s * 1000 for s in MEAN_FRAME_KB_30 + MEAN_FRAME_KB_60]
-        ys = [s * 1000 for s in PFRAME_STD_KB_30 + PFRAME_STD_KB_60]
-        coeff, exp = fit_power_law(list(zip(xs, ys)))
+        xs = np.array([s * 1000 for s in MEAN_FRAME_KB_30 + MEAN_FRAME_KB_60])
+        ys = np.array([s * 1000 for s in PFRAME_STD_KB_30 + PFRAME_STD_KB_60])
+        coeff, exp = fit_power_law(xs, ys, np.ones(10))
         # the exponent is the stable quantity of a log-log fit; the
         # coefficient trades off against it through the data centroid, so an
         # unweighted refit only brackets the published 9.0399 loosely

@@ -7,12 +7,14 @@ from vrburst.generator import (
     BLOCK_BURSTS,
     NS_PER_S,
     BurstDescriptor,
+    GeneratorConfig,
     GeneratorExhaustedError,
     SimpleBurstGenerator,
     TraceFile,
     TraceFileBurstGenerator,
     TraceParseError,
     VrBurstGenerator,
+    build_generators,
     load_trace,
     sample_vr_frame,
     sample_vr_ifi,
@@ -116,6 +118,15 @@ class TestScheduleRounds:
         # one round; a 50 Mbit/s frame is never redrawn, so each burst reads 3 words
         assert len(calls) == 1
         assert 3 * len(sizes) <= calls[0] <= 2 * 3 * len(sizes)
+
+    def test_vr_stations_draw_their_rounds_together(self, monkeypatch):
+        # separately built generators of one (rate, fps) stream have equal models, so they form one bank
+        calls, draw = [], VrBurstGenerator._draw_blocks
+        counted = staticmethod(lambda generators, bursts: calls.append(len(generators)) or draw(generators, bursts))
+        monkeypatch.setattr(VrBurstGenerator, "_draw_blocks", counted)
+        generators, _ = build_generators(GeneratorConfig(), 16, seed=5, duration_s=1.0)
+        schedule_stations(generators, NS_PER_S, [0] * 16)
+        assert calls == [16]
 
     @pytest.mark.parametrize("stations", [1, 2])
     def test_a_long_round_whose_sum_wraps_past_2_63_raises(self, stations):

@@ -8,12 +8,9 @@ import scipy.stats
 
 from vrburst.rv import (
     Gmm2Params,
-    LogisticDist,
     LogisticParams,
-    NormalDist,
     ParameterError,
     RngStream,
-    UniformDist,
     dist_from_spec,
     gmm2_quantile,
     logistic_quantile,
@@ -202,9 +199,12 @@ class TestGmm2Sample:
 class TestDistSpecs:
     def test_parses_each_kind(self):
         assert dist_from_spec("constant:42").quantile(np.empty((3, 0))).tolist() == [42.0] * 3
-        assert isinstance(dist_from_spec("uniform:0:1"), UniformDist)
-        assert isinstance(dist_from_spec("normal:5:2"), NormalDist)
-        assert isinstance(dist_from_spec("logistic:0.0333:0.0015"), LogisticDist)
+        u = np.array([[0.25], [0.5]])
+        for spec, values in [("uniform:0:8", [2.0, 4.0]), ("normal:5:2", [5.0 + 2.0 * ndtri(0.25), 5.0]),
+                             ("logistic:0.0333:0.0015", [0.0333 + 0.0015 * math.log(1 / 3), 0.0333])]:
+            dist = dist_from_spec(spec)
+            assert dist.words == 1
+            assert dist.quantile(u).tolist() == values
 
     def test_uniform_bounds(self):
         xs = dist_from_spec("uniform:3:7").quantile(RngStream(31).uniform(1000).reshape(-1, 1))
@@ -215,10 +215,16 @@ class TestDistSpecs:
         assert dist.words == 1
         assert dist.quantile(np.array([[0.5], [0.975]])) == pytest.approx([0.0, 1.959964])
 
-    @pytest.mark.parametrize("spec", ["triangular:1:2", "constant", "uniform:1", "normal:a:b",
-                                      "constant:nan", "uniform:0:inf", "logistic:-inf:1"])
-    def test_rejects_bad_specs(self, spec):
-        with pytest.raises(ParameterError):
+    @pytest.mark.parametrize("spec, message", [
+        ("triangular:1:2", "unknown distribution"), ("constant", "takes 1 parameter"),
+        ("uniform:1", "takes 2 parameter"), ("normal:a:b", "bad distribution spec"),
+        ("constant:nan", "must be finite"), ("uniform:0:inf", "must be finite"), ("logistic:-inf:1", "must be finite"),
+        ("uniform:2:1", r"uniform bounds out of order: \[2.0, 1.0\]"),
+        ("normal:0:-1", "sigma must be non-negative, got -1.0"),
+        ("logistic:0:-1", "scale must be finite and non-negative, got -1.0"),
+    ])  # fmt: skip
+    def test_rejects_bad_specs(self, spec, message):
+        with pytest.raises(ParameterError, match=message):
             dist_from_spec(spec)
 
     def test_constant_consumes_no_draws(self):

@@ -218,8 +218,16 @@ def test_read_without_segment_size_is_one_datagram(tmp_path):
 def test_discarded_burst_is_counted_and_logged(tmp_path):
     first = bytes(pack_burst(0, 2 * 1254, 5))[:1278]  # burst 0 loses its second fragment
     result, rows = receive(tmp_path, [(first, [], 0), (bytes(pack_burst(1, 10, 5)), [], 0)])
-    assert (result["bursts_discarded"], result["bursts_received"]) == (1, 1)
+    assert (result["bursts_discarded"], result["bursts_received"], result["bursts_in_flight"]) == (1, 1, 0)
     assert [row[:2] for row in rows] == [["0", "discarded"], ["1", "received"]]
+
+
+def test_burst_incomplete_at_the_end_is_in_flight(tmp_path):
+    bursts = [bytes(pack_burst(seq, 5000, 5)) for seq in range(3)]  # 4 datagrams each
+    bursts[2] = bursts[2][:3 * 1278]  # burst 2 loses its last datagram
+    result, rows = receive(tmp_path, [(data, gro_cmsg(1278), 0) for data in bursts])
+    assert (result["bursts_received"], result["bursts_discarded"], result["bursts_in_flight"]) == (2, 0, 1)
+    assert [row[:2] for row in rows] == [["0", "received"], ["1", "received"]]
 
 
 def test_late_and_duplicate_fragments_are_counted(tmp_path):
