@@ -54,6 +54,7 @@ import numpy as np
 
 from .model import DEFAULT_CONSTANTS, DegenerateModelError, VrModelConstants, VrStreamParams
 from .model import derive_frame_size_model, derive_ifi_model
+from .rv import Gmm2Params, LogisticParams
 from .rv import ParameterError, RngStream, dist_from_spec, gmm2_nonpositive, gmm2_quantile, logistic_quantile
 
 NS_PER_US = 1_000
@@ -194,14 +195,20 @@ class SimpleBurstGenerator(BurstGenerator):
 
 
 class VrBurstGenerator(BurstGenerator):
-    """Bursts following the fitted VR model for a (rate, fps) stream."""
+    """Bursts following the fitted VR model for a (rate, fps) stream.
 
-    def __init__(self, params: VrStreamParams, rng: RngStream, constants: VrModelConstants = DEFAULT_CONSTANTS):
+    ``model``, the stream's ``(gmm, ifi)`` pair, is derived from ``params`` and
+    ``constants`` where not given. Generators of value-equal models make one
+    bank.
+    """
+
+    def __init__(self, params: VrStreamParams, rng: RngStream, constants: VrModelConstants = DEFAULT_CONSTANTS,
+                 model: tuple[Gmm2Params, LogisticParams] | None = None):
         super().__init__()
         self.rng = rng
-        self._gmm, self._ifi = derive_frame_size_model(params, constants), derive_ifi_model(params, constants)
+        self._gmm, self._ifi = model or _vr_model(params, constants)
         self._carry = _NO_WORDS  # words the last block left unread
-        self._bank = (self._gmm, self._ifi)
+        self._bank = (*vars(self._gmm).values(), *vars(self._ifi).values())  # floats, hashed and compared in C
         self._period_ns = max(1.0, NS_PER_S * self._ifi.mu)
 
     # defined on this class, not inherited: perfbench/tracer.py patches it here
@@ -258,6 +265,11 @@ class VrBurstGenerator(BurstGenerator):
                                        "non-positive draws; model parameters are degenerate")
         self._carry = words[taken[-1] + 3:]
         return gmm2_quantile(self._gmm, words[taken], words[taken + 1]), taken
+
+
+def _vr_model(params: VrStreamParams, constants: VrModelConstants) -> tuple[Gmm2Params, LogisticParams]:
+    """The frame-size mixture and the inter-frame-interval model of a VR stream."""
+    return derive_frame_size_model(params, constants), derive_ifi_model(params, constants)
 
 
 def sample_vr_frame(params: VrStreamParams, constants: VrModelConstants, rng: RngStream, size: int):
@@ -429,9 +441,10 @@ def build_generators(
     starts ``start_time_s + i * duration_s`` into the file, so stations
     running for ``duration_s`` replay disjoint parts of it.
     """
-    if config.model == "vr":  # equal models make one bank: the stations draw their rounds together
+    if config.model == "vr":  # one model for every station, which makes them one bank
         params = VrStreamParams(config.rate_mbps * 1e6, config.fps)
-        return [VrBurstGenerator(params, RngStream(seed, i + 1), constants) for i in range(n_stations)], None
+        model = _vr_model(params, constants)
+        return [VrBurstGenerator(params, RngStream(seed, i + 1), constants, model) for i in range(n_stations)], None
     if config.model == "simple":
         size_dist = dist_from_spec(config.size_dist)
         period_dist = dist_from_spec(config.period_dist)

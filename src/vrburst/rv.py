@@ -14,6 +14,7 @@ same everywhere.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -26,6 +27,7 @@ RNG_ALGORITHM = "philox4x64/u53/inverse-cdf"
 _MIN_UNIFORM = 2.0**-53
 
 _U64_MAX = 2**64
+_COUNTER_ZERO = np.zeros(4, np.uint64)  # Philox4x64's 256-bit counter
 
 
 class ParameterError(ValueError):
@@ -120,22 +122,54 @@ def ndtri(y):
     return x.reshape(y.shape)[()]
 
 
+class _PhiloxKey:
+    """A stream's two key words as numpy's ``ISeedSequence``: Philox4x64 reads its key from
+    ``generate_state(2, np.uint64)``, so the words are the key exactly and no OS entropy is
+    read. It is registered as one by the first stream, so that importing this module loads no
+    ``numpy.random``."""
+
+    __slots__ = ("words",)
+    registered = False
+
+    def __init__(self, seed: int, stream_id: int):
+        self.words = [seed, stream_id]
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or dtype is not np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return np.array(self.words, np.uint64)
+
+
+def _key_word(name: str, value) -> int:
+    try:
+        word = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= word < _U64_MAX:
+        raise ParameterError(f"{name} must be a 64-bit unsigned integer, got {word}")
+    return word
+
+
 class RngStream:
     """Independent, reproducible uniform source.
 
-    Distinct ``stream_id`` values under one seed key separate Philox streams,
-    so per-station / per-purpose sub-streams never overlap. A stream is
+    Stream ``(seed, stream_id)``, each an integer in [0, 2**64), is Philox4x64
+    with the key words ``[seed, stream_id]`` and its counter at 0. Distinct
+    ``stream_id`` values under one seed key separate Philox streams, so
+    per-station / per-purpose sub-streams never overlap. A stream is
     single-owner: no concurrent draws on one instance.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if not 0 <= int(seed) < _U64_MAX:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        if not 0 <= int(stream_id) < _U64_MAX:
-            raise ParameterError(f"stream_id must be a 64-bit unsigned integer, got {stream_id}")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream_id]))
+        self.seed, self.stream_id = _key_word("seed", seed), _key_word("stream_id", stream_id)
+        if not _PhiloxKey.registered:
+            from numpy.random.bit_generator import ISeedSequence
+
+            ISeedSequence.register(_PhiloxKey)
+            _PhiloxKey.registered = True
+        # an array counter is copied, where an int one is split into words in a Python loop
+        philox = np.random.Philox(_PhiloxKey(self.seed, self.stream_id), counter=_COUNTER_ZERO)
+        self._gen = np.random.Generator(philox)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -53,6 +53,22 @@ class TestGenerate:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_highest_seed_is_its_own_stream(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        rows = {}
+        for seed in ("18446744073709551615", "0"):
+            out = tmp_path / f"{seed}.csv"
+            done = subprocess.run(
+                [sys.executable, "-m", "vrburst.cli", "generate", "--duration-s", "1", "--seed", seed,
+                 "--out", str(out)],
+                capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+            )  # fmt: skip
+            assert (done.returncode, done.stderr) == (0, "")
+            rows[seed] = load_trace(out).records
+        high, zero = rows.values()
+        assert len(high) > 10 and len(zero) > 10
+        assert not np.array_equal(high[:10], zero[:10])
+
     def test_duration_too_short_for_a_burst_is_data_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "generate", "--duration-s", "1e-10", "--out", str(tmp_path / "x.csv")
@@ -590,17 +606,19 @@ class TestCliPlumbing:
     def test_commands_import_no_scipy(self, tmp_path):
         # scipy is a test dependency only: the CLI runs on numpy and the stdlib.
         # Runs the same commands as the CI step that installs without extras.
+        # numpy.random loads on the first RngStream, not with the parser a command starts from.
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             f"import sys; sys.path.insert(0, {str(src)!r}); import vrburst.cli; "
-            "vrburst.cli.build_parser(); "
+            "vrburst.cli.build_parser(); print('numpy.random' in sys.modules); "
             f"assert vrburst.cli.main(['generate', '--duration-s', '1', '--out', {str(tmp_path / 'vr.csv')!r}]) == 0; "
             "assert vrburst.cli.main(['simulate', '--stations', '2', '--duration-s', '1']) == 0; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        lines = done.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("False", "[]")
 
     def test_reused_parser_keeps_calls_apart(self, tmp_path, capsys):
         # main parses every call with one parser; no value of an earlier call,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import vrburst.generator
 from vrburst.generator import (
     BLOCK_BURSTS,
     NS_PER_S,
@@ -127,6 +128,32 @@ class TestScheduleRounds:
         generators, _ = build_generators(GeneratorConfig(), 16, seed=5, duration_s=1.0)
         schedule_stations(generators, NS_PER_S, [0] * 16)
         assert calls == [16]
+
+    def test_vr_stations_built_apart_from_equal_params_make_one_bank(self, monkeypatch):
+        calls, draw = [], VrBurstGenerator._draw_blocks
+        counted = staticmethod(lambda generators, bursts: calls.append(len(generators)) or draw(generators, bursts))
+        monkeypatch.setattr(VrBurstGenerator, "_draw_blocks", counted)
+        generators = [VrBurstGenerator(VrStreamParams(50e6, 60), RngStream(5, i + 1)) for i in range(16)]
+        together = schedule_stations(generators, NS_PER_S, [0] * 16)
+        assert calls == [16]
+        for i, schedule in enumerate(together):
+            alone = VrBurstGenerator(VrStreamParams(50e6, 60), RngStream(5, i + 1)).schedule(NS_PER_S)
+            assert [a.tobytes() for a in schedule] == [a.tobytes() for a in alone]
+
+    def test_build_generators_derives_the_vr_model_once(self, monkeypatch):
+        calls = []
+        for name in ("derive_frame_size_model", "derive_ifi_model"):
+            derive = getattr(vrburst.generator, name)
+            monkeypatch.setattr(vrburst.generator, name,
+                                lambda *args, name=name, derive=derive: calls.append(name) or derive(*args))
+        generators, _ = build_generators(GeneratorConfig(), 16, seed=5, duration_s=1.0)
+        assert sorted(calls) == ["derive_frame_size_model", "derive_ifi_model"]
+        assert len({(id(g._gmm), id(g._ifi)) for g in generators}) == 1
+
+    def test_vr_models_that_differ_make_separate_banks(self):
+        a, b = (VrBurstGenerator(VrStreamParams(rate, 60), RngStream(5, 1)) for rate in (50e6, 20e6))
+        assert a._bank != b._bank
+        assert a._bank == VrBurstGenerator(VrStreamParams(50e6, 60), RngStream(6, 2))._bank
 
     @pytest.mark.parametrize("stations", [1, 2])
     def test_a_long_round_whose_sum_wraps_past_2_63_raises(self, stations):

@@ -1,4 +1,5 @@
 import math
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,6 +156,38 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ParameterError):
             RngStream(0, 2**64)
+
+    @pytest.mark.parametrize("key", [(0, 0), (31, 5), (2**63 - 1, 7)])
+    def test_draws_are_the_keyed_philox_doubles(self, key):
+        expected = np.maximum(np.random.Generator(np.random.Philox(key=list(key))).random(1000), 2.0**-53)
+        assert RngStream(*key).uniform(1000).tobytes() == expected.tobytes()
+        rng = RngStream(*key)
+        assert np.array([rng.uniform() for _ in range(1000)]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [2**63, 2**63 + 12345, 2**64 - 1])
+    def test_high_seeds_are_their_key_words_exactly(self, seed):
+        state = RngStream(seed, 7)._gen.bit_generator.state["state"]
+        assert state["key"].tolist() == [seed, 7]
+        assert state["counter"].tolist() == [0, 0, 0, 0]
+
+    def test_building_a_stream_reads_no_os_entropy(self, monkeypatch):
+        def entropy(n):
+            raise AssertionError("OS entropy read")
+
+        seed_sequence = np.random.SeedSequence  # loads numpy.random, whose import seeds its global RandomState
+        monkeypatch.setattr(random, "_urandom", entropy)  # what SeedSequence() reads through secrets
+        rng = RngStream(23, 5)
+        assert not isinstance(rng._gen.bit_generator.seed_seq, seed_sequence)
+        assert rng.uniform(3).shape == (3,)
+
+    def test_seed_and_stream_id_are_integers(self):
+        for seed, stream_id in [(1.9, 0), ("5", 0), (None, 0), (5, 1.0), (5, np.float64(2.0))]:
+            with pytest.raises(ParameterError, match="must be an integer"):
+                RngStream(seed, stream_id)
+        numpy_ints = RngStream(np.uint64(2**64 - 1), np.int64(3))
+        assert (numpy_ints.seed, numpy_ints.stream_id) == (2**64 - 1, 3)
+        assert type(numpy_ints.seed) is int
+        assert numpy_ints.uniform(8).tobytes() == RngStream(2**64 - 1, 3).uniform(8).tobytes()
 
 
 def pairs(rng, size):
