@@ -35,12 +35,9 @@ from .rv import ParameterError
 from .sim import ScenarioConfig, exact_sums, mean_std, percentile, run_scenario
 from .wire import (
     DEFAULT_FRAGMENT_SIZE,
-    HEADER_LEN,
-    BurstDiscarded,
     BurstReassembler,
     BurstReceived,
-    LateFragmentIgnored,
-    decode_header,
+    decode_header,  # noqa: F401  (perfbench/tracer.py patches it here)
     encode_header,  # noqa: F401  (perfbench/tracer.py patches it here)
     fragment_burst,  # noqa: F401  (perfbench/tracer.py patches it here)
     fragment_layout,
@@ -67,6 +64,11 @@ _UDP_GRO = 104
 _GSO_MAX_SEGMENTS = 64
 _UDP_MAX_PAYLOAD = 65507
 _MAX_READ = 65535
+# a read the kernel truncated, as a plain int: the MsgFlag operators run in Python
+_TRUNCATED = int(socket.MSG_TRUNC | socket.MSG_CTRUNC)
+# `recv` reassembles at most this many sources; datagrams from any further
+# source are dropped, so a sender cycling source ports cannot grow the table
+_MAX_FLOWS = 4096
 
 
 def _load_constants(args) -> VrModelConstants:
@@ -364,25 +366,6 @@ def _open_receive_socket(listen: tuple[str, int]) -> socket.socket:
     return sock
 
 
-def _gro_segments(data: bytes, ancdata, flags: int) -> list | None:
-    """The datagrams of one read, as views of ``data``.
-
-    A read that carries a ``UDP_GRO`` control message is cut at the segment
-    size it gives, the last datagram being the shorter one; any other read is
-    one datagram. Returns None for a read whose data or control messages the
-    kernel truncated (``MSG_TRUNC``, ``MSG_CTRUNC``): its cut points are
-    unknown.
-    """
-    if flags & (socket.MSG_TRUNC | socket.MSG_CTRUNC):
-        return None
-    step = len(data) or 1
-    for level, kind, cdata in ancdata:
-        if level == socket.IPPROTO_UDP and kind == _UDP_GRO:
-            step = int.from_bytes(cdata, sys.byteorder)
-    view = memoryview(data)
-    return [view[start:start + step] for start in range(0, len(data) or 1, step)]
-
-
 def receive_bursts(
     listen: tuple[str, int],
     out_path,
@@ -400,10 +383,16 @@ def receive_bursts(
 
     ``UDP_GRO`` is turned on for the socket, a passed-in one too, where the
     kernel accepts it (``gro`` in the counters). One read (``reads``) may then
-    return several datagrams of a flow, which are split at their segment size
-    and reassembled one by one (``datagrams``). ``late`` counts fragments of a
-    burst older than the flow's current one, and ``duplicates`` fragments that
-    arrived twice.
+    return several datagrams of a flow, cut at the segment size its control
+    message gives, the last datagram being the shorter one; any other read is
+    one datagram (``datagrams``). Each read is reassembled in one pass
+    (:meth:`~vrburst.wire.BurstReassembler.on_datagrams`), and a read the
+    kernel truncated is one malformed datagram, its cut points unknown.
+    ``late`` counts fragments of a burst older than the flow's current one,
+    and ``duplicates`` fragments that arrived twice. A source gets a flow with
+    its first valid datagram; once ``_MAX_FLOWS`` sources have one, the
+    datagrams of any other source are not reassembled but counted in
+    ``datagrams_dropped``.
     """
     owned = _open_receive_socket(listen) if sock is None else contextlib.nullcontext(sock)
     with owned as sock, open(out_path, "w", encoding="utf-8") as fh:  # closes a socket it opened on every path
@@ -415,7 +404,7 @@ def receive_bursts(
             gro = False
         cmsg_size = socket.CMSG_SPACE(4)
         flows: dict = {}
-        malformed = datagrams = reads = late = 0
+        malformed = dropped = datagrams = reads = late = 0
         deadline = time.monotonic() + duration_s
         fh.write("# source: vrburst recv\n")
         fh.write(f"# listen: {listen[0]}:{listen[1]}\n")
@@ -429,31 +418,38 @@ def receive_bursts(
                 continue
             arrival = time.monotonic_ns()
             reads += 1
-            segments = _gro_segments(data, ancdata, flags)
-            if segments is None:
+            if flags & _TRUNCATED:  # its cut points are unknown
                 datagrams += 1
                 malformed += 1
                 continue
-            for segment in segments:
-                datagrams += 1
-                try:
-                    header = decode_header(segment)
-                    flow = flows.get(addr) or flows.setdefault(addr, BurstReassembler())
-                    events = flow.on_fragment(header, arrival, len(segment) - HEADER_LEN)
-                except ValueError:
-                    malformed += 1
+            step = len(data) or 1
+            for level, kind, cdata in ancdata:
+                if level == socket.IPPROTO_UDP and kind == _UDP_GRO:
+                    step = int.from_bytes(cdata, sys.byteorder)
+            count = -(-len(data) // step) or 1
+            datagrams += count
+            flow = flows.get(addr)
+            if flow is None:
+                if len(flows) >= _MAX_FLOWS:
+                    dropped += count
                     continue
-                for event in events:
-                    if isinstance(event, BurstReceived):
-                        fh.write(f"{event.burst_seq},received,{event.delay_ns},{event.burst_size}\n")
-                    elif isinstance(event, BurstDiscarded):
-                        fh.write(f"{event.burst_seq},discarded,,{event.burst_size}\n")
-                    elif isinstance(event, LateFragmentIgnored):
-                        late += 1
+                flow = BurstReassembler()
+            events, bad, old = flow.on_datagrams(data, step, arrival)
+            if bad < count:  # a source's flow starts with its first valid datagram
+                flows[addr] = flow
+            malformed += bad
+            late += old
+            if events:
+                fh.write("".join(
+                    f"{e.burst_seq},received,{e.delay_ns},{e.burst_size}\n" if type(e) is BurstReceived
+                    else f"{e.burst_seq},discarded,,{e.burst_size}\n"
+                    for e in events
+                ))
     counters = [flow.counters for flow in flows.values()]
     return {
         "datagrams": datagrams,
         "malformed": malformed,
+        "datagrams_dropped": dropped,
         "late": late,
         "duplicates": sum(c.fragments_duplicate for c in counters),
         "bursts_received": sum(c.bursts_received for c in counters),

@@ -17,7 +17,9 @@ any order, a burst completes only when every fragment index is present, and
 the arrival of a newer burst discards an incomplete older one. The first
 header of a burst that arrives fixes its count, size and timestamp; a later
 fragment of that burst that disagrees is rejected. There is no
-retransmission and at most one in-progress burst per flow.
+retransmission and at most one in-progress burst per flow. A read's
+datagrams are reassembled in one pass over its bytes, each header unpacked
+in place, with no header object per datagram.
 """
 
 from __future__ import annotations
@@ -208,27 +210,33 @@ class ReassemblyCounters:
 
 
 class BurstReassembler:
-    """Per-flow state machine turning fragment arrivals into burst events.
+    """Per-flow state machine turning datagram arrivals into burst events.
 
-    ``on_fragment`` classifies every arrival: fragments of an older burst are
-    ignored, duplicates of the current burst are ignored (and counted in
-    ``counters.fragments_duplicate``), completing the current burst emits
-    :class:`BurstReceived`, and the first fragment of a newer burst discards
-    an incomplete current one (possibly emitting :class:`BurstDiscarded` and
-    :class:`BurstReceived` from the same call when the newcomer is a
-    single-fragment burst). Sequence numbers compare in RFC
-    1982 serial order, so 0 follows 2**32 - 1; a burst exactly 2**31 ahead
-    counts as older.
+    :meth:`on_datagrams` takes the datagrams of one read in one pass and
+    classifies each: a datagram shorter than a header, with a count of 0 or
+    an index not below its count, or that disagrees with its burst's first
+    header is malformed and changes nothing; fragments of an older burst are
+    late and ignored; the first fragment of a newer burst discards an
+    incomplete current one (:class:`BurstDiscarded`); duplicates of the
+    current burst are ignored (and counted in
+    ``counters.fragments_duplicate``); completing the current burst emits
+    :class:`BurstReceived`. Sequence numbers compare in RFC 1982 serial
+    order, so 0 follows 2**32 - 1; a burst exactly 2**31 ahead counts as
+    older.
 
     The first header of the current burst to arrive stands for the whole
     burst: a later fragment of it whose count, size or timestamp differs is
-    rejected with :class:`HeaderError` and counted nowhere.
+    malformed. :meth:`on_fragment` is the one-datagram case for a decoded
+    header, and raises :class:`HeaderError` for such a fragment.
     """
 
     def __init__(self):
-        self._first: FragmentHeader | None = None  # first header of the current burst
+        # the current burst, fixed by its first header to arrive; None before the first
+        self._seq: int | None = None
+        self._count = self._size = self._stamp = 0
         self._seen: set[int] = set()  # its fragment indices that arrived
-        self._payload = 0  # their payload bytes
+        self._missing = 0  # its fragments still to arrive
+        self._payload = 0  # the payload bytes of those that arrived
         self._counters = ReassemblyCounters()
 
     @property
@@ -236,57 +244,86 @@ class BurstReassembler:
         """A snapshot of the counters, which later fragments leave unchanged."""
         return replace(self._counters)
 
+    def on_datagrams(self, data, step: int, arrival_ns: int) -> tuple[list, int, int]:
+        """Process the datagrams of one read, all arrived at ``arrival_ns``.
+
+        ``data`` holds them back to back, one every ``step`` bytes, the last
+        one possibly shorter; an empty ``data`` is one empty datagram. Returns
+        the read's :class:`BurstDiscarded` and :class:`BurstReceived` events
+        in order, and its numbers of malformed and of late datagrams.
+        """
+        seq0, count0, size0, stamp0 = self._seq, self._count, self._size, self._stamp
+        seen, missing, payload_sum = self._seen, self._missing, self._payload
+        events: list = []
+        malformed = late = fragments = payload_bytes = duplicates = started = received = failed = 0
+        unpack_from = _HEADER.unpack_from
+        end = len(data)
+        full = step - HEADER_LEN
+        for offset in range(0, end or 1, step):
+            payload = end - offset - HEADER_LEN
+            if payload > full:
+                payload = full
+            if payload < 0:
+                malformed += 1
+                continue
+            seq, index, count, size, stamp = unpack_from(data, offset)
+            if index >= count:  # a count of 0 too: the unpack bounds every other field
+                malformed += 1
+                continue
+            if seq == seq0:
+                if count != count0 or size != size0 or stamp != stamp0:
+                    malformed += 1
+                    continue
+            # RFC 1982 serial order on the u32 sequence: newer iff ahead by 1 .. 2**31 - 1
+            elif seq0 is not None and (seq - seq0) % _U32 >= _U32 // 2:
+                fragments += 1
+                payload_bytes += payload
+                late += 1
+                continue
+            else:
+                if missing:
+                    failed += 1
+                    events.append(BurstDiscarded(seq0, size0, count0, count0 - missing))
+                seq0, count0, size0, stamp0 = seq, count, size, stamp
+                seen = set()
+                missing = count
+                payload_sum = 0
+                started += 1
+            fragments += 1
+            payload_bytes += payload
+            if index in seen:
+                duplicates += 1
+                continue  # burst outcome unchanged
+            seen.add(index)
+            missing -= 1
+            payload_sum += payload
+            if not missing:
+                received += 1
+                events.append(BurstReceived(seq, size, count, arrival_ns - stamp, payload_sum))
+        self._seq, self._count, self._size, self._stamp = seq0, count0, size0, stamp0
+        self._seen, self._missing, self._payload = seen, missing, payload_sum
+        counters = self._counters
+        counters.bursts_started += started
+        counters.bursts_received += received
+        counters.bursts_failed += failed
+        counters.fragments_received += fragments
+        counters.fragments_duplicate += duplicates
+        counters.bytes_received += payload_bytes
+        return events, malformed, late
+
     def on_fragment(self, header: FragmentHeader, arrival_ns: int, payload_len: int = 0) -> list:
-        """Process one fragment arrival; returns the events it triggered."""
-        first = self._first
-        # RFC 1982 serial order on the u32 sequence: newer iff ahead by 1 .. 2**31 - 1
-        ahead = 1 if first is None else (header.burst_seq - first.burst_seq) % _U32
-        # header[2:] is (frag_count, burst_size, timestamp_ns)
-        if not ahead and header[2:] != first[2:]:
+        """Process one fragment arrival; returns the events it triggered.
+
+        A late fragment triggers :class:`LateFragmentIgnored`; one that
+        disagrees with its burst's first header raises :class:`HeaderError`
+        and is counted nowhere.
+        """
+        datagram = _HEADER.pack(*header) + bytes(payload_len)
+        events, malformed, late = self.on_datagrams(datagram, len(datagram), arrival_ns)
+        if malformed:
             raise HeaderError(
                 f"fragment {header.frag_index} of burst {header.burst_seq} disagrees with the "
                 f"burst's first header on (frag_count, burst_size, timestamp_ns): "
-                f"{header[2:]} != {first[2:]}"
+                f"{header[2:]} != {(self._count, self._size, self._stamp)}"
             )
-        counters = self._counters
-        counters.fragments_received += 1
-        counters.bytes_received += payload_len
-        if ahead >= _U32 // 2:
-            return [LateFragmentIgnored(header.burst_seq, header.frag_index)]
-
-        events: list = []
-        if ahead:
-            if first is not None and len(self._seen) < first.frag_count:
-                counters.bursts_failed += 1
-                events.append(
-                    BurstDiscarded(
-                        burst_seq=first.burst_seq,
-                        burst_size=first.burst_size,
-                        frag_count=first.frag_count,
-                        fragments_received=len(self._seen),
-                    )
-                )
-            self._first = first = header
-            self._seen = set()
-            self._payload = 0
-            counters.bursts_started += 1
-
-        seen = self._seen
-        if header.frag_index in seen:
-            counters.fragments_duplicate += 1
-            return events  # burst outcome unchanged
-        seen.add(header.frag_index)
-        self._payload += payload_len
-        if len(seen) == first.frag_count:
-            counters.bursts_received += 1
-            events.append(
-                BurstReceived(
-                    burst_seq=first.burst_seq,
-                    burst_size=first.burst_size,
-                    frag_count=first.frag_count,
-                    delay_ns=arrival_ns - first.timestamp_ns,
-                    payload_bytes=self._payload,
-                )
-            )
-        return events
-
+        return [LateFragmentIgnored(header.burst_seq, header.frag_index)] if late else events

@@ -576,7 +576,7 @@ class TestUdpLoopback:
                 sender.sendto(encode_header(FragmentHeader(*header)) + b"\x00" * payload, addr)
         thread.join()
         recv_sock.close()
-        assert result == {"datagrams": 3, "malformed": 1, "late": 0, "duplicates": 0,
+        assert result == {"datagrams": 3, "malformed": 1, "datagrams_dropped": 0, "late": 0, "duplicates": 0,
                           "bursts_received": 1, "bursts_discarded": 0, "bursts_in_flight": 0, "flows": 1,
                           "reads": 3, "gro": True}
         seq, outcome, _, size = out.read_text().splitlines()[-1].split(",")

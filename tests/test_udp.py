@@ -3,8 +3,8 @@
 Send tests check the datagrams ``send_bursts`` puts on the wire against
 ``fragment_burst`` + ``encode_header``, with and without UDP segmentation
 offload. Receive tests feed ``receive_bursts`` coalesced reads from a fake
-socket, and push the reassembler's drop/duplicate/reorder property through
-the split of a coalesced read.
+socket; ``test_wire_oracle`` holds the reassembly of any cut into reads to
+the per-fragment oracle.
 """
 
 import errno
@@ -13,15 +13,11 @@ import sys
 import threading
 import time
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from test_wire import deliver, one_burst_deliveries
-
-from vrburst.cli import _UDP_GRO, _UDP_SEGMENT, _gro_segments, receive_bursts, send_bursts
+import vrburst.cli
+from vrburst.cli import _UDP_GRO, _UDP_SEGMENT, receive_bursts, send_bursts
 from vrburst.generator import BurstDescriptor
 from vrburst.wire import (
     HEADER_LEN,
-    BurstReassembler,
     decode_header,
     encode_header,
     fragment_burst,
@@ -153,7 +149,11 @@ def gro_cmsg(segment_size):
 
 
 class FakeRecvSocket:
-    """Hands ``receive_bursts`` the given ``recvmsg`` results, then times out."""
+    """Hands ``receive_bursts`` the given ``recvmsg`` results, then times out.
+
+    A read is ``(data, ancdata, flags)``, from 127.0.0.1:4000, or
+    ``(data, ancdata, flags, addr)``.
+    """
 
     def __init__(self, reads):
         self.reads = list(reads)
@@ -169,8 +169,8 @@ class FakeRecvSocket:
         if not self.reads:
             time.sleep(0.01)
             raise socket.timeout
-        data, ancdata, flags = self.reads.pop(0)
-        return data, ancdata, flags, ("127.0.0.1", 4000)
+        data, ancdata, flags, *addr = self.reads.pop(0)
+        return data, ancdata, flags, addr[0] if addr else ("127.0.0.1", 4000)
 
 
 def receive(tmp_path, reads):
@@ -239,39 +239,21 @@ def test_late_and_duplicate_fragments_are_counted(tmp_path):
     assert result["datagrams"] == 5 and result["malformed"] == 0
 
 
-@settings(max_examples=200, deadline=None)
-@given(one_burst_deliveries(), st.data())
-def test_reassembly_through_the_split_of_coalesced_reads(case, data):
-    """Datagrams coalesced into reads as GRO does, then split, reassemble as sent.
-
-    GRO joins datagrams of one segment size into a read, and only the last
-    datagram of a read may be shorter.
-    """
-    burst_size, fragment_size, order = case
-    frags = fragment_burst(7, burst_size, 100, fragment_size)
-    follow = fragment_burst(8, burst_size, 200, fragment_size)[0]
-    arrived = [frags[i] for i in order] + [follow]
-    wire = [encode_header(f.header) + b"\0" * f.payload_len for f in arrived]
-
-    reads, current = [], []
-    for datagram in wire:
-        current.append(datagram)
-        if len(datagram) < fragment_size or data.draw(st.booleans()):
-            reads.append(current)
-            current = []
-    reads += [current] if current else []
-
-    r = BurstReassembler()
-    events, k = [], 0
-    for read in reads:
-        ancdata = gro_cmsg(fragment_size) if len(read) > 1 else []
-        segments = _gro_segments(b"".join(read), ancdata, 0)
-        assert [bytes(s) for s in segments] == read
-        for segment in segments:
-            header = decode_header(segment)
-            events += r.on_fragment(header, 1_000 + k * 10, len(segment) - HEADER_LEN)
-            k += 1
-    assert events == deliver(BurstReassembler(), arrived)
+def test_sources_past_the_flow_cap_are_dropped(tmp_path, monkeypatch):
+    monkeypatch.setattr(vrburst.cli, "_MAX_FLOWS", 2)
+    a, b, c = (("10.0.0.1", 4000), ("10.0.0.2", 4000), ("10.0.0.3", 4000))
+    two = bytes(pack_burst(0, 2 * 1254, 5))
+    reads = [
+        (b"\0" * 10, [], 0, c),  # no valid datagram: no flow, so c takes no place in the table
+        (two, gro_cmsg(1278), 0, a),
+        (two, gro_cmsg(1278), 0, b),
+        (two, gro_cmsg(1278), 0, c),  # the table is full
+        (bytes(pack_burst(1, 10, 5)), [], 0, a),  # a source with a flow still gets it
+    ]
+    result, rows = receive(tmp_path, reads)
+    assert (result["flows"], result["datagrams"], result["malformed"], result["datagrams_dropped"]) == (2, 8, 1, 2)
+    assert (result["bursts_received"], result["bursts_in_flight"]) == (3, 0)
+    assert [row[:2] for row in rows] == [["0", "received"], ["0", "received"], ["1", "received"]]
 
 
 def test_send_recv_round_trip_one_read_per_burst(tmp_path):
